@@ -1,9 +1,10 @@
-"""Deterministic blocked reductions.
+"""Deterministic row-tiled reductions.
 
-All O(N^2) pair sums go through `blocked_row_sum` / `blocked_total`: the row
-index space is split into fixed-size blocks, per-block partials are computed
-with single numpy calls and combined in block order.  The result is therefore
-bit-identical regardless of how many worker threads are used.
+Every O(N^2) pair sum is computed in row tiles: a tile function produces rows
+lo:hi of the (never materialized) pair matrix, `blocked_row_sum` /
+`blocked_total` reduce each tile with single numpy calls and combine the
+partials in tile order.  Tile ranges depend only on the matrix shape, so the
+result is bit-identical regardless of how many worker threads are used.
 """
 
 from __future__ import annotations
@@ -13,7 +14,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-_BLOCK = 64
+# Byte budget of one tile.  Each per-tile temporary stays below glibc's default
+# mmap threshold (M_MMAP_THRESHOLD, 128 KiB): a larger block is mmapped when
+# allocated and unmapped when freed, so every tile of every energy call would
+# page-fault its memory in afresh, while smaller blocks are reused from the heap.
+_TILE_BYTES = 120 * 1024
 _threads = None
 
 
@@ -32,13 +37,34 @@ def set_threads(n: int) -> None:
     _threads = n
 
 
-def _block_ranges(n: int):
-    return [(i, min(i + _BLOCK, n)) for i in range(0, n, _BLOCK)]
+def tile_rows(n_cols: int, item_bytes: int = 8) -> int:
+    """Rows per tile when a row holds n_cols items of item_bytes each (at least 1)."""
+    return max(1, _TILE_BYTES // (item_bytes * max(n_cols, 1)))
 
 
-def _map_blocks(fn, n: int):
-    """Apply fn(lo, hi) to each row block; return partials in block order."""
-    ranges = _block_ranges(n)
+def row_tiles(n_rows: int, n_cols: int, item_bytes: int = 8) -> list:
+    """Fixed (lo, hi) row ranges covering an n_rows x n_cols matrix."""
+    step = tile_rows(n_cols, item_bytes)
+    return [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
+
+def triangle_tiles(n: int, item_bytes: int = 8):
+    """(lo, hi) row ranges over the upper triangle of an n x n matrix.
+
+    The tile lo:hi spans columns lo:n, so tiles grow taller as rows shorten.
+    Its entries below the diagonal are computed only to be overwritten, so a
+    tile is at most half as tall as it is wide: at most a quarter of it is
+    wasted.
+    """
+    lo = 0
+    while lo < n:
+        hi = min(n, lo + tile_rows(n - lo, item_bytes), lo + max(1, (n - lo) // 2))
+        yield lo, hi
+        lo = hi
+
+
+def _map_tiles(fn, ranges):
+    """Apply fn(lo, hi) to each row range; return partials in range order."""
     nthreads = get_threads()
     if nthreads == 1 or len(ranges) == 1:
         return [fn(lo, hi) for lo, hi in ranges]
@@ -46,21 +72,21 @@ def _map_blocks(fn, n: int):
         return list(pool.map(lambda r: fn(r[0], r[1]), ranges))
 
 
-def blocked_total(matrix: np.ndarray) -> float:
-    """Sum all entries of a 2-D array, fixed block order."""
-    partials = _map_blocks(lambda lo, hi: float(matrix[lo:hi].sum()), matrix.shape[0])
+def blocked_total(tile, n_rows: int, n_cols: int, item_bytes: int = 8) -> float:
+    """Sum of all entries of the n_rows x n_cols matrix whose rows lo:hi are
+    tile(lo, hi); item_bytes sizes the tiles by the tile function's widest
+    per-entry temporary."""
+    ranges = row_tiles(n_rows, n_cols, item_bytes)
     total = 0.0
-    for p in partials:
+    for p in _map_tiles(lambda lo, hi: float(tile(lo, hi).sum()), ranges):
         total += p
     return total
 
 
-def blocked_row_sum(matrix: np.ndarray) -> np.ndarray:
-    """Row sums of a 2-D array, computed block by block."""
-    out = np.empty(matrix.shape[0])
-    for (lo, hi), part in zip(
-        _block_ranges(matrix.shape[0]),
-        _map_blocks(lambda lo, hi: matrix[lo:hi].sum(axis=1), matrix.shape[0]),
-    ):
+def blocked_row_sum(tile, n_rows: int, n_cols: int) -> np.ndarray:
+    """Row sums of the n_rows x n_cols matrix whose rows lo:hi are tile(lo, hi)."""
+    ranges = row_tiles(n_rows, n_cols)
+    out = np.empty(n_rows)
+    for (lo, hi), part in zip(ranges, _map_tiles(lambda lo, hi: tile(lo, hi).sum(axis=1), ranges)):
         out[lo:hi] = part
     return out

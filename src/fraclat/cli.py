@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 One subcommand per study; the config file carries everything else.  Exit codes:
-0 success, 2 config error, 3 numerical failure.
+0 success, 2 config error, 3 numerical failure, 4 input over capacity (for
+example a lattice above the site cap).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import os
 import sys
 
 from ._reduction import set_threads
-from .errors import ConfigError, NumericalError
+from .errors import CapacityError, ConfigError, NumericalError
 from .study import STUDIES, parse_config, run_study, write_report
 
 
@@ -51,6 +52,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except CapacityError as exc:
+        print(f"capacity error: {exc}", file=sys.stderr)
+        return 4
 
     for eps, seed, metric, value, aux in report.rows:
         print(f"{study} eps={eps:g} seed={seed} {metric}={value:.6g} {aux}".rstrip(), file=sys.stderr)

@@ -7,7 +7,7 @@ The core object is
 
 with the pair sum running over all halo sites ("global", halo-truncated) or
 over Q^eps x Q^eps only ("local").  All pair sums exclude the diagonal and go
-through the fixed-order blocked reduction, so values are bit-identical for any
+through the fixed-order row-tiled reduction, so values are bit-identical for any
 thread count.
 """
 
@@ -19,9 +19,9 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from ._reduction import blocked_row_sum, blocked_total
+from ._reduction import blocked_row_sum, blocked_total, triangle_tiles
 from .errors import NumericalError
-from .lattice import LatticeDomain
+from .lattice import LatticeDomain, PairOffsets, pair_offsets
 from .weights import WeightField, pair_weight_matrix
 
 FLAVORS = ("global", "local")
@@ -205,8 +205,20 @@ def pair_ids(lattice: LatticeDomain, flavor: str) -> np.ndarray:
     return np.arange(lattice.n_sites) if flavor == "global" else lattice.q_ids
 
 
+def _distance_powers(offsets: PairOffsets, eps: float, exponent: float) -> np.ndarray:
+    """|x-y|^exponent for every entry of the offset table; the zero offset gets 1."""
+    dist = offsets.distance(eps)
+    dist[offsets.center] = 1.0
+    return dist**exponent
+
+
 def kernel_matrix(lattice: LatticeDomain, field: WeightField, s: float, p: float, flavor: str):
-    """(ids, K) with K[i,j] = eps^{2d} c_{ij} / |x_i-x_j|^{d+ps}, zero diagonal."""
+    """(ids, K) with K[i,j] = eps^{2d} c_{ij} / |x_i-x_j|^{d+ps}, zero diagonal.
+
+    K is filled in row tiles over its upper triangle, each mirrored into the
+    lower one, so every pair is hashed once; |x_i-x_j|^{d+ps} comes from the
+    offset table.  K is the only N x N array allocated.
+    """
     # the cached lattice reference keeps its id() from being recycled
     key = (id(lattice), field, float(s), float(p), flavor)
     hit = _KERNEL_CACHE.get(key)
@@ -215,25 +227,34 @@ def kernel_matrix(lattice: LatticeDomain, field: WeightField, s: float, p: float
     ids = pair_ids(lattice, flavor)
     z = lattice.sites[ids]
     eps, d = lattice.eps, lattice.dim
-    w = pair_weight_matrix(field, z, z)
-    diff = (z[:, None, :] - z[None, :, :]).astype(float)
-    dist = eps * np.sqrt((diff * diff).sum(axis=2))
-    np.fill_diagonal(dist, 1.0)
-    k = eps ** (2 * d) * w / dist ** (d + p * s)
-    np.fill_diagonal(k, 0.0)
+    offsets = pair_offsets(lattice)
+    codes = offsets.codes[ids]
+    denom = _distance_powers(offsets, eps, d + p * s)
+    scale = eps ** (2 * d)
+    k = np.empty((len(ids), len(ids)))
+    for lo, hi in triangle_tiles(len(ids), 8 * d):
+        tile = pair_weight_matrix(field, z[lo:hi], z[lo:])
+        tile *= scale
+        tile /= denom[offsets.index(codes[lo:hi], codes[lo:])]
+        k[lo:hi, lo:] = tile
+        k[lo:, lo:hi] = tile.T
     if len(_KERNEL_CACHE) >= _KERNEL_CACHE_MAX:
         _KERNEL_CACHE.pop(next(iter(_KERNEL_CACHE)))
     _KERNEL_CACHE[key] = (lattice, ids, k)
     return ids, k
 
 
-def _pair_term_matrix(k: np.ndarray, vals: np.ndarray, fn) -> np.ndarray:
-    diffs = vals[:, None] - vals[None, :]
-    out = k * fn(diffs)
-    if not np.all(np.isfinite(out)):
-        i, j = np.argwhere(~np.isfinite(out))[0]
-        raise NumericalError(f"non-finite pair contribution at site pair ({i}, {j})")
-    return out
+def _pair_terms(k: np.ndarray, vals: np.ndarray, fn):
+    """Tile function for rows lo:hi of the pair matrix K * fn(u(x) - u(y))."""
+
+    def tile(lo, hi):
+        out = k[lo:hi] * fn(vals[lo:hi, None] - vals[None, :])
+        if not np.all(np.isfinite(out)):
+            i, j = np.argwhere(~np.isfinite(out))[0]
+            raise NumericalError(f"non-finite pair contribution at site pair ({lo + i}, {j})")
+        return out
+
+    return tile
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +267,7 @@ def energy_value(spec: EnergySpec, field: WeightField, u: GridFunction) -> float
     lat = u.lattice
     ids, k = kernel_matrix(lat, field, spec.s, spec.p, spec.flavor)
     vals = u.values[ids]
-    nonlocal_part = blocked_total(_pair_term_matrix(k, vals, spec.V.value))
+    nonlocal_part = blocked_total(_pair_terms(k, vals, spec.V.value), len(ids), len(ids))
     epsd = lat.eps**lat.dim
     zero_order = epsd * float(spec.G.value(vals).sum())
     forcing = 0.0
@@ -264,9 +285,8 @@ def energy_gradient(spec: EnergySpec, field: WeightField, u: GridFunction) -> Gr
     lat = u.lattice
     ids, k = kernel_matrix(lat, field, spec.s, spec.p, spec.flavor)
     vals = u.values[ids]
-    pair = _pair_term_matrix(k, vals, spec.V.derivative)
     grad = np.zeros(lat.n_sites)
-    grad[ids] = 2.0 * blocked_row_sum(pair)
+    grad[ids] = 2.0 * blocked_row_sum(_pair_terms(k, vals, spec.V.derivative), len(ids), len(ids))
     epsd = lat.eps**lat.dim
     grad[ids] += epsd * spec.G.derivative(vals)
     if spec.f is not None:
@@ -300,15 +320,17 @@ def _range_ids(lattice: LatticeDomain, rng: str) -> np.ndarray:
 def gagliardo_seminorm(lattice: LatticeDomain, u: GridFunction, s: float, p: float, rng: str = "q") -> float:
     """[u]_{s,p,eps}: p-th root of eps^{2d} sum sum |u(x)-u(y)|^p / |x-y|^{d+sp}."""
     ids = _range_ids(lattice, rng)
-    z = lattice.sites[ids].astype(float)
     eps, d = lattice.eps, lattice.dim
-    diff = z[:, None, :] - z[None, :, :]
-    dist = eps * np.sqrt((diff * diff).sum(axis=2))
-    np.fill_diagonal(dist, 1.0)
+    offsets = pair_offsets(lattice)
+    codes = offsets.codes[ids]
+    denom = _distance_powers(offsets, eps, d + s * p)
     vals = u.values[ids]
-    num = np.abs(vals[:, None] - vals[None, :]) ** p / dist ** (d + s * p)
-    np.fill_diagonal(num, 0.0)
-    return float((eps ** (2 * d) * blocked_total(num)) ** (1.0 / p))
+
+    def tile(lo, hi):
+        num = np.abs(vals[lo:hi, None] - vals[None, :]) ** p
+        return num / denom[offsets.index(codes[lo:hi], codes)]
+
+    return float((eps ** (2 * d) * blocked_total(tile, len(ids), len(ids))) ** (1.0 / p))
 
 
 def weighted_seminorm(
@@ -317,8 +339,11 @@ def weighted_seminorm(
     """[u]_{s,p,eps,c}: as gagliardo_seminorm with the weight c inserted."""
     ids, k = kernel_matrix(lattice, field, s, p, "global" if rng == "global" else "local")
     vals = u.values[ids]
-    num = k * np.abs(vals[:, None] - vals[None, :]) ** p
-    return float(blocked_total(num) ** (1.0 / p))
+
+    def tile(lo, hi):
+        return k[lo:hi] * np.abs(vals[lo:hi, None] - vals[None, :]) ** p
+
+    return float(blocked_total(tile, len(ids), len(ids)) ** (1.0 / p))
 
 
 def lq_norm(lattice: LatticeDomain, u: GridFunction, q: float, rng: str = "q") -> float:
@@ -370,16 +395,18 @@ def holder_chain_constant(
     ids = lattice.q_ids
     z = lattice.sites[ids]
     eps, d = lattice.eps, lattice.dim
-    w = pair_weight_matrix(field, z, z)
-    diff = (z[:, None, :] - z[None, :, :]).astype(float)
-    dist = eps * np.sqrt((diff * diff).sum(axis=2))
-    np.fill_diagonal(dist, 1.0)
-    np.fill_diagonal(w, 0.0)
-    beta = -d + p * r * (s - s_prime) / (p - r)
-    mask = w > 0
-    term = np.zeros_like(w)
-    term[mask] = w[mask] ** (-r / (p - r)) * dist[mask] ** beta
-    k_sum = eps ** (2 * d) * blocked_total(term)
+    offsets = pair_offsets(lattice)
+    codes = offsets.codes[ids]
+    dist_beta = _distance_powers(offsets, eps, -d + p * r * (s - s_prime) / (p - r))
+
+    def tile(lo, hi):
+        w = pair_weight_matrix(field, z[lo:hi], z)
+        mask = w > 0
+        term = np.zeros_like(w)
+        term[mask] = w[mask] ** (-r / (p - r)) * dist_beta[offsets.index(codes[lo:hi], codes)][mask]
+        return term
+
+    k_sum = eps ** (2 * d) * blocked_total(tile, len(ids), len(ids), 8 * d)
     return float(k_sum ** ((p - r) / (r * p)))
 
 

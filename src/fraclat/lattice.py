@@ -72,6 +72,13 @@ def _as_box(box, d: int) -> np.ndarray:
     return arr
 
 
+def _row_major_strides(counts: np.ndarray) -> np.ndarray:
+    strides = np.ones(len(counts), dtype=np.int64)
+    for i in range(len(counts) - 2, -1, -1):
+        strides[i] = strides[i + 1] * counts[i + 1]
+    return strides
+
+
 def build_lattice(d: int, eps: float, domain, halo, site_cap: int = DEFAULT_SITE_CAP) -> LatticeDomain:
     """Construct the lattice of all z with eps*z in the closed halo box, with the
     interior/boundary/exterior partition of the Dirichlet boundary layer."""
@@ -109,10 +116,6 @@ def build_lattice(d: int, eps: float, domain, halo, site_cap: int = DEFAULT_SITE
     interior = in_q & ~boundary
     exterior = ~in_q & ~boundary
 
-    strides = np.ones(d, dtype=np.int64)
-    for i in range(d - 2, -1, -1):
-        strides[i] = strides[i + 1] * counts[i + 1]
-
     return LatticeDomain(
         dim=d,
         eps=float(eps),
@@ -124,7 +127,7 @@ def build_lattice(d: int, eps: float, domain, halo, site_cap: int = DEFAULT_SITE
         exterior_ids=np.flatnonzero(exterior),
         q_ids=np.flatnonzero(in_q),
         _zmin=los,
-        _strides=strides,
+        _strides=_row_major_strides(counts),
     )
 
 
@@ -134,20 +137,39 @@ def pair_distance(z1, z2, eps: float) -> float:
     return float(eps * np.sqrt(np.dot(diff, diff)))
 
 
-def halo_tail_coefficient(lattice: LatticeDomain, field, s: float, p: float) -> float:
-    """Analytic O(R^{-ps}) tail coefficient for the halo truncation.
+@dataclass(frozen=True)
+class PairOffsets:
+    """Every pair offset of a lattice's sites, indexed through one small table.
 
-    The global sums omitted outside a halo of radius R, for bounded u supported
-    in Q, are bounded by coeff * R^{-ps} with
-    coeff = 2 * mean(c) * |Q|_eps * surf(d) / (ps), where mean(c) is the
-    empirical average of the weights over the lattice's Q-pairs.
+    With the per-site codes c, sites[j] - sites[i] == offsets[c[j] - c[i] + center].
+    A function of the offset alone (a distance, a power of it) is then evaluated
+    once per table entry, at most (2 extent + 1)^d of them, and gathered per
+    pair instead of being recomputed N^2 times.
     """
-    from .weights import pair_weight_matrix
 
-    d, ps = lattice.dim, p * s
-    ids = lattice.q_ids
-    w = pair_weight_matrix(field, lattice.sites[ids], lattice.sites[ids])
-    m = len(ids)
-    mean_c = float(w.sum() / (m * (m - 1))) if m > 1 else float(w.sum())
-    surf = 2.0 if d == 1 else 2.0 * np.pi
-    return 2.0 * mean_c * lattice.measure_q() * surf / ps
+    codes: np.ndarray  # (N,) int64, one per site
+    offsets: np.ndarray  # (T, d) int64, lexicographic
+    center: int  # table index of the zero offset
+
+    def index(self, row_codes: np.ndarray, col_codes: np.ndarray) -> np.ndarray:
+        """(len(row_codes), len(col_codes)) table indices of the site pairs."""
+        return col_codes[None, :] - (row_codes[:, None] - self.center)
+
+    def distance(self, eps: float) -> np.ndarray:
+        """Physical distance eps * |offset| of every table entry (0 at the center)."""
+        diff = self.offsets.astype(float)
+        return eps * np.sqrt((diff * diff).sum(axis=1))
+
+
+def pair_offsets(lattice: LatticeDomain) -> PairOffsets:
+    """The offset table of a lattice; O(N) codes plus the small table."""
+    extent = lattice.sites[-1] - lattice._zmin  # largest |offset| on each axis
+    strides = _row_major_strides(2 * extent + 1)
+    offsets = np.array(
+        list(itertools.product(*[range(-e, e + 1) for e in extent])), dtype=np.int64
+    ).reshape(-1, lattice.dim)
+    return PairOffsets(
+        codes=(lattice.sites - lattice._zmin) @ strides,
+        offsets=offsets,
+        center=int(extent @ strides),
+    )

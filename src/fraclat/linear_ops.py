@@ -75,7 +75,7 @@ def assemble(
     rows = lookup[free]
     if np.any(rows < 0):
         raise ValueError("free set not contained in the flavor's site range")
-    row_sums = blocked_row_sum(k)
+    row_sums = blocked_row_sum(lambda lo, hi: k[lo:hi], len(ids), len(ids))
     a = -2.0 * k[np.ix_(rows, rows)]
     np.fill_diagonal(a, 2.0 * row_sums[rows])
     a = 0.5 * (a + a.T)  # exact symmetry regardless of summation order
@@ -91,8 +91,8 @@ def apply_operator(lattice: LatticeDomain, field: WeightField, s: float, u: Grid
     ids, k = kernel_matrix(lattice, field, s, 2.0, "global")
     vals = u.values[ids]
     # k carries eps^{2d}; the operator carries a single eps^d
-    diff = vals[None, :] - vals[:, None]
-    out = blocked_row_sum(k * diff) / lattice.eps**lattice.dim
+    out = blocked_row_sum(lambda lo, hi: k[lo:hi] * (vals[None, :] - vals[lo:hi, None]), len(ids), len(ids))
+    out /= lattice.eps**lattice.dim
     return GridFunction(lattice, out)
 
 

@@ -5,7 +5,9 @@ the canonical pair encoding (lexicographic minimum, coordinate difference) is
 mapped to a uniform in (0,1) and pushed through the chosen distribution.  Weights
 over distinct unordered pairs are therefore i.i.d., which is stationary and
 ergodic under shifts in both variables, and everything is reproducible with
-O(1) memory.
+O(1) memory.  Because a weight depends on nothing but (seed, pair), callers may
+hash any subset of pairs in any order: the kernel build hashes only the upper
+triangle, tile by tile, and mirrors it.  `Constant` weights are never hashed.
 
 Distributions are rescaled at construction so the analytic mean is 1 unless
 `normalize=False`; the homogenized limit then matches the constant-weight
@@ -21,7 +23,9 @@ from typing import Union
 import numpy as np
 from scipy.special import ndtri
 
+from ._reduction import blocked_total
 from .errors import NumericalError
+from .lattice import pair_offsets
 
 
 # ---------------------------------------------------------------------------
@@ -165,58 +169,66 @@ _M2 = np.uint64(0xC4CEB9FE1A85EC53)
 
 
 def _mix(h: np.ndarray) -> np.ndarray:
-    h = h ^ (h >> np.uint64(33))
-    h = h * _M1
-    h = h ^ (h >> np.uint64(33))
-    h = h * _M2
-    h = h ^ (h >> np.uint64(33))
+    """MurmurHash3's fmix64 finalizer, in place."""
+    h ^= h >> np.uint64(33)
+    h *= _M1
+    h ^= h >> np.uint64(33)
+    h *= _M2
+    h ^= h >> np.uint64(33)
     return h
 
 
 def _hash_pairs(seed: int, zmin: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """Hash (seed, zmin, diff) rows -> uint64, vectorized over rows."""
+    """Hash (seed, zmin, diff) -> uint64 per pair, from (d, m) coordinate columns."""
     init = (int(seed) + 0x9E3779B97F4A7C15) % 2**64
-    h = _mix(np.full(zmin.shape[0], init, dtype=np.uint64))
-    for col in range(zmin.shape[1]):
-        for arr in (zmin[:, col], diff[:, col]):
+    h = np.full(zmin.shape[1], _mix(np.array([init], dtype=np.uint64))[0])
+    for zmin_col, diff_col in zip(zmin, diff):
+        for arr in (zmin_col, diff_col):
             v = arr.astype(np.int64).view(np.uint64)
-            h = _mix(h ^ (v * _GOLDEN + _GOLDEN))
+            v *= _GOLDEN
+            v += _GOLDEN
+            h ^= v
+            _mix(h)
     return h
 
 
 def _uniforms(seed: int, zmin: np.ndarray, diff: np.ndarray) -> np.ndarray:
     h = _hash_pairs(seed, zmin, diff)
-    return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    h >>= np.uint64(11)
+    u = h.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return u
 
 
 def _canonical(z1: np.ndarray, z2: np.ndarray):
-    """Lexicographic-minimum representative of each unordered pair."""
-    swap = np.zeros(z1.shape[0], dtype=bool)
-    undecided = np.ones(z1.shape[0], dtype=bool)
-    for col in range(z1.shape[1]):
-        gt = undecided & (z1[:, col] > z2[:, col])
-        lt = undecided & (z1[:, col] < z2[:, col])
-        swap |= gt
-        undecided &= ~(gt | lt)
-    zmin = np.where(swap[:, None], z2, z1)
-    zmax = np.where(swap[:, None], z1, z2)
-    return zmin, zmax - zmin
+    """Lexicographic-minimum representative of each unordered pair and the
+    coordinate difference to the other site, as (d, m) column arrays (numpy is
+    slow along a length-d inner axis), and a mask of equal sites."""
+    delta = np.ascontiguousarray((z2 - z1).T)
+    swap = np.zeros(delta.shape[1], dtype=bool)
+    equal = np.ones(delta.shape[1], dtype=bool)
+    for col in delta:
+        swap |= equal & (col < 0)
+        equal &= col == 0
+    zmin = np.where(swap, z2.T, z1.T)
+    np.negative(delta, out=delta, where=swap)
+    return zmin, delta, equal
 
 
 def weight_pairs(field: WeightField, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
     """Weights for rows of integer coordinates z1, z2 (shape (m, d))."""
     z1 = np.atleast_2d(np.asarray(z1, dtype=np.int64))
     z2 = np.atleast_2d(np.asarray(z2, dtype=np.int64))
-    if np.any(np.all(z1 == z2, axis=1)):
+    zmin, diff, equal = _canonical(z1, z2)
+    if equal.any():
         raise ValueError("weight is undefined on the diagonal z1 == z2")
-    zmin, diff = _canonical(z1, z2)
+    u = _uniforms(field.seed, zmin, diff)
     dist = field.dist
     if isinstance(dist, DecayingProduct):
-        u = _uniforms(field.seed, zmin, diff)
         base = dist.base._transform(u) * dist.base.scale
-        r = np.sqrt((diff.astype(float) ** 2).sum(axis=1))
+        r = np.sqrt((diff.astype(float) ** 2).sum(axis=0))
         return base * (1.0 + r) ** (-dist.alpha)
-    u = _uniforms(field.seed, zmin, diff)
     return dist._transform(u) * dist.scale
 
 
@@ -226,17 +238,24 @@ def weight(field: WeightField, z1, z2) -> float:
 
 
 def pair_weight_matrix(field: WeightField, za: np.ndarray, zb: np.ndarray) -> np.ndarray:
-    """Dense (len(za), len(zb)) weight matrix; diagonal pairs (equal sites) get 0."""
+    """Dense (len(za), len(zb)) weight matrix; diagonal pairs (equal sites) get 0.
+
+    Constant weights are filled in without hashing.
+    """
     za = np.asarray(za, dtype=np.int64)
     zb = np.asarray(zb, dtype=np.int64)
-    na, nb, d = za.shape[0], zb.shape[0], za.shape[1]
-    z1 = np.repeat(za, nb, axis=0)
-    z2 = np.tile(zb, (na, 1))
-    equal = np.all(z1 == z2, axis=1)
-    out = np.zeros(na * nb)
-    if not equal.all():
-        out[~equal] = weight_pairs(field, z1[~equal], z2[~equal])
-    return out.reshape(na, nb)
+    z1 = np.repeat(za, zb.shape[0], axis=0)
+    z2 = np.tile(zb, (za.shape[0], 1))
+    off = z1[:, 0] != z2[:, 0]
+    for col in range(1, z1.shape[1]):
+        off |= z1[:, col] != z2[:, col]
+    out = np.zeros(z1.shape[0])
+    if isinstance(field.dist, Constant):
+        out[off] = field.dist.value * field.dist.scale
+    elif off.any():
+        # compress, unlike a boolean index, copies whole rows at memcpy speed
+        out[off] = weight_pairs(field, z1.compress(off, axis=0), z2.compress(off, axis=0))
+    return out.reshape(za.shape[0], zb.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +271,7 @@ class MomentEstimate:
 
 
 def _origins(seed: int, m: int, d: int) -> np.ndarray:
-    idx = np.arange(m, dtype=np.int64).reshape(m, 1)
+    idx = np.arange(m, dtype=np.int64).reshape(1, m)
     h = _hash_pairs(seed ^ 0x5EED0F0F, idx, idx * 0 + 7)
     out = np.zeros((m, d), dtype=np.int64)
     for col in range(d):
@@ -373,10 +392,14 @@ def locality_scaling_sum(lattice, field: WeightField, alpha: float, xi: float) -
     ids_q = lattice.q_ids
     za = lattice.sites[ids_q]
     zb = lattice.sites
-    w = pair_weight_matrix(field, za, zb)
-    diff = eps * (za[:, None, :] - zb[None, :, :]).astype(float)
-    r = np.sqrt((diff**2).sum(axis=2))
+    offsets = pair_offsets(lattice)
+    rows, cols = offsets.codes[ids_q], offsets.codes
+    r = offsets.distance(eps)
     mask = (r > 0) & (r < xi)
     kern = np.zeros_like(r)
     kern[mask] = r[mask] ** (-d + alpha)
-    return float(eps ** (2 * d) * (w * kern).sum())
+
+    def tile(lo, hi):
+        return pair_weight_matrix(field, za[lo:hi], zb) * kern[offsets.index(rows[lo:hi], cols)]
+
+    return float(eps ** (2 * d) * blocked_total(tile, len(ids_q), len(zb), 8 * d))

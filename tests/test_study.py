@@ -161,6 +161,15 @@ def test_cli_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_cli_capacity_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(SOLVE_CFG.replace("eps_list=0.5,0.25", "eps_list=0.000001"))
+    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error: ") and err.count("\n") == 1
+    assert not (tmp_path / "solve.csv").exists()
+
+
 def test_thread_count_does_not_change_bytes(tmp_path):
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(SOLVE_CFG)

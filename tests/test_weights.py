@@ -59,14 +59,24 @@ def test_symmetry_and_purity(z1, z2, seed):
 
 
 def test_pair_matrix_matches_scalar_path():
-    f = WeightField(UnitPowerLaw(4.0), 9)
-    za = np.array([[0], [1], [2]])
-    m = pair_weight_matrix(f, za, za)
-    for i in range(3):
-        assert m[i, i] == 0.0
-        for j in range(3):
-            if i != j:
-                assert m[i, j] == weight(f, za[i], za[j])
+    # sorted and equal, then unsorted and overlapping site sets, d = 1 and 2
+    cases = [
+        (np.array([[0], [1], [2]]), np.array([[0], [1], [2]])),
+        (np.array([[5], [-3], [2], [0]]), np.array([[2], [7], [-3]])),
+        (np.array([[1, 0], [-2, 4], [0, 0]]), np.array([[0, 0], [1, -1], [-2, 4], [1, 0]])),
+    ]
+    dists = [UnitPowerLaw(4.0), Constant(3.0), LogNormal(0.8), DecayingProduct(ShiftedPareto(2.5), 1.0)]
+    for dist in dists:
+        f = WeightField(dist, 9)
+        for za, zb in cases:
+            m = pair_weight_matrix(f, za, zb)
+            assert m.shape == (len(za), len(zb))
+            for i in range(len(za)):
+                for j in range(len(zb)):
+                    if np.array_equal(za[i], zb[j]):
+                        assert m[i, j] == 0.0
+                    else:
+                        assert m[i, j] == weight(f, za[i], zb[j])
 
 
 def test_moment_constant():
