@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 One subcommand per study; the config file carries everything else.  Exit codes:
-0 success, 2 config error, 3 numerical failure, 4 input over capacity (for
-example a lattice above the site cap).
+0 success, 2 config error, 3 numerical failure, 4 input over capacity (a
+lattice above the site cap, or a dense kernel larger than physical memory).
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import argparse
 import os
 import sys
 
-from ._reduction import set_threads
 from .errors import CapacityError, ConfigError, NumericalError
 from .study import STUDIES, parse_config, run_study, write_report
 
@@ -24,7 +23,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a key=value config file")
         p.add_argument("--out", default=".", help="output directory (default: current)")
         p.add_argument("--seed-override", type=int, default=None, help="replace the config's seed list")
-        p.add_argument("--threads", type=int, default=None, help="worker threads (default: FRACLAT_THREADS or 1)")
+        p.add_argument("--threads", type=int, default=None, help="accepted for compatibility; has no effect")
         p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     return parser
 
@@ -33,8 +32,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     study = args.study.replace("-", "_")
     try:
-        if args.threads is not None:
-            set_threads(args.threads)
         with open(args.config, encoding="utf-8") as fh:
             cfg = parse_config(fh.read())
         if cfg.study != study:

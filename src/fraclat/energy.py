@@ -6,21 +6,25 @@ The core object is
            + eps^d sum G(u(x)) - eps^d sum u(x) f(x)
 
 with the pair sum running over all halo sites ("global", halo-truncated) or
-over Q^eps x Q^eps only ("local").  All pair sums exclude the diagonal and go
-through the fixed-order row-tiled reduction, so values are bit-identical for any
-thread count.
+over Q^eps x Q^eps only ("local").  The pair factor
+eps^{2d} c_{x,y} / |x-y|^{d+ps} is the kernel K: `kernel_matrix` builds it as
+an explicit (ids, K) value, which callers build once and pass to every
+function that sums over pairs.  All pair sums exclude the diagonal and go
+through the fixed-order row-tiled reduction, so values are reproducible to
+the bit.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from ._reduction import blocked_row_sum, blocked_total, triangle_tiles
-from .errors import NumericalError
+from .errors import CapacityError, NumericalError
 from .lattice import LatticeDomain, PairOffsets, pair_offsets
 from .weights import WeightField, pair_weight_matrix
 
@@ -194,11 +198,8 @@ def check_constraint(u: GridFunction, constraint: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# kernel assembly (cached) and pair sums
+# kernel assembly and pair sums
 # ---------------------------------------------------------------------------
-
-_KERNEL_CACHE: dict = {}
-_KERNEL_CACHE_MAX = 8
 
 
 def pair_ids(lattice: LatticeDomain, flavor: str) -> np.ndarray:
@@ -213,34 +214,35 @@ def _distance_powers(offsets: PairOffsets, eps: float, exponent: float) -> np.nd
 
 
 def kernel_matrix(lattice: LatticeDomain, field: WeightField, s: float, p: float, flavor: str):
-    """(ids, K) with K[i,j] = eps^{2d} c_{ij} / |x_i-x_j|^{d+ps}, zero diagonal.
+    """The kernel (ids, K): K[i,j] = eps^{2d} c_{ij} / |x_i-x_j|^{d+ps} over
+    the flavor's sites ids, zero diagonal.
 
     K is filled in row tiles over its upper triangle, each mirrored into the
     lower one, so every pair is hashed once; |x_i-x_j|^{d+ps} comes from the
-    offset table.  K is the only N x N array allocated.
+    offset table.  K is the only N x N array allocated.  Raises CapacityError
+    before allocating when K would not fit in physical memory.
     """
-    # the cached lattice reference keeps its id() from being recycled
-    key = (id(lattice), field, float(s), float(p), flavor)
-    hit = _KERNEL_CACHE.get(key)
-    if hit is not None and hit[0] is lattice:
-        return hit[1], hit[2]
     ids = pair_ids(lattice, flavor)
+    n = len(ids)
+    ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if 8 * n * n > ram:
+        raise CapacityError(
+            f"dense kernel over {n} sites needs {8 * n * n / 1e9:.1f} GB, "
+            f"physical memory is {ram / 1e9:.1f} GB"
+        )
     z = lattice.sites[ids]
     eps, d = lattice.eps, lattice.dim
     offsets = pair_offsets(lattice)
     codes = offsets.codes[ids]
     denom = _distance_powers(offsets, eps, d + p * s)
     scale = eps ** (2 * d)
-    k = np.empty((len(ids), len(ids)))
-    for lo, hi in triangle_tiles(len(ids), 8 * d):
+    k = np.empty((n, n))
+    for lo, hi in triangle_tiles(n, 8 * d):
         tile = pair_weight_matrix(field, z[lo:hi], z[lo:])
         tile *= scale
         tile /= denom[offsets.index(codes[lo:hi], codes[lo:])]
         k[lo:hi, lo:] = tile
         k[lo:, lo:hi] = tile.T
-    if len(_KERNEL_CACHE) >= _KERNEL_CACHE_MAX:
-        _KERNEL_CACHE.pop(next(iter(_KERNEL_CACHE)))
-    _KERNEL_CACHE[key] = (lattice, ids, k)
     return ids, k
 
 
@@ -262,10 +264,11 @@ def _pair_terms(k: np.ndarray, vals: np.ndarray, fn):
 # ---------------------------------------------------------------------------
 
 
-def energy_value(spec: EnergySpec, field: WeightField, u: GridFunction) -> float:
+def energy_value(spec: EnergySpec, kernel: tuple, u: GridFunction) -> float:
+    """E(u) with the kernel of (spec.s, spec.p, spec.flavor) on u's lattice."""
     check_constraint(u, spec.constraint)
     lat = u.lattice
-    ids, k = kernel_matrix(lat, field, spec.s, spec.p, spec.flavor)
+    ids, k = kernel
     vals = u.values[ids]
     nonlocal_part = blocked_total(_pair_terms(k, vals, spec.V.value), len(ids), len(ids))
     epsd = lat.eps**lat.dim
@@ -279,11 +282,11 @@ def energy_value(spec: EnergySpec, field: WeightField, u: GridFunction) -> float
     return total
 
 
-def energy_gradient(spec: EnergySpec, field: WeightField, u: GridFunction) -> GridFunction:
+def energy_gradient(spec: EnergySpec, kernel: tuple, u: GridFunction) -> GridFunction:
     """d/du(x) of energy_value, projected onto the constraint's tangent space."""
     check_constraint(u, spec.constraint)
     lat = u.lattice
-    ids, k = kernel_matrix(lat, field, spec.s, spec.p, spec.flavor)
+    ids, k = kernel
     vals = u.values[ids]
     grad = np.zeros(lat.n_sites)
     grad[ids] = 2.0 * blocked_row_sum(_pair_terms(k, vals, spec.V.derivative), len(ids), len(ids))
@@ -333,11 +336,13 @@ def gagliardo_seminorm(lattice: LatticeDomain, u: GridFunction, s: float, p: flo
     return float((eps ** (2 * d) * blocked_total(tile, len(ids), len(ids))) ** (1.0 / p))
 
 
-def weighted_seminorm(
-    lattice: LatticeDomain, field: WeightField, u: GridFunction, s: float, p: float, rng: str = "q"
-) -> float:
-    """[u]_{s,p,eps,c}: as gagliardo_seminorm with the weight c inserted."""
-    ids, k = kernel_matrix(lattice, field, s, p, "global" if rng == "global" else "local")
+def weighted_seminorm(kernel: tuple, u: GridFunction, p: float) -> float:
+    """[u]_{s,p,eps,c}: as gagliardo_seminorm with the weight c inserted.
+
+    The kernel of (s, p) fixes s and the range: the global flavor sums over
+    all halo sites, the local one over Q^eps.
+    """
+    ids, k = kernel
     vals = u.values[ids]
 
     def tile(lo, hi):
@@ -363,14 +368,15 @@ def embedding_ratio(
     s: float,
     p: float,
     q: float,
-    weighted: Optional[WeightField] = None,
+    weighted: Optional[tuple] = None,
 ) -> float:
-    """||u||_q / (||u||_p^p + [u]^p)^{1/p}, or ||u||_q / [u]_c with a weight field."""
+    """||u||_q / (||u||_p^p + [u]^p)^{1/p}, or ||u||_q / [u]_c with a local
+    kernel of (s, p) as `weighted`."""
     num = lq_norm(lattice, u, q, "q")
     if weighted is None:
         den = (lq_norm(lattice, u, p, "q") ** p + gagliardo_seminorm(lattice, u, s, p, "q") ** p) ** (1.0 / p)
     else:
-        den = weighted_seminorm(lattice, weighted, u, s, p, "q")
+        den = weighted_seminorm(weighted, u, p)
     if den == 0.0:
         raise ValueError("embedding ratio undefined: zero denominator (constant function?)")
     return num / den

@@ -5,7 +5,7 @@ The assembled matrix A over the free sites satisfies
 
     u^T A v = eps^{2d} sum sum c (u(y)-u(x)) (v(y)-v(x)) / |x-y|^{d+2s}
 
-(sums over the flavor's site range, u and v extended by zero off the free set),
+(sums over the kernel's site range, u and v extended by zero off the free set),
 so A is symmetric positive semi-definite and definite under the Dirichlet
 constraint.
 """
@@ -13,16 +13,14 @@ constraint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
 
 from ._reduction import blocked_row_sum
-from .energy import GridFunction, kernel_matrix, pair_ids
+from .energy import GridFunction
 from .errors import NumericalError
 from .lattice import LatticeDomain
-from .weights import WeightField
 
 
 @dataclass(frozen=True)
@@ -32,8 +30,6 @@ class BilinearSystem:
     matrix: np.ndarray  # dense symmetric, over free_ids
     rhs: np.ndarray  # eps^d * f on free_ids
     constraint: str
-    flavor: str
-    s: float
 
 
 @dataclass(frozen=True)
@@ -47,19 +43,12 @@ class SolveStats:
 @dataclass(frozen=True)
 class SpectralReport:
     eps: float
-    seed: int
     eigenvalues: np.ndarray  # mu_1 >= mu_2 >= ... of the solution operator
     eigenvectors: list  # GridFunctions, L2(Q^eps)-orthonormal
 
 
-def assemble(
-    lattice: LatticeDomain,
-    field: WeightField,
-    s: float,
-    constraint: str,
-    flavor: str,
-    f: GridFunction,
-) -> BilinearSystem:
+def assemble(lattice: LatticeDomain, kernel: tuple, constraint: str, f: GridFunction) -> BilinearSystem:
+    """The p=2 weak form over the free sites, from a kernel of (s, p=2)."""
     if constraint == "dirichlet0":
         free = lattice.interior_ids
     elif constraint == "mean0":
@@ -68,27 +57,27 @@ def assemble(
         raise ValueError(f"constraint must be 'dirichlet0' or 'mean0', got {constraint!r}")
     if len(free) == 0:
         raise ValueError("empty free set: no unconstrained sites")
-    ids, k = kernel_matrix(lattice, field, s, 2.0, flavor)
-    # map free site ids to rows of the kernel over the flavor range
+    ids, k = kernel
+    # map free site ids to rows of the kernel over its site range
     lookup = -np.ones(lattice.n_sites, dtype=np.int64)
     lookup[ids] = np.arange(len(ids))
     rows = lookup[free]
     if np.any(rows < 0):
-        raise ValueError("free set not contained in the flavor's site range")
+        raise ValueError("free set not contained in the kernel's site range")
     row_sums = blocked_row_sum(lambda lo, hi: k[lo:hi], len(ids), len(ids))
     a = -2.0 * k[np.ix_(rows, rows)]
     np.fill_diagonal(a, 2.0 * row_sums[rows])
     a = 0.5 * (a + a.T)  # exact symmetry regardless of summation order
     epsd = lattice.eps**lattice.dim
     rhs = epsd * f.values[free]
-    return BilinearSystem(
-        lattice=lattice, free_ids=free, matrix=a, rhs=rhs, constraint=constraint, flavor=flavor, s=s
-    )
+    return BilinearSystem(lattice=lattice, free_ids=free, matrix=a, rhs=rhs, constraint=constraint)
 
 
-def apply_operator(lattice: LatticeDomain, field: WeightField, s: float, u: GridFunction) -> GridFunction:
-    """(L u)(x) = eps^d sum_{y != x} c (u(y)-u(x)) / |x-y|^{d+2s} over all halo sites."""
-    ids, k = kernel_matrix(lattice, field, s, 2.0, "global")
+def apply_operator(kernel: tuple, u: GridFunction) -> GridFunction:
+    """(L u)(x) = eps^d sum_{y != x} c (u(y)-u(x)) / |x-y|^{d+2s} over all halo
+    sites, from the global kernel of (s, p=2)."""
+    lattice = u.lattice
+    ids, k = kernel
     vals = u.values[ids]
     # k carries eps^{2d}; the operator carries a single eps^d
     out = blocked_row_sum(lambda lo, hi: k[lo:hi] * (vals[None, :] - vals[lo:hi, None]), len(ids), len(ids))
@@ -175,4 +164,4 @@ def spectrum(system: BilinearSystem, k: int) -> SpectralReport:
         if nz.size and v[nz[0]] < 0:
             v = -v
         funcs.append(_embed(system, v))
-    return SpectralReport(eps=eps, seed=0, eigenvalues=mu, eigenvectors=funcs)
+    return SpectralReport(eps=eps, eigenvalues=mu, eigenvectors=funcs)

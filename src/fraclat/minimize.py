@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import EnergySpec, GridFunction, energy_gradient, energy_value, project_direction
+from .energy import EnergySpec, GridFunction, energy_gradient, energy_value, kernel_matrix, project_direction
 from .errors import NumericalError
 from .lattice import LatticeDomain
 from .weights import WeightField
@@ -78,7 +78,10 @@ def _two_loop(grad: np.ndarray, s_list, y_list) -> np.ndarray:
 
 
 def minimize(spec: EnergySpec, field: WeightField, opts: MinimizeOptions = MinimizeOptions(), lattice: Optional[LatticeDomain] = None):
-    """Minimize the energy; returns (GridFunction, MinimizeStats)."""
+    """Minimize the energy; returns (GridFunction, MinimizeStats).
+
+    The kernel is built once per call and dropped when the call returns.
+    """
     if opts.initial is not None:
         lat = opts.initial.lattice
         u = project_constraint(opts.initial, spec.constraint).values
@@ -89,10 +92,11 @@ def minimize(spec: EnergySpec, field: WeightField, opts: MinimizeOptions = Minim
             lattice = spec.f.lattice
         lat = lattice
         u = np.zeros(lat.n_sites)
+    kernel = kernel_matrix(lat, field, spec.s, spec.p, spec.flavor)
 
     def fg(vals):
         gf = GridFunction(lat, vals)
-        return energy_value(spec, field, gf), energy_gradient(spec, field, gf).values
+        return energy_value(spec, kernel, gf), energy_gradient(spec, kernel, gf).values
 
     e, g = fg(u)
     s_list: list = []

@@ -26,6 +26,7 @@ from .energy import (
     PowerP,
     embedding_ratio,
     energy_value,
+    kernel_matrix,
 )
 from .errors import ConfigError
 from .lattice import build_lattice
@@ -76,7 +77,6 @@ class StudyConfig:
     alpha_list: tuple = (0.5, 1.0)
     q_list: tuple = (2.0,)
     box_side: int = 64
-    out: str = ""
 
 
 _BOOL = {"true": True, "false": False}
@@ -175,7 +175,6 @@ def parse_config(text: str) -> StudyConfig:
             alpha_list=_floats(kv.pop("alpha", "0.5,1.0")),
             q_list=_floats(kv.pop("q_list", "2.0")),
             box_side=int(kv.pop("box_side", "64")),
-            out=kv.pop("out", ""),
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
@@ -234,8 +233,6 @@ def serialize_config(cfg: StudyConfig) -> str:
         "q_list=" + ",".join(repr(q) for q in cfg.q_list),
         f"box_side={cfg.box_side}",
     ]
-    if cfg.out:
-        lines.append(f"out={cfg.out}")
     return "\n".join(lines) + "\n"
 
 
@@ -333,8 +330,12 @@ def tent_function(domain) -> ContinuumFunction:
     )
 
 
-def _solve_p2(cfg: StudyConfig, lat, field: WeightField):
-    system = assemble(lat, field, cfg.s, cfg.constraint, cfg.flavor, _forcing(cfg, lat))
+def _kernel_p2(cfg: StudyConfig, lat, field: WeightField):
+    return kernel_matrix(lat, field, cfg.s, 2.0, cfg.flavor)
+
+
+def _solve_p2(cfg: StudyConfig, lat, kernel):
+    system = assemble(lat, kernel, cfg.constraint, _forcing(cfg, lat))
     return solve(system, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
 
 
@@ -358,9 +359,12 @@ def run_solve(cfg: StudyConfig) -> StudyReport:
         lat = _lattice(cfg, eps)
         for seed in cfg.seeds:
             field = WeightField(cfg.dist, seed)
-            u, stats = _solve_p2(cfg, lat, field)
+            kernel = _kernel_p2(cfg, lat, field)
+            u, stats = _solve_p2(cfg, lat, kernel)
+            if cfg.p != 2.0:  # the energy row needs the kernel of p
+                kernel = kernel_matrix(lat, field, cfg.s, cfg.p, cfg.flavor)
             spec = EnergySpec(f=_forcing(cfg, lat), **spec_tpl)
-            report.add(eps, seed, "energy", energy_value(spec, field, u))
+            report.add(eps, seed, "energy", energy_value(spec, kernel, u))
             report.add(eps, seed, "iters", stats.iters)
             report.add(eps, seed, "residual", stats.residual)
             report.add(eps, seed, "l2_norm", pc_l2_distance(u, GridFunction(lat, np.zeros(lat.n_sites)), _boxes(cfg)[0]))
@@ -373,18 +377,20 @@ def run_homogenize(cfg: StudyConfig) -> StudyReport:
     eps_min = cfg.eps_list[-1]
     lat_ref = _lattice(cfg, eps_min)
     const_field = WeightField(Constant(1.0), 0)
-    u_ref, _ = _solve_p2(cfg, lat_ref, const_field)
+    u_ref, _ = _solve_p2(cfg, lat_ref, _kernel_p2(cfg, lat_ref, const_field))
     zero_ref = GridFunction(lat_ref, np.zeros(lat_ref.n_sites))
     ref_norm = pc_l2_distance(u_ref, zero_ref, dom)
     report.add(eps_min, 0, "ref_norm", ref_norm)
     for eps in cfg.eps_list:
-        lat = _lattice(cfg, eps)
-        u_const, _ = _solve_p2(cfg, lat, const_field)
+        if eps == eps_min:
+            lat, u_const = lat_ref, u_ref
+        else:
+            lat = _lattice(cfg, eps)
+            u_const, _ = _solve_p2(cfg, lat, _kernel_p2(cfg, lat, const_field))
         report.add(eps, 0, "const_error", pc_l2_distance(u_const, u_ref, dom))
         errs = []
         for seed in cfg.seeds:
-            field = WeightField(cfg.dist, seed)
-            u, _ = _solve_p2(cfg, lat, field)
+            u, _ = _solve_p2(cfg, lat, _kernel_p2(cfg, lat, WeightField(cfg.dist, seed)))
             e = pc_l2_distance(u, u_ref, dom)
             errs.append(e)
             report.add(eps, seed, "l2_error", e)
@@ -408,8 +414,8 @@ def run_gamma_limit(cfg: StudyConfig, u: Optional[ContinuumFunction] = None) -> 
         uh = sample(u, lat)
         spec = EnergySpec(**spec_tpl)
         for seed in cfg.seeds:
-            field = WeightField(cfg.dist, seed)
-            report.add(eps, seed, "discrete_energy", energy_value(spec, field, uh))
+            kernel = kernel_matrix(lat, WeightField(cfg.dist, seed), spec.s, spec.p, spec.flavor)
+            report.add(eps, seed, "discrete_energy", energy_value(spec, kernel, uh))
     return report
 
 
@@ -430,15 +436,18 @@ def run_vanish(cfg: StudyConfig) -> StudyReport:
 def run_spectral(cfg: StudyConfig) -> StudyReport:
     report = _new_report(cfg)
     epsd_inner = lambda lat, a, b: lat.eps**lat.dim * float(a @ b)
+
+    def modes(lat, field):
+        system = assemble(lat, _kernel_p2(cfg, lat, field), "dirichlet0", _forcing(cfg, lat))
+        return spectrum(system, cfg.k_eigs)
+
     for eps in cfg.eps_list:
         lat = _lattice(cfg, eps)
-        f = _forcing(cfg, lat)
-        const = spectrum(assemble(lat, WeightField(Constant(1.0), 0), cfg.s, "dirichlet0", cfg.flavor, f), cfg.k_eigs)
+        const = modes(lat, WeightField(Constant(1.0), 0))
         for k in range(cfg.k_eigs):
             report.add(eps, 0, f"mu_{k + 1}", const.eigenvalues[k], aux="constant")
         for seed in cfg.seeds:
-            field = WeightField(cfg.dist, seed)
-            rep = spectrum(assemble(lat, field, cfg.s, "dirichlet0", cfg.flavor, f), cfg.k_eigs)
+            rep = modes(lat, WeightField(cfg.dist, seed))
             for k in range(cfg.k_eigs):
                 mu, mu0 = rep.eigenvalues[k], const.eigenvalues[k]
                 report.add(eps, seed, f"mu_{k + 1}", mu)
@@ -476,17 +485,18 @@ def _test_family(domain, lat):
 
 def run_embeddings(cfg: StudyConfig) -> StudyReport:
     report = _new_report(cfg)
-    dom = _boxes(cfg)[0]
     weighted = not isinstance(cfg.dist, Constant)
     for eps in cfg.eps_list:
         lat = _lattice(cfg, eps)
+        # one local kernel per seed, shared by every test function and q
+        kernels = {seed: kernel_matrix(lat, WeightField(cfg.dist, seed), cfg.s, cfg.p, "local")
+                   for seed in cfg.seeds} if weighted else {}
         for name, vals in _test_family(cfg.domain, lat).items():
             u = GridFunction(lat, vals)
             for q in cfg.q_list:
                 if weighted:
                     for seed in cfg.seeds:
-                        field = WeightField(cfg.dist, seed)
-                        r = embedding_ratio(lat, u, cfg.s, cfg.p, q, weighted=field)
+                        r = embedding_ratio(lat, u, cfg.s, cfg.p, q, weighted=kernels[seed])
                         report.add(eps, seed, f"wratio_{name}_q{q:g}", r)
                 else:
                     r = embedding_ratio(lat, u, cfg.s, cfg.p, q)

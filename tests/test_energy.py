@@ -19,6 +19,7 @@ from fraclat.energy import (
     growth_bounds_hold,
     halo_tail_bound,
     holder_chain_constant,
+    kernel_matrix,
     lq_norm,
     weighted_seminorm,
 )
@@ -42,31 +43,39 @@ def _spec(**kw):
     return EnergySpec(**base)
 
 
+def _kernel(spec, field, lat):
+    return kernel_matrix(lat, field, spec.s, spec.p, spec.flavor)
+
+
+def _local(field, lat, s=0.5, p=2):
+    return kernel_matrix(lat, field, s, p, "local")
+
+
 def test_three_site_energy(lat3, const_field):
     u = GridFunction(lat3, [0.0, 1.0, 0.0])
-    assert energy_value(_spec(), const_field, u) == pytest.approx(4.0, rel=1e-12)
+    assert energy_value(_spec(), _kernel(_spec(), const_field, lat3), u) == pytest.approx(4.0, rel=1e-12)
 
 
 def test_constant_is_zero_energy(lat3, const_field):
     u = GridFunction(lat3, [3.7] * 3)
-    assert energy_value(_spec(), const_field, u) == 0.0
+    assert energy_value(_spec(), _kernel(_spec(), const_field, lat3), u) == 0.0
 
 
 def test_forcing_term(lat3, const_field):
     f = GridFunction(lat3, np.ones(3))
     u = GridFunction(lat3, [0.0, 1.0, 0.0])
-    assert energy_value(_spec(f=f), const_field, u) == pytest.approx(3.5, rel=1e-12)
+    assert energy_value(_spec(f=f), _kernel(_spec(), const_field, lat3), u) == pytest.approx(3.5, rel=1e-12)
 
 
 def test_gradient_center(lat3, const_field):
     u = GridFunction(lat3, [0.0, 1.0, 0.0])
-    g = energy_gradient(_spec(), const_field, u)
+    g = energy_gradient(_spec(), _kernel(_spec(), const_field, lat3), u)
     assert g.values[1] == pytest.approx(8.0, rel=1e-12)
 
 
 def test_gradient_zero_at_constant(lat3, const_field):
     u = GridFunction(lat3, [2.0, 2.0, 2.0])
-    assert np.all(energy_gradient(_spec(), const_field, u).values == 0.0)
+    assert np.all(energy_gradient(_spec(), _kernel(_spec(), const_field, lat3), u).values == 0.0)
 
 
 def test_gradient_antisymmetry(const_field):
@@ -75,7 +84,7 @@ def test_gradient_antisymmetry(const_field):
     x = lat.positions[:, 0]
     u = GridFunction(lat, np.where(np.abs(x) < 1, (1 - x * x), 0.0))
     f = GridFunction(lat, np.ones(lat.n_sites))
-    g = energy_gradient(_spec(f=f), const_field, u).values
+    g = energy_gradient(_spec(f=f), _kernel(_spec(), const_field, lat), u).values
     assert np.allclose(g, g[::-1], rtol=1e-12, atol=1e-12)
 
 
@@ -87,14 +96,15 @@ def test_gradient_finite_difference():
     spec = _spec(V=SmoothedPowerP(3.0, 1e-4), p=3.0, G=PowerK(0.5, 2.0),
                  f=GridFunction(lat, rng.normal(size=lat.n_sites)))
     u = GridFunction(lat, vals)
-    g = energy_gradient(spec, field, u).values
+    kernel = _kernel(spec, field, lat)
+    g = energy_gradient(spec, kernel, u).values
     h = 1e-6 * (1 + np.abs(vals).max())
     for i in (0, 3, lat.n_sites // 2, lat.n_sites - 1):
         up, dn = vals.copy(), vals.copy()
         up[i] += h
         dn[i] -= h
-        fd = (energy_value(spec, field, GridFunction(lat, up))
-              - energy_value(spec, field, GridFunction(lat, dn))) / (2 * h)
+        fd = (energy_value(spec, kernel, GridFunction(lat, up))
+              - energy_value(spec, kernel, GridFunction(lat, dn))) / (2 * h)
         assert g[i] == pytest.approx(fd, rel=1e-5)
 
 
@@ -104,12 +114,13 @@ def test_convexity_witness():
     rng = np.random.default_rng(1)
     f = GridFunction(lat, rng.normal(size=lat.n_sites))
     spec = _spec(V=PowerP(2), G=PowerK(1.0, 2.0), f=f)
+    kernel = _kernel(spec, field, lat)
     for _ in range(5):
         a = rng.normal(size=lat.n_sites)
         b = rng.normal(size=lat.n_sites)
-        e_mid = energy_value(spec, field, GridFunction(lat, (a + b) / 2))
-        e_sum = energy_value(spec, field, GridFunction(lat, a)) + energy_value(
-            spec, field, GridFunction(lat, b)
+        e_mid = energy_value(spec, kernel, GridFunction(lat, (a + b) / 2))
+        e_sum = energy_value(spec, kernel, GridFunction(lat, a)) + energy_value(
+            spec, kernel, GridFunction(lat, b)
         )
         assert e_mid <= 0.5 * e_sum + 1e-12
 
@@ -117,7 +128,7 @@ def test_convexity_witness():
 def test_constraint_enforced(lat3, const_field):
     u = GridFunction(lat3, [0.0, 1.0, 1.0])
     with pytest.raises(ValueError):
-        energy_value(_spec(constraint="dirichlet0"), const_field, u)
+        energy_value(_spec(constraint="dirichlet0"), _kernel(_spec(), const_field, lat3), u)
 
 
 def test_gagliardo_examples(lat3):
@@ -142,7 +153,7 @@ def test_weighted_matches_unweighted_for_unit_c(const_field):
     lat = build_lattice(1, 0.25, [(-1, 1)], [(-1, 1)])
     rng = np.random.default_rng(3)
     u = GridFunction(lat, rng.normal(size=lat.n_sites))
-    a = weighted_seminorm(lat, const_field, u, 0.5, 2, "q")
+    a = weighted_seminorm(_local(const_field, lat), u, 2)
     b = gagliardo_seminorm(lat, u, 0.5, 2, "q")
     assert a == pytest.approx(b, rel=1e-12)
 
@@ -151,8 +162,8 @@ def test_weighted_homogeneity_in_c():
     lat = build_lattice(1, 0.25, [(-1, 1)], [(-1, 1)])
     rng = np.random.default_rng(4)
     u = GridFunction(lat, rng.normal(size=lat.n_sites))
-    one = weighted_seminorm(lat, WeightField(Constant(1.0), 0), u, 0.5, 2, "q")
-    four = weighted_seminorm(lat, WeightField(Constant(4.0), 0), u, 0.5, 2, "q")
+    one = weighted_seminorm(_local(WeightField(Constant(1.0), 0), lat), u, 2)
+    four = weighted_seminorm(_local(WeightField(Constant(4.0), 0), lat), u, 2)
     assert four == pytest.approx(2.0 * one, rel=1e-12)
 
 
@@ -173,7 +184,7 @@ def test_weighted_seminorm_brute_force():
             dist = 0.5 * abs(float(zi[0] - zj[0]))
             total += weight(field, zi, zj) * abs(u.values[i] - u.values[j]) ** 2 / dist**2
     total *= 0.5**2
-    assert weighted_seminorm(lat, field, u, 0.5, 2, "q") == pytest.approx(total**0.5, rel=1e-12)
+    assert weighted_seminorm(_local(field, lat), u, 2) == pytest.approx(total**0.5, rel=1e-12)
 
 
 def test_lq_norm(lat3):
@@ -202,10 +213,11 @@ def test_holder_chain_inequality():
     for seed in (1, 2, 3):
         field = WeightField(UnitPowerLaw(4.0), seed)
         c = holder_chain_constant(lat, field, s, p, r, s_prime)
+        kernel = _local(field, lat, s, p)
         for _ in range(3):
             u = GridFunction(lat, rng.normal(size=lat.n_sites))
             lhs = gagliardo_seminorm(lat, u, s_prime, r, "q")
-            rhs = c * weighted_seminorm(lat, field, u, s, p, "q")
+            rhs = c * weighted_seminorm(kernel, u, p)
             assert lhs <= rhs * (1 + 1e-12)
 
 
@@ -221,8 +233,8 @@ def test_halo_tail_bound_dominates_enlargement():
         return GridFunction(lat, np.maximum(0.0, 1 - np.abs(x)))
 
     spec = _spec()
-    e_small = energy_value(spec, field, tent(small))
-    e_big = energy_value(spec, field, tent(big))
+    e_small = energy_value(spec, _kernel(spec, field, small), tent(small))
+    e_big = energy_value(spec, _kernel(spec, field, big), tent(big))
     delta = e_big - e_small
     assert delta >= 0
     bound = halo_tail_bound(big, field, 0.5, 2, v_max=1.0, inner_box=[(-2, 2)])

@@ -1,10 +1,12 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraclat import build_lattice
-from fraclat.energy import EnergySpec, GridFunction, PowerK, PowerP, energy_value
+from fraclat.energy import EnergySpec, GridFunction, PowerK, PowerP, energy_value, kernel_matrix
 from fraclat.linear_ops import assemble, solve
 from fraclat.minimize import MinimizeOptions, MinimizeStats, minimize, project_constraint
 from fraclat.weights import Constant, LogNormal, WeightField
@@ -30,7 +32,7 @@ def test_p2_matches_cg():
     lat = build_lattice(1, 0.125, [(-1, 1)], [(-1, 1)])
     field = WeightField(LogNormal(1.0), 5)
     f = GridFunction(lat, np.ones(lat.n_sites))
-    system = assemble(lat, field, 0.5, "dirichlet0", "global", f)
+    system = assemble(lat, kernel_matrix(lat, field, 0.5, 2.0, "global"), "dirichlet0", f)
     u_cg, _ = solve(system, tol=1e-12)
     spec = _spec(V=HALF_QUADRATIC, f=f)
     u_min, stats = minimize(spec, field, MinimizeOptions(grad_tol=1e-10, max_iter=2000), lattice=lat)
@@ -75,6 +77,26 @@ def test_energy_monotone_along_iterations():
         mz.energy_value = old
     # accepted iterates only: the running minimum is attained at the end
     assert energies[-1] <= min(energies) + 1e-12
+
+
+def test_minimize_builds_one_kernel_and_drops_it(monkeypatch):
+    import fraclat.minimize as mz
+
+    lat = build_lattice(1, 0.125, [(-1, 1)], [(-1, 1)])
+    field = WeightField(LogNormal(0.8), 2)
+    spec = _spec(p=3, V=PowerP(3), f=GridFunction(lat, np.ones(lat.n_sites)))
+    refs = []
+
+    def recording(*args):
+        out = kernel_matrix(*args)
+        refs.append(weakref.ref(out[1]))
+        return out
+
+    monkeypatch.setattr(mz, "kernel_matrix", recording)
+    _, stats = minimize(spec, field, MinimizeOptions(grad_tol=1e-8, max_iter=500), lattice=lat)
+    assert stats.iters > 1
+    assert len(refs) == 1
+    assert refs[0]() is None
 
 
 def test_uniqueness_two_starts():

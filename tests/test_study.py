@@ -1,10 +1,13 @@
 import json
 import os
 import pathlib
+from collections import Counter
 
 import pytest
 
+import fraclat.study
 from fraclat.cli import main
+from fraclat.energy import kernel_matrix
 from fraclat.errors import ConfigError
 from fraclat.study import (
     StudyConfig,
@@ -59,6 +62,7 @@ def test_roundtrip_nested_dist():
         "eps_list=0.5\n",  # missing study
         "study=warp\n",  # unknown study
         "study=solve\nbogus_key=1\n",
+        "study=solve\nout=results\n",  # the output directory is --out, not a key
         "study=solve\nseeds=1\nseeds=2\n",  # duplicate
         "study=solve\neps_list=0.25,0.5\n",  # not decreasing
         "study=solve\neps_list=0.5,0.5\n",  # not strictly decreasing
@@ -168,6 +172,29 @@ def test_cli_capacity_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("capacity error: ") and err.count("\n") == 1
     assert not (tmp_path / "solve.csv").exists()
+
+
+def test_cli_kernel_over_memory(tmp_path, capsys):
+    # 641,601 sites pass the site cap, but their dense kernel would need 3.3 TB
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text("study=solve\nd=2\neps_list=0.0025\ndomain=-1,1,-1,1\nhalo=-1,1,-1,1\n")
+    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error: dense kernel over 641601 sites") and err.count("\n") == 1
+    assert not (tmp_path / "solve.csv").exists()
+
+
+def test_homogenize_builds_seeds_plus_one_kernels_per_eps(monkeypatch):
+    built = []
+
+    def counting(lattice, *args):
+        built.append(lattice.eps)
+        return kernel_matrix(lattice, *args)
+
+    monkeypatch.setattr(fraclat.study, "kernel_matrix", counting)
+    run_study(parse_config("study=homogenize\neps_list=0.25,0.125\nhalo=-1,1\n"
+                           "dist.kind=lognormal\ndist.sigma=0.5\nseeds=1,2\n"))
+    assert Counter(built) == {0.25: 3, 0.125: 3}
 
 
 def test_thread_count_does_not_change_bytes(tmp_path):

@@ -92,12 +92,13 @@ def test_energy_matches_whole_matrix_sums():
     field = WeightField(LogNormal(1.0), 4)
     spec = EnergySpec(p=3.0, s=0.4, V=PowerP(3.0))
     u = GridFunction(lat, np.random.default_rng(3).normal(size=lat.n_sites))
-    _, k = kernel_matrix(lat, field, spec.s, spec.p, "global")
+    kernel = kernel_matrix(lat, field, spec.s, spec.p, "global")
+    _, k = kernel
     diffs = u.values[:, None] - u.values[None, :]
     value = float((k * spec.V.value(diffs)).sum())
     grad = 2.0 * (k * spec.V.derivative(diffs)).sum(axis=1)
-    assert energy_value(spec, field, u) == pytest.approx(value, rel=1e-13, abs=0)
-    np.testing.assert_allclose(energy_gradient(spec, field, u).values, grad, rtol=1e-13, atol=0)
+    assert energy_value(spec, kernel, u) == pytest.approx(value, rel=1e-13, abs=0)
+    np.testing.assert_allclose(energy_gradient(spec, kernel, u).values, grad, rtol=1e-13, atol=0)
 
 
 def test_tiled_diagnostics_match_whole_matrix_sums(small_tiles):
