@@ -362,6 +362,24 @@ def lq_norm(lattice: LatticeDomain, u: GridFunction, q: float, rng: str = "q") -
     return float((lattice.eps**lattice.dim * (vals**q).sum()) ** (1.0 / q))
 
 
+def embedding_denominator(
+    lattice: LatticeDomain,
+    u: GridFunction,
+    s: float,
+    p: float,
+    weighted: Optional[tuple] = None,
+) -> float:
+    """(||u||_p^p + [u]^p)^{1/p}, or [u]_c with a local kernel of (s, p) as
+    `weighted`: the q-independent denominator of `embedding_ratio`."""
+    if weighted is None:
+        den = (lq_norm(lattice, u, p, "q") ** p + gagliardo_seminorm(lattice, u, s, p, "q") ** p) ** (1.0 / p)
+    else:
+        den = weighted_seminorm(weighted, u, p)
+    if den == 0.0:
+        raise ValueError("embedding ratio undefined: zero denominator (constant function?)")
+    return den
+
+
 def embedding_ratio(
     lattice: LatticeDomain,
     u: GridFunction,
@@ -372,14 +390,7 @@ def embedding_ratio(
 ) -> float:
     """||u||_q / (||u||_p^p + [u]^p)^{1/p}, or ||u||_q / [u]_c with a local
     kernel of (s, p) as `weighted`."""
-    num = lq_norm(lattice, u, q, "q")
-    if weighted is None:
-        den = (lq_norm(lattice, u, p, "q") ** p + gagliardo_seminorm(lattice, u, s, p, "q") ** p) ** (1.0 / p)
-    else:
-        den = weighted_seminorm(weighted, u, p)
-    if den == 0.0:
-        raise ValueError("embedding ratio undefined: zero denominator (constant function?)")
-    return num / den
+    return lq_norm(lattice, u, q, "q") / embedding_denominator(lattice, u, s, p, weighted)
 
 
 def holder_chain_constant(

@@ -14,7 +14,6 @@ interior sites plus the boundary sites inside Q.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +78,13 @@ def _row_major_strides(counts: np.ndarray) -> np.ndarray:
     return strides
 
 
+def _box_points(los, his) -> np.ndarray:
+    """Every integer point of the box prod [lo, hi], shape (n, d), in
+    lexicographic order (the first axis varies slowest)."""
+    axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in zip(los, his)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
 def build_lattice(d: int, eps: float, domain, halo, site_cap: int = DEFAULT_SITE_CAP) -> LatticeDomain:
     """Construct the lattice of all z with eps*z in the closed halo box, with the
     interior/boundary/exterior partition of the Dirichlet boundary layer."""
@@ -101,10 +107,7 @@ def build_lattice(d: int, eps: float, domain, halo, site_cap: int = DEFAULT_SITE
     if n <= 0:
         raise ValueError("halo box contains no lattice sites")
 
-    sites = np.array(
-        list(itertools.product(*[range(lo, hi + 1) for lo, hi in zip(los, his)])),
-        dtype=np.int64,
-    ).reshape(n, d)
+    sites = _box_points(los, his)
 
     pos = eps * sites
     # cube eps*z + [-eps, eps]^d meets closure(Q) on every axis
@@ -165,9 +168,7 @@ def pair_offsets(lattice: LatticeDomain) -> PairOffsets:
     """The offset table of a lattice; O(N) codes plus the small table."""
     extent = lattice.sites[-1] - lattice._zmin  # largest |offset| on each axis
     strides = _row_major_strides(2 * extent + 1)
-    offsets = np.array(
-        list(itertools.product(*[range(-e, e + 1) for e in extent])), dtype=np.int64
-    ).reshape(-1, lattice.dim)
+    offsets = _box_points(-extent, extent)
     return PairOffsets(
         codes=(lattice.sites - lattice._zmin) @ strides,
         offsets=offsets,

@@ -8,6 +8,9 @@ The assembled matrix A over the free sites satisfies
 (sums over the kernel's site range, u and v extended by zero off the free set),
 so A is symmetric positive semi-definite and definite under the Dirichlet
 constraint.
+
+scipy.linalg is imported on first use, inside `spectrum`, its only user: the
+import costs about 70 ms, and only the spectral study pays it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ._reduction import blocked_row_sum
 from .energy import GridFunction
@@ -149,6 +151,8 @@ def spectrum(system: BilinearSystem, k: int) -> SpectralReport:
     n = system.matrix.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in 1..{n}, got {k}")
+    import scipy.linalg
+
     try:
         lam, vecs = scipy.linalg.eigh(system.matrix, subset_by_index=(0, k - 1))
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover

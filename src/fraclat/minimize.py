@@ -80,7 +80,9 @@ def _two_loop(grad: np.ndarray, s_list, y_list) -> np.ndarray:
 def minimize(spec: EnergySpec, field: WeightField, opts: MinimizeOptions = MinimizeOptions(), lattice: Optional[LatticeDomain] = None):
     """Minimize the energy; returns (GridFunction, MinimizeStats).
 
-    The kernel is built once per call and dropped when the call returns.
+    The kernel is built once per call and dropped when the call returns.  The
+    energy is evaluated at every line-search trial, its gradient only at the
+    starting point and at each accepted trial.
     """
     if opts.initial is not None:
         lat = opts.initial.lattice
@@ -94,11 +96,13 @@ def minimize(spec: EnergySpec, field: WeightField, opts: MinimizeOptions = Minim
         u = np.zeros(lat.n_sites)
     kernel = kernel_matrix(lat, field, spec.s, spec.p, spec.flavor)
 
-    def fg(vals):
-        gf = GridFunction(lat, vals)
-        return energy_value(spec, kernel, gf), energy_gradient(spec, kernel, gf).values
+    def value(vals):
+        return energy_value(spec, kernel, GridFunction(lat, vals))
 
-    e, g = fg(u)
+    def gradient(vals):
+        return energy_gradient(spec, kernel, GridFunction(lat, vals)).values
+
+    e, g = value(u), gradient(u)
     s_list: list = []
     y_list: list = []
     it = 0
@@ -121,7 +125,7 @@ def minimize(spec: EnergySpec, field: WeightField, opts: MinimizeOptions = Minim
         while True:
             # re-project to kill rounding drift in the affine constraints
             trial = project_constraint(GridFunction(lat, u + step * direction), spec.constraint).values
-            e_trial, g_trial = fg(trial)
+            e_trial = value(trial)
             if e_trial <= e + opts.sufficient_decrease * step * slope:
                 break
             step *= opts.shrink
@@ -129,6 +133,8 @@ def minimize(spec: EnergySpec, field: WeightField, opts: MinimizeOptions = Minim
                 raise NumericalError(
                     f"line search underflow at iteration {it}: energy {e:.6g}, grad sup {gnorm:.3g}"
                 )
+        # the gradient is needed only at the accepted trial
+        g_trial = gradient(trial)
         if opts.method == "lbfgs":
             s_vec = trial - u
             y_vec = g_trial - g

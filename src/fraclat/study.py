@@ -24,9 +24,10 @@ from .energy import (
     NoneTerm,
     PowerK,
     PowerP,
-    embedding_ratio,
+    embedding_denominator,
     energy_value,
     kernel_matrix,
+    lq_norm,
 )
 from .errors import ConfigError
 from .lattice import build_lattice
@@ -486,21 +487,21 @@ def _test_family(domain, lat):
 def run_embeddings(cfg: StudyConfig) -> StudyReport:
     report = _new_report(cfg)
     weighted = not isinstance(cfg.dist, Constant)
+    # the plain ratio has no weights and is reported under seed 0
+    seeds, prefix = (cfg.seeds, "wratio") if weighted else ((0,), "ratio")
     for eps in cfg.eps_list:
         lat = _lattice(cfg, eps)
         # one local kernel per seed, shared by every test function and q
         kernels = {seed: kernel_matrix(lat, WeightField(cfg.dist, seed), cfg.s, cfg.p, "local")
-                   for seed in cfg.seeds} if weighted else {}
+                   if weighted else None for seed in seeds}
         for name, vals in _test_family(cfg.domain, lat).items():
             u = GridFunction(lat, vals)
+            # the denominator does not depend on q: one per test function and seed
+            dens = {seed: embedding_denominator(lat, u, cfg.s, cfg.p, k) for seed, k in kernels.items()}
             for q in cfg.q_list:
-                if weighted:
-                    for seed in cfg.seeds:
-                        r = embedding_ratio(lat, u, cfg.s, cfg.p, q, weighted=kernels[seed])
-                        report.add(eps, seed, f"wratio_{name}_q{q:g}", r)
-                else:
-                    r = embedding_ratio(lat, u, cfg.s, cfg.p, q)
-                    report.add(eps, 0, f"ratio_{name}_q{q:g}", r)
+                num = lq_norm(lat, u, q, "q")
+                for seed in seeds:
+                    report.add(eps, seed, f"{prefix}_{name}_q{q:g}", num / dens[seed])
     return report
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,24 @@ def test_sites_d1():
     assert np.array_equal(lat.positions.ravel(), [-1, -0.5, 0, 0.5, 1])
     # Q open: the endpoints are excluded from Q's sites
     assert np.array_equal(lat.positions[lat.q_ids].ravel(), [-0.5, 0, 0.5])
+
+
+@pytest.mark.parametrize(
+    "d, eps, halo",
+    [
+        (1, 0.25, [(-1.5, 0.75)]),
+        (1, 0.5, [(-3, -0.5)]),
+        (2, 0.25, [(-1, 0.5), (-0.75, 1.25)]),
+        (2, 0.5, [(-2.5, -0.5), (-1, 1)]),
+    ],
+)
+def test_sites_match_product_reference(d, eps, halo):
+    lat = build_lattice(d, eps, halo, halo)
+    b = np.asarray(halo, dtype=float)
+    ranges = [range(int(np.ceil(lo / eps)), int(np.floor(hi / eps)) + 1) for lo, hi in b]
+    reference = np.array(list(itertools.product(*ranges)), dtype=np.int64).reshape(-1, d)
+    assert lat.sites.dtype == np.int64 and lat.sites.flags.c_contiguous
+    assert np.array_equal(lat.sites, reference)
 
 
 def test_boundary_layer_d1():

@@ -1,4 +1,5 @@
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -77,6 +78,29 @@ def test_energy_monotone_along_iterations():
         mz.energy_value = old
     # accepted iterates only: the running minimum is attained at the end
     assert energies[-1] <= min(energies) + 1e-12
+
+
+def test_gradient_only_at_accepted_points(monkeypatch):
+    import fraclat.minimize as mz
+
+    lat = build_lattice(1, 0.125, [(-1, 1)], [(-1, 1)])
+    field = WeightField(LogNormal(0.8), 2)
+    spec = _spec(p=3, V=PowerP(3), f=GridFunction(lat, np.ones(lat.n_sites)), G=PowerK(0.3, 2.0))
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(mz, "energy_value", counting("value", mz.energy_value))
+    monkeypatch.setattr(mz, "energy_gradient", counting("gradient", mz.energy_gradient))
+    _, stats = minimize(spec, field, MinimizeOptions(grad_tol=1e-8, max_iter=500), lattice=lat)
+    # some line-search trial was rejected, and no gradient was spent on it
+    assert calls["gradient"] < calls["value"]
+    assert calls["gradient"] == stats.iters + 1
 
 
 def test_minimize_builds_one_kernel_and_drops_it(monkeypatch):

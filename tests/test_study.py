@@ -1,6 +1,8 @@
 import json
 import os
 import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -195,6 +197,40 @@ def test_homogenize_builds_seeds_plus_one_kernels_per_eps(monkeypatch):
     run_study(parse_config("study=homogenize\neps_list=0.25,0.125\nhalo=-1,1\n"
                            "dist.kind=lognormal\ndist.sigma=0.5\nseeds=1,2\n"))
     assert Counter(built) == {0.25: 3, 0.125: 3}
+
+
+@pytest.mark.parametrize(
+    "dist, seminorm, per_function",
+    [("", "gagliardo_seminorm", 1), ("dist.kind=lognormal\ndist.sigma=0.5\nseeds=1,2\n", "weighted_seminorm", 2)],
+    ids=["plain", "weighted"],
+)
+def test_embeddings_one_seminorm_per_function_and_seed(monkeypatch, dist, seminorm, per_function):
+    import fraclat.energy
+
+    calls = []
+    real = getattr(fraclat.energy, seminorm)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fraclat.energy, seminorm, counting)
+    rep = run_study(parse_config("study=embeddings\neps_list=0.25,0.125\nhalo=-1,1\nq_list=2,3\n" + dist))
+    functions = 5  # tent, half_tent, bump, comb11, comb12
+    assert len(calls) == 2 * functions * per_function
+    assert len(rep.rows) == 2 * functions * per_function * 2
+
+
+def test_startup_imports_no_unused_scipy_submodule():
+    # scipy.integrate and scipy.linalg are imported by the one function that
+    # needs each, so a run that never calls it does not pay for the import
+    heavy = ("scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse")
+    code = ("import sys, fraclat, fraclat.cli, fraclat.minimize; "
+            f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+    src = pathlib.Path(fraclat.study.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
 
 
 def test_thread_count_does_not_change_bytes(tmp_path):
