@@ -2,7 +2,8 @@
 
 One subcommand per study; the config file carries everything else.  Exit codes:
 0 success, 2 config error, 3 numerical failure, 4 input over capacity (a
-lattice above the site cap, or a dense kernel larger than physical memory).
+lattice above the site cap, or a dense kernel or assembled p=2 matrix larger
+than physical memory).
 """
 
 from __future__ import annotations

@@ -9,9 +9,10 @@ with the pair sum running over all halo sites ("global", halo-truncated) or
 over Q^eps x Q^eps only ("local").  The pair factor
 eps^{2d} c_{x,y} / |x-y|^{d+ps} is the kernel K: `kernel_matrix` builds it as
 an explicit (ids, K) value, which callers build once and pass to every
-function that sums over pairs.  All pair sums exclude the diagonal and go
-through the fixed-order row-tiled reduction, so values are reproducible to
-the bit.
+function that sums over pairs.  It also builds blocks of rows of K, from
+which `linear_ops.assemble` builds the p=2 system without ever holding K.
+All pair sums exclude the diagonal and go through the fixed-order row-tiled
+reduction, so values are reproducible to the bit.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from ._reduction import blocked_row_sum, blocked_total, triangle_tiles
+from ._reduction import blocked_row_sum, blocked_total, row_tiles, triangle_tiles
 from .errors import CapacityError, NumericalError
 from .lattice import LatticeDomain, PairOffsets, pair_offsets
 from .weights import WeightField, pair_weight_matrix
@@ -213,34 +214,66 @@ def _distance_powers(offsets: PairOffsets, eps: float, exponent: float) -> np.nd
     return dist**exponent
 
 
-def kernel_matrix(lattice: LatticeDomain, field: WeightField, s: float, p: float, flavor: str):
+def require_memory(nbytes: int, what: str) -> None:
+    """Raise CapacityError when the nbytes that `what` needs exceed physical
+    memory; callers check before they allocate."""
+    ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if nbytes > ram:
+        raise CapacityError(f"{what} needs {nbytes / 1e9:.1f} GB, physical memory is {ram / 1e9:.1f} GB")
+
+
+def kernel_matrix(
+    lattice: LatticeDomain,
+    field: WeightField,
+    s: float,
+    p: float,
+    flavor: str,
+    rows: Optional[np.ndarray] = None,
+):
     """The kernel (ids, K): K[i,j] = eps^{2d} c_{ij} / |x_i-x_j|^{d+ps} over
     the flavor's sites ids, zero diagonal.
 
     K is filled in row tiles over its upper triangle, each mirrored into the
     lower one, so every pair is hashed once; |x_i-x_j|^{d+ps} comes from the
-    offset table.  K is the only N x N array allocated.  Raises CapacityError
-    before allocating when K would not fit in physical memory.
+    offset table.
+
+    With `rows`, an array of site ids, only the rows of K that belong to those
+    sites are built: the result is (ids, B) with B[i,j] the factor of the pair
+    (rows[i], ids[j]), of shape len(rows) x len(ids), filled in whole-row
+    tiles.  It equals those rows of K to the bit, since the weight, |x-y| and
+    its table entry take the same values for (x, y) and (y, x).
+
+    Raises CapacityError before allocating when the result would not fit in
+    physical memory.
     """
     ids = pair_ids(lattice, flavor)
     n = len(ids)
-    ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if 8 * n * n > ram:
-        raise CapacityError(
-            f"dense kernel over {n} sites needs {8 * n * n / 1e9:.1f} GB, "
-            f"physical memory is {ram / 1e9:.1f} GB"
-        )
+    if rows is None:
+        require_memory(8 * n * n, f"dense kernel over {n} sites")
+    else:
+        require_memory(8 * len(rows) * n, f"a block of {len(rows)} kernel rows over {n} sites")
     z = lattice.sites[ids]
     eps, d = lattice.eps, lattice.dim
     offsets = pair_offsets(lattice)
     codes = offsets.codes[ids]
     denom = _distance_powers(offsets, eps, d + p * s)
     scale = eps ** (2 * d)
+
+    def factors(za, ca, zb, cb):
+        out = pair_weight_matrix(field, za, zb)
+        out *= scale
+        out /= denom[offsets.index(ca, cb)]
+        return out
+
+    if rows is not None:
+        zr, cr = lattice.sites[rows], offsets.codes[rows]
+        k = np.empty((len(rows), n))
+        for lo, hi in row_tiles(len(rows), n, 8 * d):
+            k[lo:hi] = factors(zr[lo:hi], cr[lo:hi], z, codes)
+        return ids, k
     k = np.empty((n, n))
     for lo, hi in triangle_tiles(n, 8 * d):
-        tile = pair_weight_matrix(field, z[lo:hi], z[lo:])
-        tile *= scale
-        tile /= denom[offsets.index(codes[lo:hi], codes[lo:])]
+        tile = factors(z[lo:hi], codes[lo:hi], z[lo:], codes[lo:])
         k[lo:hi, lo:] = tile
         k[lo:, lo:hi] = tile.T
     return ids, k

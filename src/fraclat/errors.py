@@ -2,7 +2,7 @@
 
 
 class CapacityError(RuntimeError):
-    """Requested lattice exceeds the configured site-count cap."""
+    """Requested lattice exceeds the site-count cap, or a dense array for it exceeds physical memory."""
 
 
 class NumericalError(RuntimeError):

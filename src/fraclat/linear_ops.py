@@ -5,9 +5,13 @@ The assembled matrix A over the free sites satisfies
 
     u^T A v = eps^{2d} sum sum c (u(y)-u(x)) (v(y)-v(x)) / |x-y|^{d+2s}
 
-(sums over the kernel's site range, u and v extended by zero off the free set),
+(sums over the flavor's site range, u and v extended by zero off the free set),
 so A is symmetric positive semi-definite and definite under the Dirichlet
-constraint.
+constraint.  `assemble` needs only the free rows of the kernel K: A holds
+-2 K[free, free] and, on its diagonal, twice the whole row sums, which fold in
+every interaction with the constrained sites.  It builds those rows block by
+block, so the N x N kernel is never held and peak memory is about twice the
+8 |free|^2 bytes of A.
 
 scipy.linalg is imported on first use, inside `spectrum`, its only user: the
 import costs about 70 ms, and only the spectral study pays it.
@@ -20,9 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._reduction import blocked_row_sum
-from .energy import GridFunction
+from .energy import GridFunction, kernel_matrix, pair_ids, require_memory
 from .errors import NumericalError
 from .lattice import LatticeDomain
+from .weights import WeightField
 
 
 @dataclass(frozen=True)
@@ -49,8 +54,22 @@ class SpectralReport:
     eigenvectors: list  # GridFunctions, L2(Q^eps)-orthonormal
 
 
-def assemble(lattice: LatticeDomain, kernel: tuple, constraint: str, f: GridFunction) -> BilinearSystem:
-    """The p=2 weak form over the free sites, from a kernel of (s, p=2)."""
+def assemble(
+    lattice: LatticeDomain,
+    field: WeightField,
+    s: float,
+    flavor: str,
+    constraint: str,
+    f: GridFunction,
+) -> BilinearSystem:
+    """The p=2 weak form over the free sites, from the kernel K of (s, p=2, flavor).
+
+    A = -2 K[free, free] off the diagonal and twice the row sums of K on it.
+    K is built in blocks of free rows, each no larger than A and dropped
+    before the next, so no N x N array is allocated.  A is symmetric to the
+    bit, because K[x, y] and K[y, x] are.  Raises CapacityError before
+    allocating when A and one block would not fit in physical memory.
+    """
     if constraint == "dirichlet0":
         free = lattice.interior_ids
     elif constraint == "mean0":
@@ -59,17 +78,21 @@ def assemble(lattice: LatticeDomain, kernel: tuple, constraint: str, f: GridFunc
         raise ValueError(f"constraint must be 'dirichlet0' or 'mean0', got {constraint!r}")
     if len(free) == 0:
         raise ValueError("empty free set: no unconstrained sites")
-    ids, k = kernel
-    # map free site ids to rows of the kernel over its site range
-    lookup = -np.ones(lattice.n_sites, dtype=np.int64)
-    lookup[ids] = np.arange(len(ids))
-    rows = lookup[free]
-    if np.any(rows < 0):
-        raise ValueError("free set not contained in the kernel's site range")
-    row_sums = blocked_row_sum(lambda lo, hi: k[lo:hi], len(ids), len(ids))
-    a = -2.0 * k[np.ix_(rows, rows)]
-    np.fill_diagonal(a, 2.0 * row_sums[rows])
-    a = 0.5 * (a + a.T)  # exact symmetry regardless of summation order
+    ids = pair_ids(lattice, flavor)
+    cols = np.searchsorted(ids, free)  # free sites lie inside both flavors' ranges
+    m, n = len(free), len(ids)
+    step = max(1, m * m // n)
+    require_memory(8 * (m * m + step * n), f"assembled matrix over {m} free sites")
+    a = np.empty((m, m))
+    row_sums = np.empty(m)
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        _, block = kernel_matrix(lattice, field, s, 2.0, flavor, rows=free[lo:hi])
+        row_sums[lo:hi] = block.sum(axis=1)
+        a[lo:hi] = block[:, cols]
+        del block  # so that two blocks are never alive at once
+        a[lo:hi] *= -2.0
+    np.fill_diagonal(a, 2.0 * row_sums)
     epsd = lattice.eps**lattice.dim
     rhs = epsd * f.values[free]
     return BilinearSystem(lattice=lattice, free_ids=free, matrix=a, rhs=rhs, constraint=constraint)

@@ -45,17 +45,7 @@ class MinimizeStats:
 
 def project_constraint(u: GridFunction, constraint: str) -> GridFunction:
     """Nearest point (in the natural coordinates) of the constrained space."""
-    lat = u.lattice
-    vals = u.values.copy()
-    if constraint == "dirichlet0":
-        vals[lat.boundary_ids] = 0.0
-        vals[lat.exterior_ids] = 0.0
-    elif constraint == "mean0":
-        q = lat.q_ids
-        vals[q] -= vals[q].mean()
-    elif constraint == "zero_outside":
-        vals[lat.exterior_ids] = 0.0
-    return GridFunction(lat, vals)
+    return GridFunction(u.lattice, project_direction(u.lattice, u.values, constraint))
 
 
 def _two_loop(grad: np.ndarray, s_list, y_list) -> np.ndarray:

@@ -331,12 +331,8 @@ def tent_function(domain) -> ContinuumFunction:
     )
 
 
-def _kernel_p2(cfg: StudyConfig, lat, field: WeightField):
-    return kernel_matrix(lat, field, cfg.s, 2.0, cfg.flavor)
-
-
-def _solve_p2(cfg: StudyConfig, lat, kernel):
-    system = assemble(lat, kernel, cfg.constraint, _forcing(cfg, lat))
+def _solve_p2(cfg: StudyConfig, lat, field: WeightField):
+    system = assemble(lat, field, cfg.s, cfg.flavor, cfg.constraint, _forcing(cfg, lat))
     return solve(system, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
 
 
@@ -360,10 +356,8 @@ def run_solve(cfg: StudyConfig) -> StudyReport:
         lat = _lattice(cfg, eps)
         for seed in cfg.seeds:
             field = WeightField(cfg.dist, seed)
-            kernel = _kernel_p2(cfg, lat, field)
-            u, stats = _solve_p2(cfg, lat, kernel)
-            if cfg.p != 2.0:  # the energy row needs the kernel of p
-                kernel = kernel_matrix(lat, field, cfg.s, cfg.p, cfg.flavor)
+            kernel = kernel_matrix(lat, field, cfg.s, cfg.p, cfg.flavor)  # for the energy row
+            u, stats = _solve_p2(cfg, lat, field)
             spec = EnergySpec(f=_forcing(cfg, lat), **spec_tpl)
             report.add(eps, seed, "energy", energy_value(spec, kernel, u))
             report.add(eps, seed, "iters", stats.iters)
@@ -378,7 +372,7 @@ def run_homogenize(cfg: StudyConfig) -> StudyReport:
     eps_min = cfg.eps_list[-1]
     lat_ref = _lattice(cfg, eps_min)
     const_field = WeightField(Constant(1.0), 0)
-    u_ref, _ = _solve_p2(cfg, lat_ref, _kernel_p2(cfg, lat_ref, const_field))
+    u_ref, _ = _solve_p2(cfg, lat_ref, const_field)
     zero_ref = GridFunction(lat_ref, np.zeros(lat_ref.n_sites))
     ref_norm = pc_l2_distance(u_ref, zero_ref, dom)
     report.add(eps_min, 0, "ref_norm", ref_norm)
@@ -387,11 +381,11 @@ def run_homogenize(cfg: StudyConfig) -> StudyReport:
             lat, u_const = lat_ref, u_ref
         else:
             lat = _lattice(cfg, eps)
-            u_const, _ = _solve_p2(cfg, lat, _kernel_p2(cfg, lat, const_field))
+            u_const, _ = _solve_p2(cfg, lat, const_field)
         report.add(eps, 0, "const_error", pc_l2_distance(u_const, u_ref, dom))
         errs = []
         for seed in cfg.seeds:
-            u, _ = _solve_p2(cfg, lat, _kernel_p2(cfg, lat, WeightField(cfg.dist, seed)))
+            u, _ = _solve_p2(cfg, lat, WeightField(cfg.dist, seed))
             e = pc_l2_distance(u, u_ref, dom)
             errs.append(e)
             report.add(eps, seed, "l2_error", e)
@@ -439,7 +433,7 @@ def run_spectral(cfg: StudyConfig) -> StudyReport:
     epsd_inner = lambda lat, a, b: lat.eps**lat.dim * float(a @ b)
 
     def modes(lat, field):
-        system = assemble(lat, _kernel_p2(cfg, lat, field), "dirichlet0", _forcing(cfg, lat))
+        system = assemble(lat, field, cfg.s, cfg.flavor, "dirichlet0", _forcing(cfg, lat))
         return spectrum(system, cfg.k_eigs)
 
     for eps in cfg.eps_list:

@@ -33,7 +33,7 @@ def test_p2_matches_cg():
     lat = build_lattice(1, 0.125, [(-1, 1)], [(-1, 1)])
     field = WeightField(LogNormal(1.0), 5)
     f = GridFunction(lat, np.ones(lat.n_sites))
-    system = assemble(lat, kernel_matrix(lat, field, 0.5, 2.0, "global"), "dirichlet0", f)
+    system = assemble(lat, field, 0.5, "global", "dirichlet0", f)
     u_cg, _ = solve(system, tol=1e-12)
     spec = _spec(V=HALF_QUADRATIC, f=f)
     u_min, stats = minimize(spec, field, MinimizeOptions(grad_tol=1e-10, max_iter=2000), lattice=lat)
@@ -54,30 +54,25 @@ def test_p4_single_site_root():
     assert u.values[center] == pytest.approx(oracle, abs=1e-8)
 
 
-def test_energy_monotone_along_iterations():
+def test_energy_monotone_along_iterations(monkeypatch):
+    import fraclat.minimize as mz
+
     lat = build_lattice(1, 0.125, [(-1, 1)], [(-1, 1)])
     field = WeightField(LogNormal(0.8), 2)
     f = GridFunction(lat, np.ones(lat.n_sites))
     spec = _spec(p=3, V=PowerP(3), f=f, G=PowerK(0.3, 2.0))
     energies = []
+    real_gradient = mz.energy_gradient
 
-    real_value = energy_value
+    # the gradient is taken at the start and at accepted iterates only
+    def tracking(spec_, kernel_, u_):
+        energies.append(energy_value(spec_, kernel_, u_))
+        return real_gradient(spec_, kernel_, u_)
 
-    def tracking(spec_, field_, u_):
-        e = real_value(spec_, field_, u_)
-        energies.append(e)
-        return e
-
-    import fraclat.minimize as mz
-
-    old = mz.energy_value
-    mz.energy_value = tracking
-    try:
-        minimize(spec, field, MinimizeOptions(grad_tol=1e-8, max_iter=500), lattice=lat)
-    finally:
-        mz.energy_value = old
-    # accepted iterates only: the running minimum is attained at the end
-    assert energies[-1] <= min(energies) + 1e-12
+    monkeypatch.setattr(mz, "energy_gradient", tracking)
+    _, stats = minimize(spec, field, MinimizeOptions(grad_tol=1e-8, max_iter=500), lattice=lat)
+    assert len(energies) == stats.iters + 1 > 2
+    assert all(later <= earlier for earlier, later in zip(energies, energies[1:]))
 
 
 def test_gradient_only_at_accepted_points(monkeypatch):

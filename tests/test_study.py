@@ -9,8 +9,8 @@ import pytest
 
 import fraclat.study
 from fraclat.cli import main
-from fraclat.energy import kernel_matrix
 from fraclat.errors import ConfigError
+from fraclat.linear_ops import assemble
 from fraclat.study import (
     StudyConfig,
     StudyReport,
@@ -186,14 +186,24 @@ def test_cli_kernel_over_memory(tmp_path, capsys):
     assert not (tmp_path / "solve.csv").exists()
 
 
+def test_cli_assembled_matrix_over_memory(tmp_path, capsys):
+    # 635,209 free sites: A alone would need 3.2 TB, refused before any kernel row is built
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text("study=spectral\nd=2\neps_list=0.0025\ndomain=-1,1,-1,1\nhalo=-1,1,-1,1\n")
+    assert main(["spectral", "--config", str(cfg_path), "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error: assembled matrix over 635209 free sites") and err.count("\n") == 1
+    assert not (tmp_path / "spectral.csv").exists()
+
+
 def test_homogenize_builds_seeds_plus_one_kernels_per_eps(monkeypatch):
     built = []
 
     def counting(lattice, *args):
         built.append(lattice.eps)
-        return kernel_matrix(lattice, *args)
+        return assemble(lattice, *args)
 
-    monkeypatch.setattr(fraclat.study, "kernel_matrix", counting)
+    monkeypatch.setattr(fraclat.study, "assemble", counting)
     run_study(parse_config("study=homogenize\neps_list=0.25,0.125\nhalo=-1,1\n"
                            "dist.kind=lognormal\ndist.sigma=0.5\nseeds=1,2\n"))
     assert Counter(built) == {0.25: 3, 0.125: 3}

@@ -15,6 +15,7 @@ from fraclat.energy import (
     kernel_matrix,
     pair_ids,
 )
+from fraclat.linear_ops import assemble
 from fraclat.weights import (
     Constant,
     DecayingProduct,
@@ -83,6 +84,42 @@ def test_kernel_matches_whole_matrix_formula(d, small_tiles):
         for flavor in ("global", "local"):
             _, k = kernel_matrix(lat, field, 0.5, 2.0, flavor)
             assert np.array_equal(k, _whole_kernel(lat, field, 0.5, 2.0, flavor)), (dist, flavor)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_kernel_rows_match_full_kernel(d, small_tiles):
+    lat = build_lattice(**LATTICES[d])
+    for dist in (Constant(2.0), LogNormal(1.0)):
+        field = WeightField(dist, 5)
+        for flavor in ("global", "local"):
+            ids, k = kernel_matrix(lat, field, 0.5, 2.0, flavor)
+            rows = np.random.default_rng(d).permutation(ids)[: len(ids) // 2 + 1]
+            assert len(_reduction.row_tiles(len(rows), len(ids), 8 * d)) > 1
+            ids_r, block = kernel_matrix(lat, field, 0.5, 2.0, flavor, rows=rows)
+            assert np.array_equal(ids_r, ids)
+            assert np.array_equal(block, k[np.searchsorted(ids, rows)]), (dist, flavor)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_assemble_matches_full_kernel_formula(d, small_tiles):
+    lat = build_lattice(**LATTICES[d])
+    # several blocks of free rows with a partial last one
+    m, n = len(lat.interior_ids), lat.n_sites
+    assert m > m * m // n and m % (m * m // n) != 0
+    f = GridFunction(lat, np.random.default_rng(9).normal(size=lat.n_sites))
+    for dist in (Constant(2.0), LogNormal(1.0)):
+        field = WeightField(dist, 3)
+        for flavor in ("global", "local"):
+            ids, k = kernel_matrix(lat, field, 0.5, 2.0, flavor)
+            for constraint, free in (("dirichlet0", lat.interior_ids), ("mean0", lat.q_ids)):
+                rows = np.searchsorted(ids, free)
+                a = -2.0 * k[np.ix_(rows, rows)]
+                np.fill_diagonal(a, 2.0 * k.sum(axis=1)[rows])
+                system = assemble(lat, field, 0.5, flavor, constraint, f)
+                case = (dist, flavor, constraint)
+                assert np.array_equal(system.free_ids, free), case
+                assert np.array_equal(system.matrix, a), case
+                assert np.array_equal(system.rhs, lat.eps**d * f.values[free]), case
 
 
 def test_energy_matches_whole_matrix_sums():
