@@ -9,8 +9,9 @@ with the pair sum running over all halo sites ("global", halo-truncated) or
 over Q^eps x Q^eps only ("local").  The pair factor
 eps^{2d} c_{x,y} / |x-y|^{d+ps} is the kernel K: `kernel_matrix` builds it as
 an explicit (ids, K) value, which callers build once and pass to every
-function that sums over pairs.  It also builds blocks of rows of K, from
-which `linear_ops.assemble` builds the p=2 system without ever holding K.
+function that sums over pairs.  It also builds the block of K over a set of
+sites, with the whole row sums, from which `linear_ops.assemble` builds the
+p=2 system without ever holding K.
 All pair sums exclude the diagonal and go through the fixed-order row-tiled
 reduction, so values are reproducible to the bit.
 """
@@ -237,11 +238,12 @@ def kernel_matrix(
     lower one, so every pair is hashed once; |x_i-x_j|^{d+ps} comes from the
     offset table.
 
-    With `rows`, an array of site ids, only the rows of K that belong to those
-    sites are built: the result is (ids, B) with B[i,j] the factor of the pair
-    (rows[i], ids[j]), of shape len(rows) x len(ids), filled in whole-row
-    tiles.  It equals those rows of K to the bit, since the weight, |x-y| and
-    its table entry take the same values for (x, y) and (y, x).
+    With `rows`, an array of site ids among the flavor's sites, the result is
+    (sums, B) instead: B = K[r][:, r] for the positions r of those sites, and
+    sums the whole row sums of K[r].  Both are filled from one tile of whole
+    rows at a time, so only B and one tile are held.  They equal the entries
+    and row sums of K to the bit, since the weight, |x-y| and its table entry
+    take the same values for (x, y) and (y, x).
 
     Raises CapacityError before allocating when the result would not fit in
     physical memory.
@@ -251,7 +253,7 @@ def kernel_matrix(
     if rows is None:
         require_memory(8 * n * n, f"dense kernel over {n} sites")
     else:
-        require_memory(8 * len(rows) * n, f"a block of {len(rows)} kernel rows over {n} sites")
+        require_memory(8 * len(rows) ** 2, f"kernel block over {len(rows)} of {n} sites")
     z = lattice.sites[ids]
     eps, d = lattice.eps, lattice.dim
     offsets = pair_offsets(lattice)
@@ -267,10 +269,14 @@ def kernel_matrix(
 
     if rows is not None:
         zr, cr = lattice.sites[rows], offsets.codes[rows]
-        k = np.empty((len(rows), n))
+        cols = np.searchsorted(ids, rows)
+        sums = np.empty(len(rows))
+        block = np.empty((len(rows), len(rows)))
         for lo, hi in row_tiles(len(rows), n, 8 * d):
-            k[lo:hi] = factors(zr[lo:hi], cr[lo:hi], z, codes)
-        return ids, k
+            tile = factors(zr[lo:hi], cr[lo:hi], z, codes)
+            sums[lo:hi] = tile.sum(axis=1)
+            block[lo:hi] = tile[:, cols]
+        return sums, block
     k = np.empty((n, n))
     for lo, hi in triangle_tiles(n, 8 * d):
         tile = factors(z[lo:hi], codes[lo:hi], z[lo:], codes[lo:])

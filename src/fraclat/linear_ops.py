@@ -9,9 +9,10 @@ The assembled matrix A over the free sites satisfies
 so A is symmetric positive semi-definite and definite under the Dirichlet
 constraint.  `assemble` needs only the free rows of the kernel K: A holds
 -2 K[free, free] and, on its diagonal, twice the whole row sums, which fold in
-every interaction with the constrained sites.  It builds those rows block by
-block, so the N x N kernel is never held and peak memory is about twice the
-8 |free|^2 bytes of A.
+every interaction with the constrained sites.  `kernel_matrix` fills that
+block and the row sums one tile of rows at a time, and A is the block scaled
+in place, so the N x N kernel is never held and peak memory is the
+8 |free|^2 bytes of A plus one tile.
 
 scipy.linalg is imported on first use, inside `spectrum`, its only user: the
 import costs about 70 ms, and only the spectral study pays it.
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._reduction import blocked_row_sum
-from .energy import GridFunction, kernel_matrix, pair_ids, require_memory
+from .energy import GridFunction, kernel_matrix, require_memory
 from .errors import NumericalError
 from .lattice import LatticeDomain
 from .weights import WeightField
@@ -65,10 +66,10 @@ def assemble(
     """The p=2 weak form over the free sites, from the kernel K of (s, p=2, flavor).
 
     A = -2 K[free, free] off the diagonal and twice the row sums of K on it.
-    K is built in blocks of free rows, each no larger than A and dropped
-    before the next, so no N x N array is allocated.  A is symmetric to the
-    bit, because K[x, y] and K[y, x] are.  Raises CapacityError before
-    allocating when A and one block would not fit in physical memory.
+    `kernel_matrix` builds K[free, free] and the row sums tile by tile, and A
+    is that block scaled in place, so no N x N array is allocated.  A is
+    symmetric to the bit, because K[x, y] and K[y, x] are.  Raises
+    CapacityError before allocating when A would not fit in physical memory.
     """
     if constraint == "dirichlet0":
         free = lattice.interior_ids
@@ -78,20 +79,11 @@ def assemble(
         raise ValueError(f"constraint must be 'dirichlet0' or 'mean0', got {constraint!r}")
     if len(free) == 0:
         raise ValueError("empty free set: no unconstrained sites")
-    ids = pair_ids(lattice, flavor)
-    cols = np.searchsorted(ids, free)  # free sites lie inside both flavors' ranges
-    m, n = len(free), len(ids)
-    step = max(1, m * m // n)
-    require_memory(8 * (m * m + step * n), f"assembled matrix over {m} free sites")
-    a = np.empty((m, m))
-    row_sums = np.empty(m)
-    for lo in range(0, m, step):
-        hi = min(lo + step, m)
-        _, block = kernel_matrix(lattice, field, s, 2.0, flavor, rows=free[lo:hi])
-        row_sums[lo:hi] = block.sum(axis=1)
-        a[lo:hi] = block[:, cols]
-        del block  # so that two blocks are never alive at once
-        a[lo:hi] *= -2.0
+    m = len(free)
+    require_memory(8 * m * m, f"assembled matrix over {m} free sites")
+    # free sites lie inside both flavors' ranges
+    row_sums, a = kernel_matrix(lattice, field, s, 2.0, flavor, rows=free)
+    a *= -2.0
     np.fill_diagonal(a, 2.0 * row_sums)
     epsd = lattice.eps**lattice.dim
     rhs = epsd * f.values[free]

@@ -394,7 +394,9 @@ def run_homogenize(cfg: StudyConfig) -> StudyReport:
     return report
 
 
-def run_gamma_limit(cfg: StudyConfig, u: Optional[ContinuumFunction] = None) -> StudyReport:
+def run_gamma_limit(
+    cfg: StudyConfig, u: Optional[ContinuumFunction] = None, metric: str = "discrete_energy"
+) -> StudyReport:
     report = _new_report(cfg)
     dom = _boxes(cfg)[0]
     if u is None:
@@ -410,17 +412,12 @@ def run_gamma_limit(cfg: StudyConfig, u: Optional[ContinuumFunction] = None) -> 
         spec = EnergySpec(**spec_tpl)
         for seed in cfg.seeds:
             kernel = kernel_matrix(lat, WeightField(cfg.dist, seed), spec.s, spec.p, spec.flavor)
-            report.add(eps, seed, "discrete_energy", energy_value(spec, kernel, uh))
+            report.add(eps, seed, metric, energy_value(spec, kernel, uh))
     return report
 
 
 def run_vanish(cfg: StudyConfig) -> StudyReport:
-    report = run_gamma_limit(cfg)
-    report.study = cfg.study
-    report.rows = [
-        (eps, seed, "nonlocal_energy" if metric == "discrete_energy" else metric, value, aux)
-        for eps, seed, metric, value, aux in report.rows
-    ]
+    report = run_gamma_limit(cfg, metric="nonlocal_energy")
     # divergence contrast: Constant(1) c-weights give a log-growing S(R)
     const_field = WeightField(Constant(1.0), cfg.seeds[0])
     for r, sr in divergence_probe(const_field, cfg.p, cfg.s, cfg.radii, d=cfg.d):

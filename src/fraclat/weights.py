@@ -7,7 +7,9 @@ over distinct unordered pairs are therefore i.i.d., which is stationary and
 ergodic under shifts in both variables, and everything is reproducible with
 O(1) memory.  Because a weight depends on nothing but (seed, pair), callers may
 hash any subset of pairs in any order: the kernel build hashes only the upper
-triangle, tile by tile, and mirrors it.  `Constant` weights are never hashed.
+triangle, tile by tile, and mirrors it; `weight_pairs` broadcasts two site
+arrays, so a tile is one call.  `Constant` weights are never hashed.
+`LogNormal` imports scipy.special (for `ndtri`, about 0.25 s) on first use.
 
 Distributions are rescaled at construction so the analytic mean is 1 unless
 `normalize=False`; the homogenized limit then matches the constant-weight
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import ndtri
 
 from ._reduction import blocked_total
 from .errors import NumericalError
@@ -67,6 +68,8 @@ class LogNormal:
         return math.inf
 
     def _transform(self, u: np.ndarray) -> np.ndarray:
+        from scipy.special import ndtri
+
         return np.exp(self.sigma * ndtri(u))
 
     @property
@@ -178,63 +181,70 @@ def _mix(h: np.ndarray) -> np.ndarray:
     return h
 
 
-def _hash_pairs(seed: int, zmin: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """Hash (seed, zmin, diff) -> uint64 per pair, from (d, m) coordinate columns."""
+def _encode(a) -> np.ndarray:
+    """The hash input word a * GOLDEN + GOLDEN (mod 2^64) of int64 coordinates."""
+    v = np.asarray(a, dtype=np.int64).view(np.uint64) * _GOLDEN
+    v += _GOLDEN
+    return v
+
+
+def _hash(seed: int, z1: np.ndarray, z2: np.ndarray):
+    """uint64 hash of (seed, lexicographic minimum, difference) of each pair of
+    int64 sites z1, z2 (shape (..., d), broadcast), with the per-axis
+    differences and the mask of equal sites.  fmix64 absorbs the seed, then
+    per axis the minimum's coordinate and the difference; the first round
+    needs one site only, so it runs per site and the swap mask picks one."""
     init = (int(seed) + 0x9E3779B97F4A7C15) % 2**64
-    h = np.full(zmin.shape[1], _mix(np.array([init], dtype=np.uint64))[0])
-    for zmin_col, diff_col in zip(zmin, diff):
-        for arr in (zmin_col, diff_col):
-            v = arr.astype(np.int64).view(np.uint64)
-            v *= _GOLDEN
-            v += _GOLDEN
-            h ^= v
+    h0 = _mix(np.array([init], dtype=np.uint64))[0]
+    diffs = [z2[..., c] - z1[..., c] for c in range(z1.shape[-1])]
+    swap = diffs[0] < 0
+    equal = diffs[0] == 0
+    for diff in diffs[1:]:
+        swap |= equal & (diff < 0)
+        equal &= diff == 0
+    for diff in diffs:
+        np.negative(diff, out=diff, where=swap)
+    first1, first2 = (_mix(_encode(z[..., 0]) ^ h0) for z in (z1, z2))
+    h = np.where(swap, first2, first1)
+    for c, diff in enumerate(diffs):
+        if c:
+            h ^= _encode(np.where(swap, z2[..., c], z1[..., c]))
             _mix(h)
-    return h
-
-
-def _uniforms(seed: int, zmin: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    h = _hash_pairs(seed, zmin, diff)
-    h >>= np.uint64(11)
-    u = h.astype(np.float64)
-    u += 0.5
-    u *= 2.0**-53
-    return u
-
-
-def _canonical(z1: np.ndarray, z2: np.ndarray):
-    """Lexicographic-minimum representative of each unordered pair and the
-    coordinate difference to the other site, as (d, m) column arrays (numpy is
-    slow along a length-d inner axis), and a mask of equal sites."""
-    delta = np.ascontiguousarray((z2 - z1).T)
-    swap = np.zeros(delta.shape[1], dtype=bool)
-    equal = np.ones(delta.shape[1], dtype=bool)
-    for col in delta:
-        swap |= equal & (col < 0)
-        equal &= col == 0
-    zmin = np.where(swap, z2.T, z1.T)
-    np.negative(delta, out=delta, where=swap)
-    return zmin, delta, equal
+        h ^= _encode(diff)
+        _mix(h)
+    return h, diffs, equal
 
 
 def weight_pairs(field: WeightField, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """Weights for rows of integer coordinates z1, z2 (shape (m, d))."""
+    """Weights of the pairs of integer sites z1, z2 (shape (..., d)), broadcast
+    against each other, so za[:, None] and zb[None] give a matrix; equal sites
+    get 0."""
     z1 = np.atleast_2d(np.asarray(z1, dtype=np.int64))
     z2 = np.atleast_2d(np.asarray(z2, dtype=np.int64))
-    zmin, diff, equal = _canonical(z1, z2)
-    if equal.any():
-        raise ValueError("weight is undefined on the diagonal z1 == z2")
-    u = _uniforms(field.seed, zmin, diff)
+    h, diffs, equal = _hash(field.seed, z1, z2)
+    h >>= np.uint64(11)
+    # below 2^53 either conversion is exact, and numpy's int64 one is ~8x faster
+    u = h.view(np.int64).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
     dist = field.dist
     if isinstance(dist, DecayingProduct):
-        base = dist.base._transform(u) * dist.base.scale
-        r = np.sqrt((diff.astype(float) ** 2).sum(axis=0))
-        return base * (1.0 + r) ** (-dist.alpha)
-    return dist._transform(u) * dist.scale
+        w = dist.base._transform(u) * dist.base.scale
+        r = np.sqrt(sum(diff.astype(float) ** 2 for diff in diffs))
+        w *= (1.0 + r) ** (-dist.alpha)
+    else:
+        w = dist._transform(u)
+        w *= dist.scale
+    w[equal] = 0.0
+    return w
 
 
 def weight(field: WeightField, z1, z2) -> float:
     """Weight of a single site pair; pure, positive, symmetric."""
-    return float(weight_pairs(field, np.asarray([z1]).reshape(1, -1), np.asarray([z2]).reshape(1, -1))[0])
+    z1, z2 = (np.asarray(z, dtype=np.int64).reshape(1, -1) for z in (z1, z2))
+    if np.array_equal(z1, z2):
+        raise ValueError("weight is undefined on the diagonal z1 == z2")
+    return float(weight_pairs(field, z1, z2)[0])
 
 
 def pair_weight_matrix(field: WeightField, za: np.ndarray, zb: np.ndarray) -> np.ndarray:
@@ -244,18 +254,12 @@ def pair_weight_matrix(field: WeightField, za: np.ndarray, zb: np.ndarray) -> np
     """
     za = np.asarray(za, dtype=np.int64)
     zb = np.asarray(zb, dtype=np.int64)
-    z1 = np.repeat(za, zb.shape[0], axis=0)
-    z2 = np.tile(zb, (za.shape[0], 1))
-    off = z1[:, 0] != z2[:, 0]
-    for col in range(1, z1.shape[1]):
-        off |= z1[:, col] != z2[:, col]
-    out = np.zeros(z1.shape[0])
     if isinstance(field.dist, Constant):
-        out[off] = field.dist.value * field.dist.scale
-    elif off.any():
-        # compress, unlike a boolean index, copies whole rows at memcpy speed
-        out[off] = weight_pairs(field, z1.compress(off, axis=0), z2.compress(off, axis=0))
-    return out.reshape(za.shape[0], zb.shape[0])
+        equal = np.logical_and.reduce([za[:, None, c] == zb[None, :, c] for c in range(za.shape[1])])
+        out = np.full(equal.shape, field.dist.value * field.dist.scale)
+        out[equal] = 0.0
+        return out
+    return weight_pairs(field, za[:, None], zb[None])
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +275,8 @@ class MomentEstimate:
 
 
 def _origins(seed: int, m: int, d: int) -> np.ndarray:
-    idx = np.arange(m, dtype=np.int64).reshape(1, m)
-    h = _hash_pairs(seed ^ 0x5EED0F0F, idx, idx * 0 + 7)
+    idx = np.arange(m, dtype=np.int64).reshape(m, 1)
+    h, _, _ = _hash(seed ^ 0x5EED0F0F, idx, idx + 7)
     out = np.zeros((m, d), dtype=np.int64)
     for col in range(d):
         h = _mix(h + _GOLDEN)

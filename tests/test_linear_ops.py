@@ -221,8 +221,9 @@ def test_assemble_never_holds_the_kernel():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the N x N kernel alone would take 8 * 4225^2 bytes, about 143 MB
-    assert peak < 3 * 8 * m * m
+    # A takes 8 m^2 bytes, about 5.7 MB, and the N x N kernel alone would take
+    # 8 * 4225^2 bytes, about 143 MB; a second m x m array would exceed the bound
+    assert peak < 1.5 * 8 * m * m
 
 
 def test_empty_free_set_rejected(const_field):

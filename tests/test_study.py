@@ -232,9 +232,10 @@ def test_embeddings_one_seminorm_per_function_and_seed(monkeypatch, dist, semino
 
 
 def test_startup_imports_no_unused_scipy_submodule():
-    # scipy.integrate and scipy.linalg are imported by the one function that
-    # needs each, so a run that never calls it does not pay for the import
-    heavy = ("scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse")
+    # scipy.integrate, scipy.linalg and scipy.special are imported by the one
+    # function that needs each, so a run that never calls it does not pay for
+    # the import
+    heavy = ("scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse", "scipy.special")
     code = ("import sys, fraclat, fraclat.cli, fraclat.minimize; "
             f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
     src = pathlib.Path(fraclat.study.__file__).parents[1]

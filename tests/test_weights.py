@@ -20,7 +20,9 @@ from fraclat.weights import (
     empirical_moment,
     pair_weight_matrix,
     weight,
+    weight_pairs,
 )
+from fraclat.weights import _origins
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -77,6 +79,39 @@ def test_pair_matrix_matches_scalar_path():
                         assert m[i, j] == 0.0
                     else:
                         assert m[i, j] == weight(f, za[i], zb[j])
+
+
+def test_weight_pairs_broadcast_matches_flat():
+    # zb repeats sites of za, so some pairs are equal sites; coordinates are
+    # negative, and some are large enough that the hash words wrap around
+    rng = np.random.default_rng(4)
+    dists = [Constant(2.0), LogNormal(0.8), UnitPowerLaw(3.0), ShiftedPareto(2.5),
+             DecayingProduct(LogNormal(0.5), 1.5)]
+    for d in (1, 2):
+        za = np.concatenate([rng.integers(-5, 5, size=(6, d)), rng.integers(-2**40, 2**40, size=(3, d))])
+        zb = np.concatenate([za[[4, 0, 7]], rng.integers(-5, 5, size=(5, d))])
+        z1 = np.repeat(za, len(zb), axis=0)
+        z2 = np.tile(zb, (len(za), 1))
+        equal = np.all(z1 == z2, axis=1)
+        assert equal.sum() >= 3 and not equal.all()
+        for dist in dists:
+            f = WeightField(dist, 2**40 + 3)
+            flat = weight_pairs(f, z1, z2)
+            assert flat.shape == (len(z1),)
+            assert np.all(flat[equal] == 0.0) and np.all(flat[~equal] > 0.0), (dist, d)
+            w = weight_pairs(f, za[:, None], zb[None])
+            assert w.shape == (len(za), len(zb))
+            assert np.array_equal(w, flat.reshape(w.shape)), (dist, d)
+            assert np.array_equal(weight_pairs(f, zb[:, None, None], za[None, :, None]), w.T[:, :, None])
+            assert np.array_equal(pair_weight_matrix(f, za, zb), w), (dist, d)
+
+
+def test_origins_pinned():
+    # the (seed, i, i + 7) pair hashes behind every moment estimate and probe
+    assert np.array_equal(_origins(0, 5, 1), [[-405], [-439], [-619], [641], [-884]])
+    assert np.array_equal(_origins(3, 5, 1), [[-83], [34], [-51], [593], [-901]])
+    assert np.array_equal(_origins(0, 5, 2), [[-405, 476], [-439, -515], [-619, -170], [641, -337], [-884, -851]])
+    assert np.array_equal(_origins(3, 5, 2), [[-83, -70], [34, 41], [-51, -158], [593, -922], [-901, -806]])
 
 
 def test_moment_constant():
