@@ -272,13 +272,13 @@ def kernel_matrix(
         cols = np.searchsorted(ids, rows)
         sums = np.empty(len(rows))
         block = np.empty((len(rows), len(rows)))
-        for lo, hi in row_tiles(len(rows), n, 8 * d):
+        for lo, hi in row_tiles(len(rows), n):
             tile = factors(zr[lo:hi], cr[lo:hi], z, codes)
             sums[lo:hi] = tile.sum(axis=1)
             block[lo:hi] = tile[:, cols]
         return sums, block
     k = np.empty((n, n))
-    for lo, hi in triangle_tiles(n, 8 * d):
+    for lo, hi in triangle_tiles(n):
         tile = factors(z[lo:hi], codes[lo:hi], z[lo:], codes[lo:])
         k[lo:hi, lo:] = tile
         k[lo:, lo:hi] = tile.T
@@ -464,46 +464,3 @@ def holder_chain_constant(
 
     k_sum = eps ** (2 * d) * blocked_total(tile, len(ids), len(ids), 8 * d)
     return float(k_sum ** ((p - r) / (r * p)))
-
-
-def halo_tail_bound(
-    lattice: LatticeDomain,
-    field: WeightField,
-    s: float,
-    p: float,
-    v_max: float,
-    inner_box,
-) -> float:
-    """Upper bound on the pair-sum energy omitted by truncating to inner_box.
-
-    For u supported inside inner_box and bounded so that V(u(x) - u(y)) <= v_max
-    on every omitted pair, the omitted mass is at most
-
-        v_max * eps^{2d} sum_{x in, y out} c_{x,y} / |x-y|^{d+ps},
-
-    evaluated here shell-by-shell over dyadic distance bands (each band uses its
-    minimal distance, so the bound dominates term by term).
-    """
-    eps, d = lattice.eps, lattice.dim
-    box = np.asarray(inner_box, dtype=float).reshape(d, 2)
-    pos = lattice.positions
-    inside = np.all((pos >= box[:, 0]) & (pos <= box[:, 1]), axis=1)
-    zi = lattice.sites[inside]
-    zo = lattice.sites[~inside]
-    if zi.shape[0] == 0 or zo.shape[0] == 0:
-        return 0.0
-    w = pair_weight_matrix(field, zi, zo)
-    diff = (zi[:, None, :] - zo[None, :, :]).astype(float)
-    dist = eps * np.sqrt((diff * diff).sum(axis=2))
-    dmin = float(dist.min())
-    total = 0.0
-    lo = dmin
-    while True:
-        hi = 2.0 * lo
-        band = (dist >= lo) & (dist < hi)
-        if band.any():
-            total += lo ** -(d + p * s) * float(w[band].sum())
-        if lo > float(dist.max()):
-            break
-        lo = hi
-    return 2.0 * v_max * eps ** (2 * d) * total

@@ -2,14 +2,16 @@
 
 The field is a pure function of (seed, unordered pair): a counter-based hash of
 the canonical pair encoding (lexicographic minimum, coordinate difference) is
-mapped to a uniform in (0,1) and pushed through the chosen distribution.  Weights
+mapped to a uniform in (0, 1] and pushed through the chosen distribution.  Weights
 over distinct unordered pairs are therefore i.i.d., which is stationary and
 ergodic under shifts in both variables, and everything is reproducible with
 O(1) memory.  Because a weight depends on nothing but (seed, pair), callers may
 hash any subset of pairs in any order: the kernel build hashes only the upper
 triangle, tile by tile, and mirrors it; `weight_pairs` broadcasts two site
 arrays, so a tile is one call.  `Constant` weights are never hashed.
-`LogNormal` imports scipy.special (for `ndtri`, about 0.25 s) on first use.
+`LogNormal` uses `_ndtri`, a numpy port of Cephes ndtri, so hashing imports no
+scipy.  The uniform is (k + 1/2) 2^-53 for the top 53 hash bits k; k = 2^53 - 1
+rounds it to 1.0, so with probability 2^-53 per pair a LogNormal weight is inf.
 
 Distributions are rescaled at construction so the analytic mean is 1 unless
 `normalize=False`; the homogenized limit then matches the constant-weight
@@ -32,6 +34,75 @@ from .lattice import pair_offsets
 # ---------------------------------------------------------------------------
 # distributions
 # ---------------------------------------------------------------------------
+
+# Cephes ndtri (S. L. Moshier, Methods and Programs for Mathematical Functions, 1989), the algorithm of
+# scipy.special.ndtri.  The Q tables start with the leading 1 that Cephes' p1evl leaves implicit.
+_EXPM2 = 0.13533528323661269189  # exp(-2)
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1, 4.40805073893200834700e1,
+       1.46849561928858024014e1, 2.18663306850790267539e0, -1.40256079171354495875e-1,
+       -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0, 1.33303460815807542389e0,
+       2.01485389549179081538e-1, 1.23716634817820021358e-2, 3.01581553508235416007e-4,
+       2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x: np.ndarray, coef) -> np.ndarray:
+    """Horner's rule in Cephes' order; a leading 1 is added, not multiplied, as p1evl does."""
+    out = x + coef[1] if coef[0] == 1.0 else x * coef[0] + coef[1]
+    for c in coef[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """Inverse of the standard normal CDF, in Cephes' operation order; 0 and 1 give -inf and +inf.
+
+    Bit-identical to scipy.special.ndtri for exp(-2) < u <= 1 - exp(-2).  In the tails numpy's
+    SIMD log may differ from libm's by 1 ulp, which moves a rare value by a few ulp.
+    """
+    # the central formula in u - 1/2, on the whole array: its Q0 denominator stays in
+    # [-1.18, -2.7e-4] for |u - 1/2| <= 1/2, so the tail entries raise no warning
+    x = u - 0.5
+    x2 = x * x
+    t = _polevl(x2, _P0)
+    t *= x2
+    t /= _polevl(x2, _Q0)
+    t *= x
+    x += t
+    x *= 2.50662827463100050242  # sqrt(2 pi)
+    # the tails, from r = sqrt(-2 log y) with y = u or 1 - u
+    flat = u.reshape(-1)
+    upper = flat > 1.0 - _EXPM2
+    tails = np.flatnonzero(upper | (flat <= _EXPM2))
+    if tails.size:
+        up = upper[tails]
+        y = flat[tails]
+        np.subtract(1.0, y, out=y, where=up)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.sqrt(-2.0 * np.log(y))
+            z = 1.0 / r
+            r1 = z * _polevl(z, _P1) / _polevl(z, _Q1)
+            far = np.flatnonzero(r >= 8.0)  # y < exp(-32)
+            if far.size:
+                r1[far] = z[far] * _polevl(z[far], _P2) / _polevl(z[far], _Q2)
+            tail = r - np.log(r) / r
+        tail -= r1
+        tail[y == 0.0] = np.inf
+        np.negative(tail, out=tail, where=~up)
+        x.reshape(-1)[tails] = tail
+    return x
 
 
 @dataclass(frozen=True)
@@ -68,9 +139,7 @@ class LogNormal:
         return math.inf
 
     def _transform(self, u: np.ndarray) -> np.ndarray:
-        from scipy.special import ndtri
-
-        return np.exp(self.sigma * ndtri(u))
+        return np.exp(self.sigma * _ndtri(u))
 
     @property
     def scale(self) -> float:

@@ -17,7 +17,6 @@ from fraclat.energy import (
     energy_value,
     gagliardo_seminorm,
     growth_bounds_hold,
-    halo_tail_bound,
     holder_chain_constant,
     kernel_matrix,
     lq_norm,
@@ -219,26 +218,6 @@ def test_holder_chain_inequality():
             lhs = gagliardo_seminorm(lat, u, s_prime, r, "q")
             rhs = c * weighted_seminorm(kernel, u, p)
             assert lhs <= rhs * (1 + 1e-12)
-
-
-def test_halo_tail_bound_dominates_enlargement():
-    # energy gained by enlarging the halo is below the shell bound
-    field = WeightField(LogNormal(0.7), 13)
-    dom = [(-1, 1)]
-    small = build_lattice(1, 0.125, dom, [(-2, 2)])
-    big = build_lattice(1, 0.125, dom, [(-4, 4)])
-
-    def tent(lat):
-        x = lat.positions[:, 0]
-        return GridFunction(lat, np.maximum(0.0, 1 - np.abs(x)))
-
-    spec = _spec()
-    e_small = energy_value(spec, _kernel(spec, field, small), tent(small))
-    e_big = energy_value(spec, _kernel(spec, field, big), tent(big))
-    delta = e_big - e_small
-    assert delta >= 0
-    bound = halo_tail_bound(big, field, 0.5, 2, v_max=1.0, inner_box=[(-2, 2)])
-    assert delta <= bound
 
 
 def test_growth_bounds():

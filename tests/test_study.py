@@ -232,12 +232,35 @@ def test_embeddings_one_seminorm_per_function_and_seed(monkeypatch, dist, semino
 
 
 def test_startup_imports_no_unused_scipy_submodule():
-    # scipy.integrate, scipy.linalg and scipy.special are imported by the one
-    # function that needs each, so a run that never calls it does not pay for
-    # the import
+    # scipy.integrate and scipy.linalg are imported by the one function that
+    # needs each, so a run that never calls it does not pay for the import;
+    # nothing imports scipy.special
     heavy = ("scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse", "scipy.special")
     code = ("import sys, fraclat, fraclat.cli, fraclat.minimize; "
             f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+    src = pathlib.Path(fraclat.study.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
+
+
+def test_lognormal_runs_import_no_scipy():
+    # LogNormal's inverse normal CDF is computed in numpy, so a LogNormal
+    # homogenize study and a p=3 minimize load no scipy module at all
+    code = """
+import sys
+import numpy as np
+from fraclat import EnergySpec, GridFunction, LogNormal, PowerK, SmoothedPowerP, WeightField, build_lattice
+from fraclat.minimize import MinimizeOptions, minimize
+from fraclat.study import parse_config, run_study
+run_study(parse_config("study=homogenize\\neps_list=0.25,0.125\\nhalo=-1,1\\n"
+                       "dist.kind=lognormal\\ndist.sigma=1.0\\nseeds=1\\n"))
+lat = build_lattice(1, 0.125, [[-1.0, 1.0]], [[-1.5, 1.5]])
+spec = EnergySpec(p=3.0, s=0.5, V=SmoothedPowerP(3.0, 1e-4), G=PowerK(0.5, 2.0),
+                  f=GridFunction(lat, np.ones(lat.n_sites)), constraint="dirichlet0")
+minimize(spec, WeightField(LogNormal(1.0), 3), MinimizeOptions(grad_tol=1e-6))
+print(" ".join(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
     src = pathlib.Path(fraclat.study.__file__).parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

@@ -22,7 +22,7 @@ from fraclat.weights import (
     weight,
     weight_pairs,
 )
-from fraclat.weights import _origins
+from fraclat.weights import _ndtri, _origins
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -104,6 +104,32 @@ def test_weight_pairs_broadcast_matches_flat():
             assert np.array_equal(w, flat.reshape(w.shape)), (dist, d)
             assert np.array_equal(weight_pairs(f, zb[:, None, None], za[None, :, None]), w.T[:, :, None])
             assert np.array_equal(pair_weight_matrix(f, za, zb), w), (dist, d)
+
+
+def test_ndtri_matches_scipy():
+    # the numpy port of Cephes ndtri against scipy's; scipy is imported here only
+    from scipy.special import ndtri
+
+    k = np.random.default_rng(8).integers(0, 2**53, 2**20)
+    u = (k + 0.5) * 2.0**-53  # the uniforms weight_pairs makes
+    ours, ref = _ndtri(u), ndtri(u)
+    central = (u > math.exp(-2)) & (u <= 1 - math.exp(-2))
+    assert central.sum() > 0.7 * u.size
+    assert np.array_equal(ours[central], ref[central])
+    # numpy's SIMD log may differ from libm's by 1 ulp; the roundings of
+    # sqrt(-2 log y) and x - log(x)/x carry that into a few ulp of a rare tail value
+    assert np.count_nonzero(ours != ref) <= 1e-4 * u.size
+    assert np.all(np.abs(ours - ref) <= 8 * np.spacing(np.abs(ref)))
+
+    e2 = 0.13533528323661269189
+    edges = np.array([2.0**-54, np.nextafter(e2, 0), e2, np.nextafter(e2, 1),
+                      np.nextafter(1 - e2, 0), 1 - e2, np.nextafter(1 - e2, 1),
+                      1e-15, 1.3e-14, 1 - 2.0**-53, 0.0, 1.0])
+    assert np.array_equal(_ndtri(edges), ndtri(edges))
+    assert _ndtri(edges)[-2:].tolist() == [-np.inf, np.inf]
+    # the 2-D tiles weight_pairs passes keep their shape
+    tile = u[:6000].reshape(3, 2000)
+    assert np.array_equal(_ndtri(tile), ours[:6000].reshape(3, 2000))
 
 
 def test_origins_pinned():
