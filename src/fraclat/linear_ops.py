@@ -44,7 +44,6 @@ class BilinearSystem:
 class SolveStats:
     iters: int
     residual: float
-    residual_history: tuple
     rhs_projected: bool = False
 
 
@@ -120,7 +119,7 @@ def solve(system: BilinearSystem, tol: float = 1e-10, max_iter: int = 10_000):
     history = []
     x = np.zeros_like(b)
     if bnorm == 0.0:
-        stats = SolveStats(iters=0, residual=0.0, residual_history=(), rhs_projected=projected)
+        stats = SolveStats(iters=0, residual=0.0, rhs_projected=projected)
         return _embed(system, x), stats
     r = b.copy()
     p = r.copy()
@@ -148,7 +147,7 @@ def solve(system: BilinearSystem, tol: float = 1e-10, max_iter: int = 10_000):
         )
     if mean_zero:
         x = _project_mean(x)
-    stats = SolveStats(iters=it, residual=history[-1], residual_history=tuple(history), rhs_projected=projected)
+    stats = SolveStats(iters=it, residual=history[-1], rhs_projected=projected)
     return _embed(system, x), stats
 
 

@@ -1,10 +1,12 @@
 """Experiment drivers, config parsing, and reporting.
 
 Config files are flat UTF-8 ``key=value`` lines with dotted keys; unknown keys
-are hard errors.  Reports are long-format rows (study, eps, seed, metric,
-value, aux) written as CSV or JSON lines, with run metadata (config echo,
-version, wall time) in a ``.meta.json`` sidecar so the data file itself is
-byte-reproducible.
+are hard errors.  `StudyConfig` is the one declaration of the format, and
+`parse_config` and `serialize_config` loop over its fields.
+
+Reports are long-format rows (study, eps, seed, metric, value, aux) written as
+CSV or JSON lines, with run metadata (config echo, version, wall time) in a
+``.meta.json`` sidecar so the data file itself is byte-reproducible.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
@@ -48,11 +50,16 @@ from .weights import (
 
 STUDIES = ("solve", "homogenize", "gamma_limit", "spectral", "embeddings", "ergodic", "vanish")
 
-_DIST_KINDS = ("constant", "lognormal", "unit_power_law", "shifted_pareto", "decaying_product")
-
 
 @dataclass(frozen=True)
 class StudyConfig:
+    """The config format: one key per field, with the field's default.
+
+    A key is its field name unless `_KEYS` renames it; a value has the type of
+    the default (a comma list of its first element's type for tuples).  `dist`
+    is read from the ``dist.*`` keys of `_DISTS`.
+    """
+
     study: str
     d: int = 1
     s: float = 0.5
@@ -62,7 +69,6 @@ class StudyConfig:
     halo: tuple = (-2.0, 2.0)
     dist: object = Constant(1.0)
     seeds: tuple = (1,)
-    f_kind: str = "constant"
     f_value: float = 1.0
     g_kind: str = "none"
     g_alpha: float = 0.0
@@ -71,7 +77,6 @@ class StudyConfig:
     flavor: str = "global"
     solver_tol: float = 1e-10
     solver_max_iter: int = 10_000
-    u_kind: str = "tent"
     quad_n: int = 128
     k_eigs: int = 5
     radii: tuple = (10, 100, 1000)
@@ -80,50 +85,59 @@ class StudyConfig:
     box_side: int = 64
 
 
+# config keys that differ from their field's name
+_KEYS = {"f_value": "f.value", "g_kind": "G.kind", "g_alpha": "G.alpha", "g_k": "G.k",
+         "solver_tol": "solver.tol", "solver_max_iter": "solver.max_iter", "alpha_list": "alpha"}
+
+# dist.kind -> (class, its one parameter, that parameter's default); dist.normalize
+# is read for every kind and passed to the classes that have it
+_DISTS = {
+    "constant": (Constant, "value", 1.0),
+    "lognormal": (LogNormal, "sigma", 1.0),
+    "unit_power_law": (UnitPowerLaw, "a", 4.0),
+    "shifted_pareto": (ShiftedPareto, "a", 2.0),
+    "decaying_product": (DecayingProduct, "alpha", 3.0),
+}
+
 _BOOL = {"true": True, "false": False}
 
 
-def _floats(text: str) -> tuple:
-    return tuple(float(t) for t in text.split(",") if t.strip())
+def _parse_value(text: str, default):
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(t) for t in text.split(",") if t.strip())
+    return type(default)(text)
 
 
-def _ints(text: str) -> tuple:
-    return tuple(int(t) for t in text.split(",") if t.strip())
+def _text(value) -> str:
+    # str() of a Python int, float or str is its repr without quotes
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
-def _parse_dist(kv: dict, prefix: str = "dist."):
+def _parse_dist(kv: dict, prefix: str):
     kind = kv.pop(prefix + "kind", "constant")
-    if kind not in _DIST_KINDS:
-        raise ConfigError(f"unknown {prefix}kind {kind!r}; expected one of {_DIST_KINDS}")
+    if kind not in _DISTS:
+        raise ConfigError(f"unknown {prefix}kind {kind!r}; expected one of {tuple(_DISTS)}")
     norm = _BOOL.get(kv.pop(prefix + "normalize", "true"))
     if norm is None:
         raise ConfigError(f"{prefix}normalize must be true or false")
-    if kind == "constant":
-        return Constant(float(kv.pop(prefix + "value", "1.0")))
-    if kind == "lognormal":
-        return LogNormal(float(kv.pop(prefix + "sigma", "1.0")), normalize=norm)
-    if kind == "unit_power_law":
-        return UnitPowerLaw(float(kv.pop(prefix + "a", "4.0")), normalize=norm)
-    if kind == "shifted_pareto":
-        return ShiftedPareto(float(kv.pop(prefix + "a", "2.0")), normalize=norm)
-    base = _parse_dist(kv, prefix + "base.")
-    return DecayingProduct(base, float(kv.pop(prefix + "alpha", "3.0")))
+    cls, param, default = _DISTS[kind]
+    args = {param: float(kv.pop(prefix + param, default))}
+    if cls is DecayingProduct:
+        args["base"] = _parse_dist(kv, prefix + "base.")
+    elif hasattr(cls, "normalize"):
+        args["normalize"] = norm
+    return cls(**args)
 
 
-def _serialize_dist(dist, prefix: str = "dist.") -> list:
-    if isinstance(dist, Constant):
-        return [f"{prefix}kind=constant", f"{prefix}value={dist.value!r}"]
-    if isinstance(dist, LogNormal):
-        return [f"{prefix}kind=lognormal", f"{prefix}sigma={dist.sigma!r}",
-                f"{prefix}normalize={'true' if dist.normalize else 'false'}"]
-    if isinstance(dist, UnitPowerLaw):
-        return [f"{prefix}kind=unit_power_law", f"{prefix}a={dist.a!r}",
-                f"{prefix}normalize={'true' if dist.normalize else 'false'}"]
-    if isinstance(dist, ShiftedPareto):
-        return [f"{prefix}kind=shifted_pareto", f"{prefix}a={dist.a!r}",
-                f"{prefix}normalize={'true' if dist.normalize else 'false'}"]
-    lines = [f"{prefix}kind=decaying_product", f"{prefix}alpha={dist.alpha!r}"]
-    return lines + _serialize_dist(dist.base, prefix + "base.")
+def _serialize_dist(dist, prefix: str) -> list:
+    kind = next(k for k, (cls, _, _) in _DISTS.items() if type(dist) is cls)
+    param = _DISTS[kind][1]
+    lines = [f"{prefix}kind={kind}", f"{prefix}{param}={_text(getattr(dist, param))}"]
+    if hasattr(dist, "normalize"):
+        lines.append(f"{prefix}normalize={'true' if dist.normalize else 'false'}")
+    if isinstance(dist, DecayingProduct):
+        lines += _serialize_dist(dist.base, prefix + "base.")
+    return lines
 
 
 def parse_config(text: str) -> StudyConfig:
@@ -140,43 +154,23 @@ def parse_config(text: str) -> StudyConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         kv[key] = val
 
+    # the one required key, checked before any value is parsed
     try:
-        study = kv.pop("study")
+        study = kv.pop("study").replace("-", "_")
     except KeyError:
         raise ConfigError("missing required key 'study'") from None
-    study = study.replace("-", "_")
     if study not in STUDIES:
         raise ConfigError(f"unknown study {study!r}; expected one of {STUDIES}")
 
+    values = {"study": study}
     try:
-        dist = _parse_dist(kv)
-        cfg = StudyConfig(
-            study=study,
-            d=int(kv.pop("d", "1")),
-            s=float(kv.pop("s", "0.5")),
-            p=float(kv.pop("p", "2.0")),
-            eps_list=_floats(kv.pop("eps_list", "0.0625,0.03125")),
-            domain=_floats(kv.pop("domain", "-1,1")),
-            halo=_floats(kv.pop("halo", "-2,2")),
-            dist=dist,
-            seeds=_ints(kv.pop("seeds", "1")),
-            f_kind=kv.pop("f.kind", "constant"),
-            f_value=float(kv.pop("f.value", "1.0")),
-            g_kind=kv.pop("G.kind", "none"),
-            g_alpha=float(kv.pop("G.alpha", "0.0")),
-            g_k=float(kv.pop("G.k", "2.0")),
-            constraint=kv.pop("constraint", "dirichlet0"),
-            flavor=kv.pop("flavor", "global"),
-            solver_tol=float(kv.pop("solver.tol", "1e-10")),
-            solver_max_iter=int(kv.pop("solver.max_iter", "10000")),
-            u_kind=kv.pop("u.kind", "tent"),
-            quad_n=int(kv.pop("quad_n", "128")),
-            k_eigs=int(kv.pop("k_eigs", "5")),
-            radii=_ints(kv.pop("radii", "10,100,1000")),
-            alpha_list=_floats(kv.pop("alpha", "0.5,1.0")),
-            q_list=_floats(kv.pop("q_list", "2.0")),
-            box_side=int(kv.pop("box_side", "64")),
-        )
+        for f in fields(StudyConfig):
+            key = _KEYS.get(f.name, f.name)
+            if is_dataclass(f.default):
+                values[f.name] = _parse_dist(kv, key + ".")
+            elif key in kv:
+                values[f.name] = _parse_value(kv.pop(key), f.default)
+        cfg = StudyConfig(**values)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
     if kv:
@@ -192,12 +186,8 @@ def _validate(cfg: StudyConfig) -> None:
         raise ConfigError("eps_list must be strictly decreasing")
     if len(cfg.domain) != 2 * cfg.d or len(cfg.halo) != 2 * cfg.d:
         raise ConfigError("domain and halo need 2 entries per dimension")
-    if cfg.f_kind != "constant":
-        raise ConfigError(f"unsupported f.kind {cfg.f_kind!r}")
     if cfg.g_kind not in ("none", "power"):
         raise ConfigError(f"unsupported G.kind {cfg.g_kind!r}")
-    if cfg.u_kind != "tent":
-        raise ConfigError(f"unsupported u.kind {cfg.u_kind!r}")
     if cfg.study in ("homogenize", "spectral", "embeddings") and not isinstance(cfg.dist, Constant):
         q_max = cfg.dist.q_max()
         if not check_assumption(cfg.p, cfg.s, cfg.d, q_max).satisfied:
@@ -207,33 +197,10 @@ def _validate(cfg: StudyConfig) -> None:
 
 
 def serialize_config(cfg: StudyConfig) -> str:
-    lines = [
-        f"study={cfg.study}",
-        f"d={cfg.d}",
-        f"s={cfg.s!r}",
-        f"p={cfg.p!r}",
-        "eps_list=" + ",".join(repr(e) for e in cfg.eps_list),
-        "domain=" + ",".join(repr(v) for v in cfg.domain),
-        "halo=" + ",".join(repr(v) for v in cfg.halo),
-        *_serialize_dist(cfg.dist),
-        "seeds=" + ",".join(str(sd) for sd in cfg.seeds),
-        f"f.kind={cfg.f_kind}",
-        f"f.value={cfg.f_value!r}",
-        f"G.kind={cfg.g_kind}",
-        f"G.alpha={cfg.g_alpha!r}",
-        f"G.k={cfg.g_k!r}",
-        f"constraint={cfg.constraint}",
-        f"flavor={cfg.flavor}",
-        f"solver.tol={cfg.solver_tol!r}",
-        f"solver.max_iter={cfg.solver_max_iter}",
-        f"u.kind={cfg.u_kind}",
-        f"quad_n={cfg.quad_n}",
-        f"k_eigs={cfg.k_eigs}",
-        "radii=" + ",".join(str(r) for r in cfg.radii),
-        "alpha=" + ",".join(repr(a) for a in cfg.alpha_list),
-        "q_list=" + ",".join(repr(q) for q in cfg.q_list),
-        f"box_side={cfg.box_side}",
-    ]
+    lines = []
+    for f in fields(cfg):
+        key, value = _KEYS.get(f.name, f.name), getattr(cfg, f.name)
+        lines += _serialize_dist(value, key + ".") if is_dataclass(value) else [f"{key}={_text(value)}"]
     return "\n".join(lines) + "\n"
 
 

@@ -170,10 +170,6 @@ class EnergyBracket:
     high: float
     xi: float
 
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.low + self.high)
-
 
 def continuum_energy(
     f: ContinuumFunction,

@@ -2,7 +2,7 @@
 
 The field is a pure function of (seed, unordered pair): a counter-based hash of
 the canonical pair encoding (lexicographic minimum, coordinate difference) is
-mapped to a uniform in (0, 1] and pushed through the chosen distribution.  Weights
+mapped to a uniform in (0, 1) and pushed through the chosen distribution.  Weights
 over distinct unordered pairs are therefore i.i.d., which is stationary and
 ergodic under shifts in both variables, and everything is reproducible with
 O(1) memory.  Because a weight depends on nothing but (seed, pair), callers may
@@ -10,8 +10,8 @@ hash any subset of pairs in any order: the kernel build hashes only the upper
 triangle, tile by tile, and mirrors it; `weight_pairs` broadcasts two site
 arrays, so a tile is one call.  `Constant` weights are never hashed.
 `LogNormal` uses `_ndtri`, a numpy port of Cephes ndtri, so hashing imports no
-scipy.  The uniform is (k + 1/2) 2^-53 for the top 53 hash bits k; k = 2^53 - 1
-rounds it to 1.0, so with probability 2^-53 per pair a LogNormal weight is inf.
+scipy.  The uniform is (k + 1/2) 2^-53 for the top 53 hash bits k, clamped to
+1 - 2^-53 where k = 2^53 - 1 would round it to 1.0 (a LogNormal weight of inf).
 
 Distributions are rescaled at construction so the analytic mean is 1 unless
 `normalize=False`; the homogenized limit then matches the constant-weight
@@ -109,12 +109,6 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
 class Constant:
     value: float = 1.0
 
-    def raw_mean(self) -> float:
-        return self.value
-
-    def raw_moment(self, q: float) -> float:
-        return self.value**q
-
     def q_max(self) -> float:
         return math.inf
 
@@ -131,9 +125,6 @@ class LogNormal:
 
     def raw_mean(self) -> float:
         return math.exp(self.sigma**2 / 2)
-
-    def raw_moment(self, q: float) -> float:
-        return math.exp(q**2 * self.sigma**2 / 2)
 
     def q_max(self) -> float:
         return math.inf
@@ -155,11 +146,6 @@ class UnitPowerLaw:
 
     def raw_mean(self) -> float:
         return self.a / (self.a + 1)
-
-    def raw_moment(self, q: float) -> float:
-        if q <= -self.a:
-            return math.inf
-        return self.a / (self.a + q)
 
     def q_max(self) -> float:
         return self.a
@@ -186,9 +172,6 @@ class ShiftedPareto:
     def raw_mean(self) -> float:
         return 1.0 + self.a / (self.a - 1)
 
-    def raw_moment(self, q: float) -> float:
-        raise NotImplementedError("no closed form; use empirical_moment")
-
     def q_max(self) -> float:
         return math.inf
 
@@ -212,9 +195,6 @@ class DecayingProduct:
     base: Union[Constant, LogNormal, UnitPowerLaw, ShiftedPareto]
     alpha: float
 
-    def raw_mean(self) -> float:
-        raise NotImplementedError("mean depends on the pair distance")
-
     def q_max(self) -> float:
         return self.base.q_max()
 
@@ -228,7 +208,6 @@ WeightDistribution = Union[Constant, LogNormal, UnitPowerLaw, ShiftedPareto, Dec
 class WeightField:
     dist: WeightDistribution
     seed: int
-    symmetrized: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +217,7 @@ class WeightField:
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xFF51AFD7ED558CCD)
 _M2 = np.uint64(0xC4CEB9FE1A85EC53)
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 def _mix(h: np.ndarray) -> np.ndarray:
@@ -296,6 +276,7 @@ def weight_pairs(field: WeightField, z1: np.ndarray, z2: np.ndarray) -> np.ndarr
     u = h.view(np.int64).astype(np.float64)
     u += 0.5
     u *= 2.0**-53
+    np.minimum(u, _BELOW_ONE, out=u)  # only k = 2^53 - 1 rounds to 1.0
     dist = field.dist
     if isinstance(dist, DecayingProduct):
         w = dist.base._transform(u) * dist.base.scale

@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 
@@ -40,8 +41,19 @@ def test_parse_defaults():
     assert cfg.seeds == (1,)
 
 
-def test_roundtrip_identity():
-    cfg = parse_config(SOLVE_CFG)
+@pytest.mark.parametrize(
+    "dist",
+    [
+        "dist.kind=constant\ndist.value=2.5\n",
+        "dist.kind=lognormal\ndist.sigma=1.0\n",
+        "dist.kind=unit_power_law\ndist.a=6.0\ndist.normalize=false\n",
+        "dist.kind=shifted_pareto\ndist.a=3.0\n",
+        "dist.kind=decaying_product\ndist.alpha=2.0\ndist.base.kind=shifted_pareto\n",
+    ],
+    ids=["constant", "lognormal", "unit_power_law", "shifted_pareto", "decaying_product"],
+)
+def test_roundtrip_identity(dist):
+    cfg = parse_config(SOLVE_CFG.replace("dist.kind=lognormal\ndist.sigma=1.0\n", dist))
     again = parse_config(serialize_config(cfg))
     assert again == cfg
     # and serialization itself is a fixed point
@@ -56,6 +68,74 @@ def test_roundtrip_nested_dist():
     cfg = parse_config(text)
     assert cfg.dist == DecayingProduct(LogNormal(0.5), 3.0)
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+# every key set to a value other than its default
+GOLDEN_CFG = """\
+study=gamma-limit
+d=2
+s=0.75
+p=3.0
+eps_list=0.25,0.125,0.0625
+domain=-1,1,-0.5,0.5
+halo=-3,3,-2,2
+dist.kind=decaying_product
+dist.alpha=2.5
+dist.normalize=false
+dist.base.kind=unit_power_law
+dist.base.a=6.0
+dist.base.normalize=false
+seeds=3,5,8
+f.value=-2.5
+G.kind=power
+G.alpha=0.25
+G.k=3.0
+constraint=mean0
+flavor=local
+solver.tol=1e-08
+solver.max_iter=500
+quad_n=64
+k_eigs=3
+radii=5,50
+alpha=0.25,2.0
+q_list=1.5,4.0
+box_side=32
+"""
+
+
+def test_serialize_config_golden():
+    # the outer decaying_product writes no normalize line: it is never rescaled
+    assert serialize_config(parse_config(GOLDEN_CFG)) == """\
+study=gamma_limit
+d=2
+s=0.75
+p=3.0
+eps_list=0.25,0.125,0.0625
+domain=-1.0,1.0,-0.5,0.5
+halo=-3.0,3.0,-2.0,2.0
+dist.kind=decaying_product
+dist.alpha=2.5
+dist.base.kind=unit_power_law
+dist.base.a=6.0
+dist.base.normalize=false
+seeds=3,5,8
+f.value=-2.5
+G.kind=power
+G.alpha=0.25
+G.k=3.0
+constraint=mean0
+flavor=local
+solver.tol=1e-08
+solver.max_iter=500
+quad_n=64
+k_eigs=3
+radii=5,50
+alpha=0.25,2.0
+q_list=1.5,4.0
+box_side=32
+"""
+    default, cfg = StudyConfig("solve"), parse_config(GOLDEN_CFG)
+    assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(StudyConfig))
 
 
 @pytest.mark.parametrize(
@@ -73,6 +153,7 @@ def test_roundtrip_nested_dist():
         "study=solve\nseeds=\n",
         "study=solve\nd=two\n",
         "study=solve\nu.kind=sine\n",
+        "study=solve\nf.kind=constant\n",  # removed key: forcing is always constant
         # moment assumption: unit_power_law a=0.5 has q_max=0.5 < p/(p-1)... too weak
         "study=homogenize\ndist.kind=unit_power_law\ndist.a=0.5\n",
     ],

@@ -6,6 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraclat.weights
 from fraclat.errors import NumericalError
 from fraclat.weights import (
     Constant,
@@ -130,6 +131,22 @@ def test_ndtri_matches_scipy():
     # the 2-D tiles weight_pairs passes keep their shape
     tile = u[:6000].reshape(3, 2000)
     assert np.array_equal(_ndtri(tile), ours[:6000].reshape(3, 2000))
+
+
+def test_top_hash_gives_finite_weight(monkeypatch):
+    # the top 53 hash bits all ones make (k + 1/2) 2^-53 round to 1.0, where ndtri is inf
+    real_hash = fraclat.weights._hash
+
+    def all_ones(seed, z1, z2):
+        h, diffs, equal = real_hash(seed, z1, z2)
+        h[...] = np.iinfo(np.uint64).max
+        return h, diffs, equal
+
+    monkeypatch.setattr(fraclat.weights, "_hash", all_ones)
+    for dist in (Constant(2.0), LogNormal(1.0), UnitPowerLaw(4.0), ShiftedPareto(2.5),
+                 DecayingProduct(LogNormal(1.0), 3.0)):
+        w = weight(WeightField(dist, 0), [0], [3])
+        assert math.isfinite(w) and w > 0.0, dist
 
 
 def test_origins_pinned():
