@@ -11,7 +11,8 @@ eps^{2d} c_{x,y} / |x-y|^{d+ps} is the kernel K: `kernel_matrix` builds it as
 an explicit (ids, K) value, which callers build once and pass to every
 function that sums over pairs.  It also builds the block of K over a set of
 sites, with the whole row sums, from which `linear_ops.assemble` builds the
-p=2 system without ever holding K.
+p=2 system without ever holding K, and `minimize` the FreeBlock on which it
+evaluates the energy of a u that is 0 off the free sites.
 All pair sums exclude the diagonal and go through the fixed-order row-tiled
 reduction, so values are reproducible to the bit.
 """
@@ -20,7 +21,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -62,16 +64,39 @@ class PowerP:
 
 @dataclass(frozen=True)
 class SmoothedPowerP:
-    """V(t) = (t^2 + delta^2)^{p/2} - delta^p; smooth at 0, V(0) = 0."""
+    """V(t) = (t^2 + delta^2)^{p/2} - delta^p; smooth at 0, V(0) = 0 exactly.
+
+    V and V' take one power per entry: with q = t^2 + delta^2 and
+    w = q^{p/2-1}, V = q w - c0 and V' = p t w (at p = 3, numpy computes w
+    as a square root).  c0 is q w at t = 0 by the same operations, so V(0)
+    is 0 to the bit.
+    """
 
     p: float
     delta: float = 1e-8
 
+    def _q_w(self, t):
+        # q as an array, so that a scalar t takes the same power as an array
+        q = np.asarray(np.square(t, dtype=float))
+        q += self.delta**2
+        return q, q ** (self.p / 2 - 1)
+
+    @cached_property
+    def _c0(self) -> float:
+        q0, w0 = self._q_w(np.zeros(1))
+        return float(q0[0] * w0[0])
+
     def value(self, t: np.ndarray) -> np.ndarray:
-        return (t * t + self.delta**2) ** (self.p / 2) - self.delta**self.p
+        q, w = self._q_w(t)
+        q *= w
+        q -= self._c0
+        return q
 
     def derivative(self, t: np.ndarray) -> np.ndarray:
-        return self.p * t * (t * t + self.delta**2) ** (self.p / 2 - 1)
+        _, w = self._q_w(t)
+        w *= t
+        w *= self.p
+        return w
 
     growth = property(lambda self: (0.5, 1.0, 1.0))
 
@@ -182,21 +207,26 @@ class EnergySpec:
             raise ValueError(f"constraint must be one of {CONSTRAINTS}")
 
 
+def _zero_ids(lattice: LatticeDomain, constraint: str) -> Optional[np.ndarray]:
+    """The sites where the constraint fixes u = 0; None for mean0 and none."""
+    if constraint == "dirichlet0":
+        return np.concatenate([lattice.boundary_ids, lattice.exterior_ids])
+    if constraint == "zero_outside":
+        return lattice.exterior_ids
+    return None
+
+
 def check_constraint(u: GridFunction, constraint: str) -> None:
     """Raise unless u lies in the constrained space (exactly, not approximately)."""
     lat, vals = u.lattice, u.values
-    if constraint == "dirichlet0":
-        fixed = np.concatenate([lat.boundary_ids, lat.exterior_ids])
-        if np.any(vals[fixed] != 0.0):
-            raise ValueError("dirichlet0 constraint violated: nonzero boundary/exterior values")
-    elif constraint == "mean0":
+    zero = _zero_ids(lat, constraint)
+    if zero is not None and np.any(vals[zero] != 0.0):
+        raise ValueError(f"{constraint} constraint violated: nonzero values at sites it fixes to 0")
+    if constraint == "mean0":
         total = float(vals[lat.q_ids].sum())
         cap = MEAN_ZERO_SLACK * len(lat.q_ids) * max(1.0, float(np.abs(vals).max()))
         if abs(total) > cap:
             raise ValueError(f"mean0 constraint violated: sum over Q sites is {total:g}")
-    elif constraint == "zero_outside":
-        if np.any(vals[lat.exterior_ids] != 0.0):
-            raise ValueError("zero_outside constraint violated: nonzero exterior values")
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +236,34 @@ def check_constraint(u: GridFunction, constraint: str) -> None:
 
 def pair_ids(lattice: LatticeDomain, flavor: str) -> np.ndarray:
     return np.arange(lattice.n_sites) if flavor == "global" else lattice.q_ids
+
+
+def free_sites(lattice: LatticeDomain, flavor: str, constraint: str) -> Optional[np.ndarray]:
+    """The flavor's sites off which the constraint fixes u = 0, in id order;
+    None for a constraint that fixes no site (mean0, none)."""
+    zero = _zero_ids(lattice, constraint)
+    if zero is None:
+        return None
+    free = np.ones(lattice.n_sites, dtype=bool)
+    free[zero] = False
+    ids = pair_ids(lattice, flavor)
+    return ids[free[ids]]
+
+
+@dataclass(frozen=True)
+class FreeBlock:
+    """The kernel of a constraint that fixes u = 0 off the free sites F:
+    block = K[F, F], and outer[x] = sum of K[x, y] over the flavor's sites y
+    outside F.
+
+    `energy_value` and `energy_gradient` take it in place of the whole
+    kernel (ids, K) when V(0) = 0 and G(0) = 0: pairs outside F then add
+    nothing, and a pair (x in F, y outside F) adds K[x, y] (V(u(x)) + V(-u(x))).
+    """
+
+    free: np.ndarray
+    block: np.ndarray
+    outer: np.ndarray
 
 
 def _distance_powers(offsets: PairOffsets, eps: float, exponent: float) -> np.ndarray:
@@ -286,16 +344,12 @@ def kernel_matrix(
 
 
 def _pair_terms(k: np.ndarray, vals: np.ndarray, fn):
-    """Tile function for rows lo:hi of the pair matrix K * fn(u(x) - u(y))."""
+    """Tile function for rows lo:hi of the pair matrix K * fn(u(x) - u(y)).
 
-    def tile(lo, hi):
-        out = k[lo:hi] * fn(vals[lo:hi, None] - vals[None, :])
-        if not np.all(np.isfinite(out)):
-            i, j = np.argwhere(~np.isfinite(out))[0]
-            raise NumericalError(f"non-finite pair contribution at site pair ({lo + i}, {j})")
-        return out
-
-    return tile
+    A non-finite entry makes its row sum and the total non-finite, so callers
+    check the reduced sums, not every tile.
+    """
+    return lambda lo, hi: k[lo:hi] * fn(vals[lo:hi, None] - vals[None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +357,24 @@ def _pair_terms(k: np.ndarray, vals: np.ndarray, fn):
 # ---------------------------------------------------------------------------
 
 
-def energy_value(spec: EnergySpec, kernel: tuple, u: GridFunction) -> float:
-    """E(u) with the kernel of (spec.s, spec.p, spec.flavor) on u's lattice."""
+def _kernel_parts(kernel) -> tuple:
+    """(ids, K, outer) of a whole kernel (ids, K), whose outer is None, or of a FreeBlock."""
+    if isinstance(kernel, FreeBlock):
+        return kernel.free, kernel.block, kernel.outer
+    ids, k = kernel
+    return ids, k, None
+
+
+def energy_value(spec: EnergySpec, kernel, u: GridFunction) -> float:
+    """E(u) with the kernel of (spec.s, spec.p, spec.flavor) on u's lattice,
+    whole or as a FreeBlock of spec.constraint."""
     check_constraint(u, spec.constraint)
     lat = u.lattice
-    ids, k = kernel
+    ids, k, outer = _kernel_parts(kernel)
     vals = u.values[ids]
     nonlocal_part = blocked_total(_pair_terms(k, vals, spec.V.value), len(ids), len(ids))
+    if outer is not None:
+        nonlocal_part += float((outer * (spec.V.value(vals) + spec.V.value(-vals))).sum())
     epsd = lat.eps**lat.dim
     zero_order = epsd * float(spec.G.value(vals).sum())
     forcing = 0.0
@@ -321,14 +386,21 @@ def energy_value(spec: EnergySpec, kernel: tuple, u: GridFunction) -> float:
     return total
 
 
-def energy_gradient(spec: EnergySpec, kernel: tuple, u: GridFunction) -> GridFunction:
-    """d/du(x) of energy_value, projected onto the constraint's tangent space."""
+def energy_gradient(spec: EnergySpec, kernel, u: GridFunction) -> GridFunction:
+    """d/du(x) of energy_value, projected onto the constraint's tangent space;
+    with a FreeBlock it is 0 off the free sites."""
     check_constraint(u, spec.constraint)
     lat = u.lattice
-    ids, k = kernel
+    ids, k, outer = _kernel_parts(kernel)
     vals = u.values[ids]
     grad = np.zeros(lat.n_sites)
-    grad[ids] = 2.0 * blocked_row_sum(_pair_terms(k, vals, spec.V.derivative), len(ids), len(ids))
+    pair_sums = blocked_row_sum(_pair_terms(k, vals, spec.V.derivative), len(ids), len(ids))
+    if outer is not None:
+        pair_sums += outer * spec.V.derivative(vals)
+    bad = np.flatnonzero(~np.isfinite(pair_sums))
+    if bad.size:
+        raise NumericalError(f"non-finite pair sum at site {ids[bad[0]]}")
+    grad[ids] = 2.0 * pair_sums
     epsd = lat.eps**lat.dim
     grad[ids] += epsd * spec.G.derivative(vals)
     if spec.f is not None:
@@ -340,14 +412,12 @@ def energy_gradient(spec: EnergySpec, kernel: tuple, u: GridFunction) -> GridFun
 def project_direction(lattice: LatticeDomain, g: np.ndarray, constraint: str) -> np.ndarray:
     """Project a gradient/search direction onto the constraint's tangent space."""
     g = np.asarray(g, dtype=float).copy()
-    if constraint == "dirichlet0":
-        g[lattice.boundary_ids] = 0.0
-        g[lattice.exterior_ids] = 0.0
+    zero = _zero_ids(lattice, constraint)
+    if zero is not None:
+        g[zero] = 0.0
     elif constraint == "mean0":
         q = lattice.q_ids
         g[q] -= g[q].mean()
-    elif constraint == "zero_outside":
-        g[lattice.exterior_ids] = 0.0
     return g
 
 

@@ -15,7 +15,8 @@ in place, so the N x N kernel is never held and peak memory is the
 8 |free|^2 bytes of A plus one tile.
 
 scipy.linalg is imported on first use, inside `spectrum`, its only user: the
-import costs about 70 ms, and only the spectral study pays it.
+import costs 0.18-0.29 s on a 2-vCPU machine, and only the spectral study
+pays it.
 """
 
 from __future__ import annotations

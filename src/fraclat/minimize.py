@@ -13,7 +13,17 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import EnergySpec, GridFunction, energy_gradient, energy_value, kernel_matrix, project_direction
+from .energy import (
+    CustomPotential,
+    EnergySpec,
+    FreeBlock,
+    GridFunction,
+    energy_gradient,
+    energy_value,
+    free_sites,
+    kernel_matrix,
+    project_direction,
+)
 from .errors import NumericalError
 from .lattice import LatticeDomain
 from .weights import WeightField
@@ -70,9 +80,13 @@ def _two_loop(grad: np.ndarray, s_list, y_list) -> np.ndarray:
 def minimize(spec: EnergySpec, field: WeightField, opts: MinimizeOptions = MinimizeOptions(), lattice: Optional[LatticeDomain] = None):
     """Minimize the energy; returns (GridFunction, MinimizeStats).
 
-    The kernel is built once per call and dropped when the call returns.  The
-    energy is evaluated at every line-search trial, its gradient only at the
-    starting point and at each accepted trial.
+    The kernel is built once per call and dropped when the call returns.  When
+    the constraint fixes u = 0 off a free set F (dirichlet0, zero_outside) it
+    is the FreeBlock of K[F, F] and the outer row sums, 8 |F|^2 bytes, whose
+    pair sums run over F x F only.  Otherwise (mean0, none), and for a
+    CustomPotential, whose V(0) need not be 0, it is the whole kernel over
+    the flavor's sites.  The energy is evaluated at every line-search trial,
+    its gradient only at the starting point and at each accepted trial.
     """
     if opts.initial is not None:
         lat = opts.initial.lattice
@@ -84,7 +98,12 @@ def minimize(spec: EnergySpec, field: WeightField, opts: MinimizeOptions = Minim
             lattice = spec.f.lattice
         lat = lattice
         u = np.zeros(lat.n_sites)
-    kernel = kernel_matrix(lat, field, spec.s, spec.p, spec.flavor)
+    free = None if isinstance(spec.V, CustomPotential) else free_sites(lat, spec.flavor, spec.constraint)
+    if free is None:
+        kernel = kernel_matrix(lat, field, spec.s, spec.p, spec.flavor)
+    else:
+        sums, block = kernel_matrix(lat, field, spec.s, spec.p, spec.flavor, free)
+        kernel = FreeBlock(free, block, sums - block.sum(axis=1))
 
     def value(vals):
         return energy_value(spec, kernel, GridFunction(lat, vals))

@@ -21,6 +21,8 @@ import numpy as np
 
 from . import __version__
 from .energy import (
+    CONSTRAINTS,
+    FLAVORS,
     EnergySpec,
     GridFunction,
     NoneTerm,
@@ -49,6 +51,13 @@ from .weights import (
 )
 
 STUDIES = ("solve", "homogenize", "gamma_limit", "spectral", "embeddings", "ergodic", "vanish")
+
+# the studies that solve the p=2 problem, and the constraints their solver takes
+_P2_CONSTRAINTS = {
+    "solve": ("dirichlet0", "mean0"),
+    "homogenize": ("dirichlet0", "mean0"),
+    "spectral": ("dirichlet0",),
+}
 
 
 @dataclass(frozen=True)
@@ -188,6 +197,17 @@ def _validate(cfg: StudyConfig) -> None:
         raise ConfigError("domain and halo need 2 entries per dimension")
     if cfg.g_kind not in ("none", "power"):
         raise ConfigError(f"unsupported G.kind {cfg.g_kind!r}")
+    if cfg.flavor not in FLAVORS:
+        raise ConfigError(f"unknown flavor {cfg.flavor!r}; expected one of {FLAVORS}")
+    if cfg.constraint not in CONSTRAINTS:
+        raise ConfigError(f"unknown constraint {cfg.constraint!r}; expected one of {CONSTRAINTS}")
+    if cfg.study in _P2_CONSTRAINTS:
+        if cfg.p != 2.0:
+            raise ConfigError(f"{cfg.study} solves the p=2 problem only, got p={cfg.p}")
+        if cfg.constraint not in _P2_CONSTRAINTS[cfg.study]:
+            raise ConfigError(
+                f"{cfg.study} takes constraint {' or '.join(_P2_CONSTRAINTS[cfg.study])}, got {cfg.constraint!r}"
+            )
     if cfg.study in ("homogenize", "spectral", "embeddings") and not isinstance(cfg.dist, Constant):
         q_max = cfg.dist.q_max()
         if not check_assumption(cfg.p, cfg.s, cfg.d, q_max).satisfied:

@@ -228,9 +228,29 @@ def test_growth_bounds():
     assert not growth_bounds_hold(bad, 2.0)
 
 
+@pytest.mark.parametrize("delta", [1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.7])
+@pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 4.0, 5.0])
+def test_smoothed_power_exactly_zero_at_zero(p, delta):
+    # the free-block energy drops the pairs outside the free set, which holds
+    # only if V(0) is 0 to the bit, for every shape of argument
+    v = SmoothedPowerP(p, delta)
+    vals = np.random.default_rng(0).normal(size=40)
+    vals[::3] = 0.0
+    tile = vals[:8, None] - vals[None, :]
+    for t in (np.zeros(1), np.zeros((7, 5)), 0.0, np.float64(0.0), tile, vals):
+        zero = np.asarray(t) == 0.0
+        assert np.all(np.asarray(v.value(t))[zero] == 0.0)
+        assert np.all(np.asarray(v.derivative(t))[zero] == 0.0)
+    # and away from 0 it is the closed form (t^2 + delta^2)^{p/2} - delta^p, up
+    # to the cancellation against delta^p that both forms share
+    t = np.array([-2.0, -0.3, 1e-3, 0.5, 3.0])
+    closed = (t * t + delta**2) ** (p / 2) - delta**p
+    np.testing.assert_allclose(v.value(t), closed, rtol=1e-12, atol=16 * np.finfo(float).eps * delta**p)
+    np.testing.assert_allclose(v.derivative(t), p * t * (t * t + delta**2) ** (p / 2 - 1), rtol=1e-14)
+
+
 def test_potential_basics():
     assert PowerP(2).value(np.array([0.0]))[0] == 0.0
-    assert SmoothedPowerP(3, 1e-6).value(np.array([0.0]))[0] == 0.0
     with pytest.raises(ValueError):
         PowerP(1.5).derivative(np.array([1.0]))
     with pytest.raises(ValueError):

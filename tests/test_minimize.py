@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraclat import build_lattice
-from fraclat.energy import EnergySpec, GridFunction, PowerK, PowerP, energy_value, kernel_matrix
+from fraclat.energy import EnergySpec, GridFunction, PowerK, PowerP, energy_value, kernel_matrix, pair_ids
 from fraclat.linear_ops import assemble, solve
 from fraclat.minimize import MinimizeOptions, MinimizeStats, minimize, project_constraint
 from fraclat.weights import Constant, LogNormal, WeightField
@@ -116,6 +116,63 @@ def test_minimize_builds_one_kernel_and_drops_it(monkeypatch):
     assert stats.iters > 1
     assert len(refs) == 1
     assert refs[0]() is None
+
+
+def _recording_kernels(monkeypatch):
+    """Patch minimize's kernel_matrix to record (args, shape, weakref) of each array it returns."""
+    import fraclat.minimize as mz
+
+    calls = []
+
+    def recording(*args):
+        out = kernel_matrix(*args)
+        calls.append((args, out[1].shape, weakref.ref(out[1])))
+        return out
+
+    monkeypatch.setattr(mz, "kernel_matrix", recording)
+    return calls
+
+
+@pytest.mark.parametrize("constraint", ["dirichlet0", "zero_outside"])
+def test_minimize_holds_free_block_and_drops_it(monkeypatch, constraint):
+    lat = build_lattice(1, 0.125, [(-1, 1)], [(-1.5, 1.5)])
+    field = WeightField(LogNormal(0.8), 2)
+    spec = _spec(p=3, V=PowerP(3), f=GridFunction(lat, np.ones(lat.n_sites)), constraint=constraint)
+    calls = _recording_kernels(monkeypatch)
+    _, stats = minimize(spec, field, MinimizeOptions(grad_tol=1e-8, max_iter=500), lattice=lat)
+    assert stats.iters > 1
+    if constraint == "dirichlet0":
+        free = lat.interior_ids
+    else:
+        free = np.setdiff1d(np.arange(lat.n_sites), lat.exterior_ids)
+    # the one kernel held is the |F| x |F| free block, not the N x N kernel
+    ((args, shape, ref),) = calls
+    assert np.array_equal(args[5], free)
+    assert shape == (len(free), len(free)) and len(free) < lat.n_sites
+    assert ref() is None
+
+
+@pytest.mark.parametrize(
+    "constraint, flavor, V",
+    [
+        ("mean0", "global", PowerP(3)),
+        ("mean0", "local", PowerP(3)),
+        ("none", "global", PowerP(3)),
+        # V(0) of a CustomPotential need not be 0, so pairs off the free set count
+        ("dirichlet0", "global", HALF_QUADRATIC),
+    ],
+)
+def test_minimize_falls_back_to_whole_kernel(monkeypatch, constraint, flavor, V):
+    lat = build_lattice(1, 0.125, [(-1, 1)], [(-1.5, 1.5)])
+    field = WeightField(LogNormal(0.8), 2)
+    spec = _spec(p=3, V=V, f=GridFunction(lat, lat.positions[:, 0]), G=PowerK(0.3, 2.0),
+                 flavor=flavor, constraint=constraint)
+    calls = _recording_kernels(monkeypatch)
+    minimize(spec, field, MinimizeOptions(grad_tol=1e-8, max_iter=2000), lattice=lat)
+    ((args, shape, ref),) = calls
+    n = len(pair_ids(lat, flavor))
+    assert len(args) == 5 and shape == (n, n)  # no rows: the whole (ids, K) kernel
+    assert ref() is None
 
 
 def test_uniqueness_two_starts():

@@ -156,6 +156,16 @@ box_side=32
         "study=solve\nf.kind=constant\n",  # removed key: forcing is always constant
         # moment assumption: unit_power_law a=0.5 has q_max=0.5 < p/(p-1)... too weak
         "study=homogenize\ndist.kind=unit_power_law\ndist.a=0.5\n",
+        "study=solve\nflavor=bogus\n",
+        "study=gamma_limit\nconstraint=bogus\n",
+        # constraints that the study's p=2 solver cannot use
+        "study=solve\nconstraint=none\n",
+        "study=homogenize\nconstraint=zero_outside\n",
+        "study=spectral\nconstraint=mean0\n",
+        # the p=2 studies solve nothing else
+        "study=solve\np=3.0\n",
+        "study=homogenize\np=3.0\n",
+        "study=spectral\np=1.5\n",
     ],
 )
 def test_bad_configs_rejected(text):

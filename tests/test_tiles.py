@@ -6,10 +6,14 @@ import pytest
 from fraclat import _reduction, build_lattice
 from fraclat.energy import (
     EnergySpec,
+    FreeBlock,
     GridFunction,
+    PowerK,
     PowerP,
+    SmoothedPowerP,
     energy_gradient,
     energy_value,
+    free_sites,
     gagliardo_seminorm,
     holder_chain_constant,
     kernel_matrix,
@@ -136,6 +140,59 @@ def test_energy_matches_whole_matrix_sums():
     grad = 2.0 * (k * spec.V.derivative(diffs)).sum(axis=1)
     assert energy_value(spec, kernel, u) == pytest.approx(value, rel=1e-13, abs=0)
     np.testing.assert_allclose(energy_gradient(spec, kernel, u).values, grad, rtol=1e-13, atol=0)
+
+
+# The free block adds the same terms as the whole kernel in another order, and
+# its outer row sums lose up to an ulp of the whole row sums.  A pairwise sum of
+# n terms errs by at most about log2(n) units of float64 roundoff of the sum of
+# their magnitudes, and these sums have fewer than 2^17 terms: allow 2^5 units.
+FREE_BLOCK_TOL = 32 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_free_block_energy_matches_whole_kernel(d, small_tiles):
+    lat = build_lattice(**LATTICES[d])
+    eps_d = lat.eps**d
+    rng = np.random.default_rng(d)
+    f = GridFunction(lat, rng.normal(size=lat.n_sites))
+    potentials = (SmoothedPowerP(3.0, 1e-4), SmoothedPowerP(1.5, 0.1), PowerP(4.0))
+    for dist in (Constant(2.0), LogNormal(1.0), UnitPowerLaw(4.0), ShiftedPareto(3.0)):
+        field = WeightField(dist, 7)
+        for flavor in ("global", "local"):
+            ids = pair_ids(lat, flavor)
+            for constraint in ("dirichlet0", "zero_outside"):
+                free = free_sites(lat, flavor, constraint)
+                if flavor == "local" and constraint == "zero_outside":
+                    # the boundary sites outside Q are free but not among the flavor's sites
+                    assert len(free) < lat.n_sites - len(lat.exterior_ids)
+                # the free block spans several row tiles
+                assert len(_reduction.row_tiles(len(free), len(free), 8 * d)) > 1
+                kernel = kernel_matrix(lat, field, 0.5, 3.0, flavor)
+                sums, block = kernel_matrix(lat, field, 0.5, 3.0, flavor, free)
+                fb = FreeBlock(free, block, sums - block.sum(axis=1))
+                vals = np.zeros(lat.n_sites)
+                vals[free] = rng.normal(size=len(free))
+                u = GridFunction(lat, vals)
+                _, k = kernel
+                v = vals[ids]
+                diffs = v[:, None] - v[None, :]
+                for V in potentials:
+                    spec = EnergySpec(p=3.0, s=0.5, V=V, G=PowerK(0.5, 2.0), f=f,
+                                      flavor=flavor, constraint=constraint)
+                    case = (dist, flavor, constraint, V)
+                    scale = (np.abs(k * V.value(diffs)).sum() + 2 * np.abs(k.sum(axis=1) * V.value(v)).sum()
+                             + eps_d * (np.abs(spec.G.value(v)) + np.abs(v * f.values[ids])).sum())
+                    assert abs(energy_value(spec, fb, u) - energy_value(spec, kernel, u)) <= FREE_BLOCK_TOL * scale, case
+                    g_scale = np.zeros(lat.n_sites)
+                    g_scale[ids] = (2 * np.abs(k * V.derivative(diffs)).sum(axis=1)
+                                    + 2 * k.sum(axis=1) * np.abs(V.derivative(v))
+                                    + eps_d * (np.abs(spec.G.derivative(v)) + np.abs(f.values[ids])))
+                    g_block = energy_gradient(spec, fb, u).values
+                    g_whole = energy_gradient(spec, kernel, u).values
+                    assert np.all(np.abs(g_block - g_whole) <= FREE_BLOCK_TOL * g_scale), case
+                    outside = np.ones(lat.n_sites, dtype=bool)
+                    outside[free] = False
+                    assert np.all(g_block[outside] == 0.0) and np.all(g_whole[outside] == 0.0), case
 
 
 def test_tiled_diagnostics_match_whole_matrix_sums(small_tiles):
