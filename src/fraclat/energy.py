@@ -12,7 +12,9 @@ an explicit (ids, K) value, which callers build once and pass to every
 function that sums over pairs.  It also builds the block of K over a set of
 sites, with the whole row sums, from which `linear_ops.assemble` builds the
 p=2 system without ever holding K, and `minimize` the FreeBlock on which it
-evaluates the energy of a u that is 0 off the free sites.
+evaluates the energy of a u that is 0 off the free sites.  On a FreeBlock, a
+SmoothedPowerP or a PowerP with p >= 2 has its value and gradient pair sums
+taken in one pass, which the block keeps for a gradient at the same point.
 All pair sums exclude the diagonal and go through the fixed-order row-tiled
 reduction, so values are reproducible to the bit.
 """
@@ -29,7 +31,7 @@ import numpy as np
 
 from ._reduction import blocked_row_sum, blocked_total, row_tiles, triangle_tiles
 from .errors import CapacityError, NumericalError
-from .lattice import LatticeDomain, PairOffsets, pair_offsets
+from .lattice import LatticeDomain, PairOffsets, pair_offsets, same_lattice
 from .weights import WeightField, pair_weight_matrix
 
 FLAVORS = ("global", "local")
@@ -54,9 +56,19 @@ class PowerP:
         return np.abs(t) ** self.p
 
     def derivative(self, t: np.ndarray) -> np.ndarray:
-        if self.p < 2:
+        if not self.has_derivative:
             raise ValueError("PowerP derivative needs p >= 2; use SmoothedPowerP")
         return self.p * np.abs(t) ** (self.p - 1) * np.sign(t)
+
+    has_derivative = property(lambda self: self.p >= 2)
+
+    # V = q w - c0 and, for p >= 2, V' = p t w with q = t^2, w = q^{p/2-1}
+    # and c0 = 0: the form of SmoothedPowerP at delta = 0
+    _c0 = 0.0
+
+    def _q_w(self, t):
+        q = np.square(t)
+        return q, q ** (self.p / 2 - 1)
 
     # growth envelope alpha |t|^p <= V <= c_v + beta |t|^p
     growth = property(lambda self: (1.0, 1.0, 0.0))
@@ -98,6 +110,8 @@ class SmoothedPowerP:
         w *= self.p
         return w
 
+    has_derivative = True
+
     growth = property(lambda self: (0.5, 1.0, 1.0))
 
 
@@ -114,9 +128,11 @@ class CustomPotential:
         return self.evaluate(t)
 
     def derivative(self, t):
-        if self.deriv is None:
+        if not self.has_derivative:
             raise ValueError("potential has no derivative")
         return self.deriv(t)
+
+    has_derivative = property(lambda self: self.deriv is not None)
 
     growth = property(lambda self: (self.alpha, self.beta, self.c_v))
 
@@ -207,6 +223,12 @@ class EnergySpec:
             raise ValueError(f"constraint must be one of {CONSTRAINTS}")
 
 
+def check_forcing(spec: EnergySpec, lattice: LatticeDomain) -> None:
+    """Raise unless spec.f lies on `lattice`, whose site ids index its values."""
+    if spec.f is not None and not same_lattice(spec.f.lattice, lattice):
+        raise ValueError("the forcing term f lies on another lattice than u")
+
+
 def _zero_ids(lattice: LatticeDomain, constraint: str) -> Optional[np.ndarray]:
     """The sites where the constraint fixes u = 0; None for mean0 and none."""
     if constraint == "dirichlet0":
@@ -250,7 +272,7 @@ def free_sites(lattice: LatticeDomain, flavor: str, constraint: str) -> Optional
     return ids[free[ids]]
 
 
-@dataclass(frozen=True)
+@dataclass
 class FreeBlock:
     """The kernel of a constraint that fixes u = 0 off the free sites F:
     block = K[F, F], and outer[x] = sum of K[x, y] over the flavor's sites y
@@ -259,11 +281,23 @@ class FreeBlock:
     `energy_value` and `energy_gradient` take it in place of the whole
     kernel (ids, K) when V(0) = 0 and G(0) = 0: pairs outside F then add
     nothing, and a pair (x in F, y outside F) adds K[x, y] (V(u(x)) + V(-u(x))).
+
+    For a SmoothedPowerP, or a PowerP with p >= 2, one pass over F x F gives
+    the pair sums of both V and V' (`_free_pass`).  `last` holds the latest
+    such pass, (free-site values, V, pair total, pair row sums), and a call
+    at bitwise the same values and an equal V reads it instead of summing
+    again, so `energy_gradient` after `energy_value` at the same u costs no
+    pair pass; its result is the same to the bit either way.
     """
 
     free: np.ndarray
     block: np.ndarray
     outer: np.ndarray
+    last: Optional[tuple] = None
+
+    @cached_property
+    def block_total(self) -> float:
+        return float(self.block.sum())
 
 
 def _distance_powers(offsets: PairOffsets, eps: float, exponent: float) -> np.ndarray:
@@ -357,6 +391,44 @@ def _pair_terms(k: np.ndarray, vals: np.ndarray, fn):
 # ---------------------------------------------------------------------------
 
 
+def _fuses(kernel, V) -> bool:
+    """Whether `_free_pass` gives the pair sums of V and V' on this kernel:
+    a FreeBlock, and V = q w - c0 with V' = p t w."""
+    return isinstance(kernel, FreeBlock) and isinstance(V, (PowerP, SmoothedPowerP)) and V.has_derivative
+
+
+def _free_pass(kernel: FreeBlock, V, vals: np.ndarray) -> tuple:
+    """(sum of B V(t), row sums of B V'(t)) over F x F, t = u(x) - u(y), from
+    one pass over row tiles of B: each tile takes t, q, w and B w once, then
+    sum (B w) q and the row sums of (B w) t; c0 sum B and the factor p are
+    applied to the reduced sums.  A pass at bitwise the same values vals and
+    an equal V is read back from kernel.last."""
+    last = kernel.last
+    if last is not None and last[1] == V and np.array_equal(last[0].view(np.int64), vals.view(np.int64)):
+        return last[2], last[3]
+    b = kernel.block
+
+    def tile(lo, hi):
+        # the temporaries are freed on return, before the next tile allocates
+        t = vals[lo:hi, None] - vals[None, :]
+        q, w = V._q_w(t)
+        w *= b[lo:hi]
+        q *= w
+        w *= t
+        return float(q.sum()), w.sum(axis=1)
+
+    n = len(vals)
+    total = 0.0
+    rows = np.empty(n)
+    for lo, hi in row_tiles(n, n):
+        part, rows[lo:hi] = tile(lo, hi)
+        total += part
+    total -= V._c0 * kernel.block_total
+    rows *= V.p
+    kernel.last = (vals, V, total, rows)
+    return total, rows
+
+
 def _kernel_parts(kernel) -> tuple:
     """(ids, K, outer) of a whole kernel (ids, K), whose outer is None, or of a FreeBlock."""
     if isinstance(kernel, FreeBlock):
@@ -369,10 +441,14 @@ def energy_value(spec: EnergySpec, kernel, u: GridFunction) -> float:
     """E(u) with the kernel of (spec.s, spec.p, spec.flavor) on u's lattice,
     whole or as a FreeBlock of spec.constraint."""
     check_constraint(u, spec.constraint)
+    check_forcing(spec, u.lattice)
     lat = u.lattice
     ids, k, outer = _kernel_parts(kernel)
     vals = u.values[ids]
-    nonlocal_part = blocked_total(_pair_terms(k, vals, spec.V.value), len(ids), len(ids))
+    if _fuses(kernel, spec.V):
+        nonlocal_part = _free_pass(kernel, spec.V, vals)[0]
+    else:
+        nonlocal_part = blocked_total(_pair_terms(k, vals, spec.V.value), len(ids), len(ids))
     if outer is not None:
         nonlocal_part += float((outer * (spec.V.value(vals) + spec.V.value(-vals))).sum())
     epsd = lat.eps**lat.dim
@@ -390,13 +466,18 @@ def energy_gradient(spec: EnergySpec, kernel, u: GridFunction) -> GridFunction:
     """d/du(x) of energy_value, projected onto the constraint's tangent space;
     with a FreeBlock it is 0 off the free sites."""
     check_constraint(u, spec.constraint)
+    check_forcing(spec, u.lattice)
     lat = u.lattice
     ids, k, outer = _kernel_parts(kernel)
     vals = u.values[ids]
     grad = np.zeros(lat.n_sites)
-    pair_sums = blocked_row_sum(_pair_terms(k, vals, spec.V.derivative), len(ids), len(ids))
+    if _fuses(kernel, spec.V):
+        pair_sums = _free_pass(kernel, spec.V, vals)[1]
+    else:
+        pair_sums = blocked_row_sum(_pair_terms(k, vals, spec.V.derivative), len(ids), len(ids))
     if outer is not None:
-        pair_sums += outer * spec.V.derivative(vals)
+        # not in place: the fused pass's row sums stay in kernel.last
+        pair_sums = pair_sums + outer * spec.V.derivative(vals)
     bad = np.flatnonzero(~np.isfinite(pair_sums))
     if bad.size:
         raise NumericalError(f"non-finite pair sum at site {ids[bad[0]]}")

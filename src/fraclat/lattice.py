@@ -64,6 +64,11 @@ class LatticeDomain:
         return self.eps**self.dim * len(self.q_ids)
 
 
+def same_lattice(a: LatticeDomain, b: LatticeDomain) -> bool:
+    """Whether a and b have the same eps and sites, so a site id means the same site on both."""
+    return a is b or (a.dim == b.dim and a.eps == b.eps and np.array_equal(a.sites, b.sites))
+
+
 def _as_box(box, d: int) -> np.ndarray:
     arr = np.asarray(box, dtype=float).reshape(d, 2)
     if np.any(arr[:, 0] >= arr[:, 1]):

@@ -8,6 +8,7 @@ exactly at each accepted step.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,6 +19,7 @@ from .energy import (
     EnergySpec,
     FreeBlock,
     GridFunction,
+    check_forcing,
     energy_gradient,
     energy_value,
     free_sites,
@@ -58,20 +60,19 @@ def project_constraint(u: GridFunction, constraint: str) -> GridFunction:
     return GridFunction(u.lattice, project_direction(u.lattice, u.values, constraint))
 
 
-def _two_loop(grad: np.ndarray, s_list, y_list) -> np.ndarray:
-    """Standard L-BFGS two-loop recursion for the quasi-Newton direction."""
+def _two_loop(grad: np.ndarray, pairs) -> np.ndarray:
+    """Standard L-BFGS two-loop recursion for the quasi-Newton direction;
+    pairs holds (s, y, rho) with rho = 1 / (y @ s), oldest first."""
     q = grad.copy()
     alphas = []
-    for s, y in zip(reversed(s_list), reversed(y_list)):
-        rho = 1.0 / float(y @ s)
+    for s, y, rho in reversed(pairs):
         a = rho * float(s @ q)
         alphas.append(a)
         q -= a * y
-    if s_list:
-        s, y = s_list[-1], y_list[-1]
+    if pairs:
+        s, y, _ = pairs[-1]
         q *= float(s @ y) / float(y @ y)
-    for (s, y), a in zip(zip(s_list, y_list), reversed(alphas)):
-        rho = 1.0 / float(y @ s)
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
         b = rho * float(y @ q)
         q += (a - b) * s
     return q
@@ -86,8 +87,16 @@ def minimize(spec: EnergySpec, field: WeightField, opts: MinimizeOptions = Minim
     pair sums run over F x F only.  Otherwise (mean0, none), and for a
     CustomPotential, whose V(0) need not be 0, it is the whole kernel over
     the flavor's sites.  The energy is evaluated at every line-search trial,
-    its gradient only at the starting point and at each accepted trial.
+    its gradient only at the starting point and at each accepted trial.  On
+    the FreeBlock of a SmoothedPowerP, or a PowerP with p >= 2, each value's
+    pair pass also sums the gradient's pair terms, and the gradient at the
+    same point reads them back instead of passing over F x F again.
+
+    Raises ValueError before building the kernel when V has no derivative or
+    spec.f lies on another lattice than the one minimized over.
     """
+    if not spec.V.has_derivative:
+        raise ValueError(f"minimize needs the derivative of V, which {spec.V!r} lacks; use SmoothedPowerP")
     if opts.initial is not None:
         lat = opts.initial.lattice
         u = project_constraint(opts.initial, spec.constraint).values
@@ -98,6 +107,7 @@ def minimize(spec: EnergySpec, field: WeightField, opts: MinimizeOptions = Minim
             lattice = spec.f.lattice
         lat = lattice
         u = np.zeros(lat.n_sites)
+    check_forcing(spec, lat)
     free = None if isinstance(spec.V, CustomPotential) else free_sites(lat, spec.flavor, spec.constraint)
     if free is None:
         kernel = kernel_matrix(lat, field, spec.s, spec.p, spec.flavor)
@@ -112,22 +122,20 @@ def minimize(spec: EnergySpec, field: WeightField, opts: MinimizeOptions = Minim
         return energy_gradient(spec, kernel, GridFunction(lat, vals)).values
 
     e, g = value(u), gradient(u)
-    s_list: list = []
-    y_list: list = []
+    pairs: deque = deque(maxlen=opts.memory)
     it = 0
     while it < opts.max_iter:
         gnorm = float(np.abs(g).max())
         if gnorm <= opts.grad_tol:
             break
-        if opts.method == "lbfgs" and s_list:
-            direction = -_two_loop(g, s_list, y_list)
+        if opts.method == "lbfgs" and pairs:
+            direction = -_two_loop(g, pairs)
         else:
             direction = -g
         direction = project_direction(lat, direction, spec.constraint)
         slope = float(g @ direction)
         if slope >= 0:  # quasi-Newton direction lost descent; restart on the gradient
-            s_list.clear()
-            y_list.clear()
+            pairs.clear()
             direction = project_direction(lat, -g, spec.constraint)
             slope = float(g @ direction)
         step = 1.0
@@ -148,11 +156,7 @@ def minimize(spec: EnergySpec, field: WeightField, opts: MinimizeOptions = Minim
             s_vec = trial - u
             y_vec = g_trial - g
             if float(s_vec @ y_vec) > 1e-14 * float(np.linalg.norm(s_vec)) * float(np.linalg.norm(y_vec)):
-                s_list.append(s_vec)
-                y_list.append(y_vec)
-                if len(s_list) > opts.memory:
-                    s_list.pop(0)
-                    y_list.pop(0)
+                pairs.append((s_vec, y_vec, 1.0 / float(y_vec @ s_vec)))
         u, e, g = trial, e_trial, g_trial
         it += 1
     else:

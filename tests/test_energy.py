@@ -220,6 +220,26 @@ def test_holder_chain_inequality():
             assert lhs <= rhs * (1 + 1e-12)
 
 
+def test_forcing_on_another_lattice_is_refused(const_field):
+    fine = build_lattice(1, 1 / 16, [(-1, 1)], [(-1, 1)])
+    coarse = build_lattice(1, 1 / 8, [(-1, 1)], [(-1, 1)])
+    for f_lat, u_lat in ((fine, coarse), (coarse, fine)):
+        spec = _spec(f=GridFunction(f_lat, np.ones(f_lat.n_sites)))
+        kernel = _kernel(spec, const_field, u_lat)
+        u = GridFunction(u_lat, np.ones(u_lat.n_sites))
+        with pytest.raises(ValueError, match="another lattice"):
+            energy_value(spec, kernel, u)
+        with pytest.raises(ValueError, match="another lattice"):
+            energy_gradient(spec, kernel, u)
+    # a lattice built again with the same sites is the same lattice
+    twin = build_lattice(1, 1 / 8, [(-1, 1)], [(-1, 1)])
+    u = GridFunction(coarse, np.linspace(-1, 1, coarse.n_sites))
+    on_twin = _spec(f=GridFunction(twin, np.ones(twin.n_sites)))
+    on_coarse = _spec(f=GridFunction(coarse, np.ones(coarse.n_sites)))
+    kernel = _kernel(on_coarse, const_field, coarse)
+    assert energy_value(on_twin, kernel, u) == energy_value(on_coarse, kernel, u)
+
+
 def test_growth_bounds():
     assert growth_bounds_hold(PowerP(2.0), 2.0)
     assert growth_bounds_hold(SmoothedPowerP(2.0, 1e-8), 2.0)

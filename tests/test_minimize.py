@@ -1,5 +1,5 @@
 import weakref
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -7,9 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraclat import build_lattice
-from fraclat.energy import EnergySpec, GridFunction, PowerK, PowerP, energy_value, kernel_matrix, pair_ids
+from fraclat.energy import (
+    CustomPotential,
+    EnergySpec,
+    GridFunction,
+    PowerK,
+    PowerP,
+    energy_value,
+    kernel_matrix,
+    pair_ids,
+)
 from fraclat.linear_ops import assemble, solve
-from fraclat.minimize import MinimizeOptions, MinimizeStats, minimize, project_constraint
+from fraclat.minimize import MinimizeOptions, MinimizeStats, _two_loop, minimize, project_constraint
 from fraclat.weights import Constant, LogNormal, WeightField
 
 from test_linear_ops import HALF_QUADRATIC
@@ -173,6 +182,61 @@ def test_minimize_falls_back_to_whole_kernel(monkeypatch, constraint, flavor, V)
     n = len(pair_ids(lat, flavor))
     assert len(args) == 5 and shape == (n, n)  # no rows: the whole (ids, K) kernel
     assert ref() is None
+
+
+@pytest.mark.parametrize("f_eps, eps", [(1 / 16, 1 / 8), (1 / 8, 1 / 16)])
+def test_forcing_on_another_lattice_fails_before_the_kernel(monkeypatch, f_eps, eps):
+    f_lat = build_lattice(1, f_eps, [(-1, 1)], [(-1.5, 1.5)])
+    lat = build_lattice(1, eps, [(-1, 1)], [(-1.5, 1.5)])
+    field = WeightField(LogNormal(0.8), 2)
+    spec = _spec(p=3, V=PowerP(3), f=GridFunction(f_lat, np.ones(f_lat.n_sites)))
+    calls = _recording_kernels(monkeypatch)
+    with pytest.raises(ValueError, match="another lattice"):
+        minimize(spec, field, MinimizeOptions(), lattice=lat)
+    with pytest.raises(ValueError, match="another lattice"):
+        minimize(spec, field, MinimizeOptions(initial=GridFunction(lat, np.zeros(lat.n_sites))))
+    assert calls == []
+
+
+@pytest.mark.parametrize("V", [PowerP(1.5), CustomPotential(evaluate=lambda t: 0.5 * t * t)])
+def test_potential_without_derivative_fails_before_the_kernel(monkeypatch, V):
+    lat = build_lattice(1, 0.125, [(-1, 1)], [(-1, 1)])
+    spec = _spec(p=1.5, V=V, f=GridFunction(lat, np.ones(lat.n_sites)))
+    calls = _recording_kernels(monkeypatch)
+    with pytest.raises(ValueError, match="SmoothedPowerP"):
+        minimize(spec, WeightField(LogNormal(0.8), 2), MinimizeOptions(), lattice=lat)
+    assert calls == []
+
+
+def _textbook_two_loop(grad, s_list, y_list):
+    """The L-BFGS two-loop recursion with rho = 1 / (y @ s) computed where it is used."""
+    q = grad.copy()
+    alphas = []
+    for s, y in zip(reversed(s_list), reversed(y_list)):
+        rho = 1.0 / float(y @ s)
+        a = rho * float(s @ q)
+        alphas.append(a)
+        q -= a * y
+    if s_list:
+        q *= float(s_list[-1] @ y_list[-1]) / float(y_list[-1] @ y_list[-1])
+    for s, y, a in zip(s_list, y_list, reversed(alphas)):
+        rho = 1.0 / float(y @ s)
+        b = rho * float(y @ q)
+        q += (a - b) * s
+    return q
+
+
+def test_two_loop_matches_textbook_bitwise():
+    rng = np.random.default_rng(12)
+    n = 40
+    for m in range(10):
+        s_list = [rng.normal(size=n) for _ in range(m)]
+        y_list = [s + 0.5 * rng.normal(size=n) for s in s_list]
+        grad = rng.normal(size=n)
+        # the pairs as minimize stores them, rho computed once
+        pairs = deque(((s, y, 1.0 / float(y @ s)) for s, y in zip(s_list, y_list)), maxlen=8)
+        expected = _textbook_two_loop(grad, s_list[-8:], y_list[-8:])
+        assert _two_loop(grad, pairs).tobytes() == expected.tobytes(), m
 
 
 def test_uniqueness_two_starts():

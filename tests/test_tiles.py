@@ -149,13 +149,25 @@ def test_energy_matches_whole_matrix_sums():
 FREE_BLOCK_TOL = 32 * np.finfo(float).eps
 
 
+# Potentials whose value and gradient on a free block come from one fused pass
+# over F x F, and one (p < 2, no derivative) whose value keeps the plain pass.
+FUSED_POTENTIALS = (
+    SmoothedPowerP(3.0, 1e-4),
+    SmoothedPowerP(1.5, 0.1),
+    SmoothedPowerP(4.0, 0.1),
+    PowerP(2.0),
+    PowerP(3.0),
+    PowerP(4.0),
+)
+VALUE_ONLY_POTENTIALS = (PowerP(1.5),)
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_free_block_energy_matches_whole_kernel(d, small_tiles):
     lat = build_lattice(**LATTICES[d])
     eps_d = lat.eps**d
     rng = np.random.default_rng(d)
     f = GridFunction(lat, rng.normal(size=lat.n_sites))
-    potentials = (SmoothedPowerP(3.0, 1e-4), SmoothedPowerP(1.5, 0.1), PowerP(4.0))
     for dist in (Constant(2.0), LogNormal(1.0), UnitPowerLaw(4.0), ShiftedPareto(3.0)):
         field = WeightField(dist, 7)
         for flavor in ("global", "local"):
@@ -169,30 +181,52 @@ def test_free_block_energy_matches_whole_kernel(d, small_tiles):
                 assert len(_reduction.row_tiles(len(free), len(free), 8 * d)) > 1
                 kernel = kernel_matrix(lat, field, 0.5, 3.0, flavor)
                 sums, block = kernel_matrix(lat, field, 0.5, 3.0, flavor, free)
-                fb = FreeBlock(free, block, sums - block.sum(axis=1))
+                outer = sums - block.sum(axis=1)
+                fb = FreeBlock(free, block, outer)
                 vals = np.zeros(lat.n_sites)
                 vals[free] = rng.normal(size=len(free))
                 u = GridFunction(lat, vals)
+                # u moved at one free site
+                moved = vals.copy()
+                moved[free[len(free) // 2]] += 0.5
                 _, k = kernel
                 v = vals[ids]
                 diffs = v[:, None] - v[None, :]
-                for V in potentials:
+                for V in FUSED_POTENTIALS + VALUE_ONLY_POTENTIALS:
                     spec = EnergySpec(p=3.0, s=0.5, V=V, G=PowerK(0.5, 2.0), f=f,
                                       flavor=flavor, constraint=constraint)
                     case = (dist, flavor, constraint, V)
                     scale = (np.abs(k * V.value(diffs)).sum() + 2 * np.abs(k.sum(axis=1) * V.value(v)).sum()
                              + eps_d * (np.abs(spec.G.value(v)) + np.abs(v * f.values[ids])).sum())
                     assert abs(energy_value(spec, fb, u) - energy_value(spec, kernel, u)) <= FREE_BLOCK_TOL * scale, case
+                    if V in VALUE_ONLY_POTENTIALS:
+                        with pytest.raises(ValueError, match="SmoothedPowerP"):
+                            energy_gradient(spec, fb, u)
+                        continue
                     g_scale = np.zeros(lat.n_sites)
                     g_scale[ids] = (2 * np.abs(k * V.derivative(diffs)).sum(axis=1)
                                     + 2 * k.sum(axis=1) * np.abs(V.derivative(v))
                                     + eps_d * (np.abs(spec.G.derivative(v)) + np.abs(f.values[ids])))
+                    # read back from the value's pass at the same u
                     g_block = energy_gradient(spec, fb, u).values
                     g_whole = energy_gradient(spec, kernel, u).values
                     assert np.all(np.abs(g_block - g_whole) <= FREE_BLOCK_TOL * g_scale), case
                     outside = np.ones(lat.n_sites, dtype=bool)
                     outside[free] = False
                     assert np.all(g_block[outside] == 0.0) and np.all(g_whole[outside] == 0.0), case
+                    # a fresh block sums afresh, to the same bits
+                    g_fresh = energy_gradient(spec, FreeBlock(free, block, outer), u).values
+                    assert g_block.tobytes() == g_fresh.tobytes(), case
+                    # a pass at another u, or with another V, is not read back
+                    u_moved = GridFunction(lat, moved)
+                    e_moved = energy_value(spec, FreeBlock(free, block, outer), u_moved)
+                    assert energy_value(spec, fb, u_moved) == e_moved, case
+                    assert energy_gradient(spec, fb, u).values.tobytes() == g_fresh.tobytes(), case
+                    other = SmoothedPowerP(V.p, 0.5) if isinstance(V, PowerP) else PowerP(V.p + 1.0)
+                    spec_other = EnergySpec(p=3.0, s=0.5, V=other, flavor=flavor, constraint=constraint)
+                    e_other = energy_value(spec_other, FreeBlock(free, block, outer), u)
+                    assert energy_value(spec_other, fb, u) == e_other, case
+                    assert energy_gradient(spec, fb, u).values.tobytes() == g_fresh.tobytes(), case
 
 
 def test_tiled_diagnostics_match_whole_matrix_sums(small_tiles):
