@@ -12,11 +12,14 @@ an explicit (ids, K) value, which callers build once and pass to every
 function that sums over pairs.  It also builds the block of K over a set of
 sites, with the whole row sums, from which `linear_ops.assemble` builds the
 p=2 system without ever holding K, and `minimize` the FreeBlock on which it
-evaluates the energy of a u that is 0 off the free sites.  On a FreeBlock, a
-SmoothedPowerP or a PowerP with p >= 2 has its value and gradient pair sums
-taken in one pass, which the block keeps for a gradient at the same point.
-All pair sums exclude the diagonal and go through the fixed-order row-tiled
-reduction, so values are reproducible to the bit.
+evaluates the energy of a u that is 0 off the free sites.
+
+`energy_value` and `energy_gradient` take a whole kernel as the FreeBlock
+with no outer term, and sum its pairs in one pass over row tiles that gives
+the value's total and, when V has a derivative, the gradient's row sums.  A
+FreeBlock keeps its last pass for a gradient at the same point; nothing else
+is cached between calls.  All pair sums exclude the diagonal and go through
+the fixed-order row tiles, so values are reproducible to the bit.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from ._reduction import blocked_row_sum, blocked_total, row_tiles, triangle_tiles
+from ._reduction import blocked_total, row_tiles, triangle_tiles
 from .errors import CapacityError, NumericalError
 from .lattice import LatticeDomain, PairOffsets, pair_offsets, same_lattice
 from .weights import WeightField, pair_weight_matrix
@@ -274,25 +277,24 @@ def free_sites(lattice: LatticeDomain, flavor: str, constraint: str) -> Optional
 
 @dataclass
 class FreeBlock:
-    """The kernel of a constraint that fixes u = 0 off the free sites F:
-    block = K[F, F], and outer[x] = sum of K[x, y] over the flavor's sites y
-    outside F.
+    """The kernel that `energy_value` and `energy_gradient` sum: block =
+    K[F, F] over sites F, and outer[x] = sum of K[x, y] over the flavor's
+    sites y outside F.
 
-    `energy_value` and `energy_gradient` take it in place of the whole
-    kernel (ids, K) when V(0) = 0 and G(0) = 0: pairs outside F then add
-    nothing, and a pair (x in F, y outside F) adds K[x, y] (V(u(x)) + V(-u(x))).
+    A whole kernel (ids, K) is FreeBlock(ids, K), with no outer term.  With
+    one, it is the kernel of a constraint that fixes u = 0 off F, valid when
+    V(0) = 0 and G(0) = 0: pairs outside F add nothing, and a pair
+    (x in F, y outside F) adds K[x, y] (V(u(x)) + V(-u(x))).
 
-    For a SmoothedPowerP, or a PowerP with p >= 2, one pass over F x F gives
-    the pair sums of both V and V' (`_free_pass`).  `last` holds the latest
-    such pass, (free-site values, V, pair total, pair row sums), and a call
-    at bitwise the same values and an equal V reads it instead of summing
-    again, so `energy_gradient` after `energy_value` at the same u costs no
-    pair pass; its result is the same to the bit either way.
+    `last` holds the latest pair pass: (values on F, V, pair total, pair row
+    sums).  A pass at bitwise the same values and an equal V reads it back,
+    so `energy_gradient` after `energy_value` at the same u costs no pair
+    pass and gives the same bits.  Nothing else is kept between calls.
     """
 
     free: np.ndarray
     block: np.ndarray
-    outer: np.ndarray
+    outer: Optional[np.ndarray] = None
     last: Optional[tuple] = None
 
     @cached_property
@@ -377,45 +379,41 @@ def kernel_matrix(
     return ids, k
 
 
-def _pair_terms(k: np.ndarray, vals: np.ndarray, fn):
-    """Tile function for rows lo:hi of the pair matrix K * fn(u(x) - u(y)).
-
-    A non-finite entry makes its row sum and the total non-finite, so callers
-    check the reduced sums, not every tile.
-    """
-    return lambda lo, hi: k[lo:hi] * fn(vals[lo:hi, None] - vals[None, :])
-
-
 # ---------------------------------------------------------------------------
 # energies and norms
 # ---------------------------------------------------------------------------
 
 
-def _fuses(kernel, V) -> bool:
-    """Whether `_free_pass` gives the pair sums of V and V' on this kernel:
-    a FreeBlock, and V = q w - c0 with V' = p t w."""
-    return isinstance(kernel, FreeBlock) and isinstance(V, (PowerP, SmoothedPowerP)) and V.has_derivative
+def _pair_pass(kernel: FreeBlock, V, vals: np.ndarray) -> tuple:
+    """(sum of K V(t), row sums of K V'(t)) over the block, t = u(x) - u(y),
+    from one pass over its row tiles; the row sums are NaN when V has no
+    derivative.  A pass at bitwise the same vals and an equal V is read back
+    from kernel.last.
 
-
-def _free_pass(kernel: FreeBlock, V, vals: np.ndarray) -> tuple:
-    """(sum of B V(t), row sums of B V'(t)) over F x F, t = u(x) - u(y), from
-    one pass over row tiles of B: each tile takes t, q, w and B w once, then
-    sum (B w) q and the row sums of (B w) t; c0 sum B and the factor p are
-    applied to the reduced sums.  A pass at bitwise the same values vals and
-    an equal V is read back from kernel.last."""
+    A SmoothedPowerP, or a PowerP with p >= 2, is V = q w - c0 with
+    V' = p t w: each tile takes t, q, w and K w once, then sum (K w) q and the
+    row sums of (K w) t, and c0 sum K and the factor p are applied to the
+    reduced sums.  Any other V takes K V(t) and K V'(t).  A non-finite entry
+    makes its row sum and the total non-finite, so callers check the reduced
+    sums.
+    """
     last = kernel.last
     if last is not None and last[1] == V and np.array_equal(last[0].view(np.int64), vals.view(np.int64)):
         return last[2], last[3]
-    b = kernel.block
+    k = kernel.block
+    q_w = isinstance(V, (PowerP, SmoothedPowerP)) and V.has_derivative
 
     def tile(lo, hi):
         # the temporaries are freed on return, before the next tile allocates
         t = vals[lo:hi, None] - vals[None, :]
-        q, w = V._q_w(t)
-        w *= b[lo:hi]
-        q *= w
-        w *= t
-        return float(q.sum()), w.sum(axis=1)
+        if q_w:
+            q, w = V._q_w(t)
+            w *= k[lo:hi]
+            q *= w
+            w *= t
+            return float(q.sum()), w.sum(axis=1)
+        part = float((k[lo:hi] * V.value(t)).sum())
+        return part, (k[lo:hi] * V.derivative(t)).sum(axis=1) if V.has_derivative else np.nan
 
     n = len(vals)
     total = 0.0
@@ -423,39 +421,41 @@ def _free_pass(kernel: FreeBlock, V, vals: np.ndarray) -> tuple:
     for lo, hi in row_tiles(n, n):
         part, rows[lo:hi] = tile(lo, hi)
         total += part
-    total -= V._c0 * kernel.block_total
-    rows *= V.p
+    if q_w:
+        total -= V._c0 * kernel.block_total
+        rows *= V.p
     kernel.last = (vals, V, total, rows)
     return total, rows
 
 
-def _kernel_parts(kernel) -> tuple:
-    """(ids, K, outer) of a whole kernel (ids, K), whose outer is None, or of a FreeBlock."""
-    if isinstance(kernel, FreeBlock):
-        return kernel.free, kernel.block, kernel.outer
-    ids, k = kernel
-    return ids, k, None
+def check_derivative(V: Potential) -> None:
+    """Raise ValueError unless V has the derivative that a gradient needs."""
+    if not V.has_derivative:
+        raise ValueError(f"the gradient needs the derivative of V, which {V!r} lacks; use SmoothedPowerP")
+
+
+def _block_values(spec: EnergySpec, kernel, u: GridFunction) -> tuple:
+    """(FreeBlock, u on its sites) after checking u and spec.f; a whole
+    kernel (ids, K) is taken as FreeBlock(ids, K)."""
+    check_constraint(u, spec.constraint)
+    check_forcing(spec, u.lattice)
+    block = kernel if isinstance(kernel, FreeBlock) else FreeBlock(*kernel)
+    return block, u.values[block.free]
 
 
 def energy_value(spec: EnergySpec, kernel, u: GridFunction) -> float:
     """E(u) with the kernel of (spec.s, spec.p, spec.flavor) on u's lattice,
-    whole or as a FreeBlock of spec.constraint."""
-    check_constraint(u, spec.constraint)
-    check_forcing(spec, u.lattice)
+    whole or as a FreeBlock."""
+    block, vals = _block_values(spec, kernel, u)
+    nonlocal_part = _pair_pass(block, spec.V, vals)[0]
+    if block.outer is not None:
+        nonlocal_part += float((block.outer * (spec.V.value(vals) + spec.V.value(-vals))).sum())
     lat = u.lattice
-    ids, k, outer = _kernel_parts(kernel)
-    vals = u.values[ids]
-    if _fuses(kernel, spec.V):
-        nonlocal_part = _free_pass(kernel, spec.V, vals)[0]
-    else:
-        nonlocal_part = blocked_total(_pair_terms(k, vals, spec.V.value), len(ids), len(ids))
-    if outer is not None:
-        nonlocal_part += float((outer * (spec.V.value(vals) + spec.V.value(-vals))).sum())
     epsd = lat.eps**lat.dim
     zero_order = epsd * float(spec.G.value(vals).sum())
     forcing = 0.0
     if spec.f is not None:
-        forcing = epsd * float((vals * spec.f.values[ids]).sum())
+        forcing = epsd * float((vals * spec.f.values[block.free]).sum())
     total = nonlocal_part + zero_order - forcing
     if not math.isfinite(total):
         raise NumericalError("energy value is non-finite")
@@ -464,23 +464,19 @@ def energy_value(spec: EnergySpec, kernel, u: GridFunction) -> float:
 
 def energy_gradient(spec: EnergySpec, kernel, u: GridFunction) -> GridFunction:
     """d/du(x) of energy_value, projected onto the constraint's tangent space;
-    with a FreeBlock it is 0 off the free sites."""
-    check_constraint(u, spec.constraint)
-    check_forcing(spec, u.lattice)
-    lat = u.lattice
-    ids, k, outer = _kernel_parts(kernel)
-    vals = u.values[ids]
-    grad = np.zeros(lat.n_sites)
-    if _fuses(kernel, spec.V):
-        pair_sums = _free_pass(kernel, spec.V, vals)[1]
-    else:
-        pair_sums = blocked_row_sum(_pair_terms(k, vals, spec.V.derivative), len(ids), len(ids))
-    if outer is not None:
-        # not in place: the fused pass's row sums stay in kernel.last
-        pair_sums = pair_sums + outer * spec.V.derivative(vals)
+    it is 0 off the kernel's sites."""
+    check_derivative(spec.V)
+    block, vals = _block_values(spec, kernel, u)
+    ids = block.free
+    pair_sums = _pair_pass(block, spec.V, vals)[1]
+    if block.outer is not None:
+        # not in place: the pass's row sums stay in block.last
+        pair_sums = pair_sums + block.outer * spec.V.derivative(vals)
     bad = np.flatnonzero(~np.isfinite(pair_sums))
     if bad.size:
         raise NumericalError(f"non-finite pair sum at site {ids[bad[0]]}")
+    lat = u.lattice
+    grad = np.zeros(lat.n_sites)
     grad[ids] = 2.0 * pair_sums
     epsd = lat.eps**lat.dim
     grad[ids] += epsd * spec.G.derivative(vals)

@@ -19,6 +19,7 @@ from .energy import (
     EnergySpec,
     FreeBlock,
     GridFunction,
+    check_derivative,
     check_forcing,
     energy_gradient,
     energy_value,
@@ -27,23 +28,25 @@ from .energy import (
     project_direction,
 )
 from .errors import NumericalError
-from .lattice import LatticeDomain
+from .lattice import LatticeDomain, same_lattice
 from .weights import WeightField
+
+# Armijo backtracking (step factor, decrease fraction) and the L-BFGS memory
+SHRINK = 0.5
+SUFFICIENT_DECREASE = 1e-4
+MEMORY = 8
 
 
 @dataclass(frozen=True)
 class MinimizeOptions:
     grad_tol: float = 1e-8
     max_iter: int = 500
-    shrink: float = 0.5
-    sufficient_decrease: float = 1e-4
     initial: Optional[GridFunction] = None  # None means start from zero
     method: str = "lbfgs"  # or "gd"
-    memory: int = 8
 
     def __post_init__(self):
-        if self.grad_tol <= 0 or self.max_iter < 1 or self.memory < 1:
-            raise ValueError("tolerances must be positive, max_iter and memory >= 1")
+        if self.grad_tol <= 0 or self.max_iter < 1:
+            raise ValueError("grad_tol must be positive and max_iter >= 1")
         if self.method not in ("lbfgs", "gd"):
             raise ValueError(f"method must be 'lbfgs' or 'gd', got {self.method!r}")
 
@@ -81,24 +84,24 @@ def _two_loop(grad: np.ndarray, pairs) -> np.ndarray:
 def minimize(spec: EnergySpec, field: WeightField, opts: MinimizeOptions = MinimizeOptions(), lattice: Optional[LatticeDomain] = None):
     """Minimize the energy; returns (GridFunction, MinimizeStats).
 
-    The kernel is built once per call and dropped when the call returns.  When
-    the constraint fixes u = 0 off a free set F (dirichlet0, zero_outside) it
-    is the FreeBlock of K[F, F] and the outer row sums, 8 |F|^2 bytes, whose
-    pair sums run over F x F only.  Otherwise (mean0, none), and for a
-    CustomPotential, whose V(0) need not be 0, it is the whole kernel over
-    the flavor's sites.  The energy is evaluated at every line-search trial,
-    its gradient only at the starting point and at each accepted trial.  On
-    the FreeBlock of a SmoothedPowerP, or a PowerP with p >= 2, each value's
-    pair pass also sums the gradient's pair terms, and the gradient at the
-    same point reads them back instead of passing over F x F again.
+    The kernel is a FreeBlock, built once per call and dropped when the call
+    returns.  When the constraint fixes u = 0 off a free set F (dirichlet0,
+    zero_outside) it holds K[F, F] and the outer row sums, 8 |F|^2 bytes.
+    Otherwise (mean0, none), and for a CustomPotential, whose V(0) need not
+    be 0, it holds the whole kernel over the flavor's sites.  The energy is
+    evaluated at every line-search trial, its gradient only at the starting
+    point and at each accepted trial, where it reads back the pair row sums
+    of the value's pass.
 
-    Raises ValueError before building the kernel when V has no derivative or
-    spec.f lies on another lattice than the one minimized over.
+    Raises ValueError before building the kernel when V has no derivative,
+    when opts.initial lies on another lattice than `lattice`, or when spec.f
+    lies on another lattice than the one minimized over.
     """
-    if not spec.V.has_derivative:
-        raise ValueError(f"minimize needs the derivative of V, which {spec.V!r} lacks; use SmoothedPowerP")
+    check_derivative(spec.V)
     if opts.initial is not None:
         lat = opts.initial.lattice
+        if lattice is not None and not same_lattice(lattice, lat):
+            raise ValueError("the initial point lies on another lattice than `lattice`")
         u = project_constraint(opts.initial, spec.constraint).values
     else:
         if lattice is None:
@@ -110,7 +113,7 @@ def minimize(spec: EnergySpec, field: WeightField, opts: MinimizeOptions = Minim
     check_forcing(spec, lat)
     free = None if isinstance(spec.V, CustomPotential) else free_sites(lat, spec.flavor, spec.constraint)
     if free is None:
-        kernel = kernel_matrix(lat, field, spec.s, spec.p, spec.flavor)
+        kernel = FreeBlock(*kernel_matrix(lat, field, spec.s, spec.p, spec.flavor))
     else:
         sums, block = kernel_matrix(lat, field, spec.s, spec.p, spec.flavor, free)
         kernel = FreeBlock(free, block, sums - block.sum(axis=1))
@@ -122,7 +125,7 @@ def minimize(spec: EnergySpec, field: WeightField, opts: MinimizeOptions = Minim
         return energy_gradient(spec, kernel, GridFunction(lat, vals)).values
 
     e, g = value(u), gradient(u)
-    pairs: deque = deque(maxlen=opts.memory)
+    pairs: deque = deque(maxlen=MEMORY)
     it = 0
     while it < opts.max_iter:
         gnorm = float(np.abs(g).max())
@@ -143,9 +146,9 @@ def minimize(spec: EnergySpec, field: WeightField, opts: MinimizeOptions = Minim
             # re-project to kill rounding drift in the affine constraints
             trial = project_constraint(GridFunction(lat, u + step * direction), spec.constraint).values
             e_trial = value(trial)
-            if e_trial <= e + opts.sufficient_decrease * step * slope:
+            if e_trial <= e + SUFFICIENT_DECREASE * step * slope:
                 break
-            step *= opts.shrink
+            step *= SHRINK
             if step < 1e-20:
                 raise NumericalError(
                     f"line search underflow at iteration {it}: energy {e:.6g}, grad sup {gnorm:.3g}"

@@ -198,6 +198,20 @@ def test_forcing_on_another_lattice_fails_before_the_kernel(monkeypatch, f_eps, 
     assert calls == []
 
 
+def test_initial_point_on_another_lattice_fails_before_the_kernel(monkeypatch):
+    lat = build_lattice(1, 1 / 8, [(-1, 1)], [(-1, 1)])
+    coarse = build_lattice(1, 1 / 4, [(-1, 1)], [(-1, 1)])
+    field = WeightField(LogNormal(0.8), 2)
+    calls = _recording_kernels(monkeypatch)
+    with pytest.raises(ValueError, match="another lattice"):
+        minimize(_spec(), field, MinimizeOptions(initial=GridFunction(coarse, np.ones(coarse.n_sites))), lattice=lat)
+    assert calls == []
+    # a lattice built again with the same sites is the same lattice
+    twin = build_lattice(1, 1 / 8, [(-1, 1)], [(-1, 1)])
+    u, _ = minimize(_spec(), field, MinimizeOptions(initial=GridFunction(twin, np.zeros(twin.n_sites))), lattice=lat)
+    assert u.lattice is twin and len(calls) == 1
+
+
 @pytest.mark.parametrize("V", [PowerP(1.5), CustomPotential(evaluate=lambda t: 0.5 * t * t)])
 def test_potential_without_derivative_fails_before_the_kernel(monkeypatch, V):
     lat = build_lattice(1, 0.125, [(-1, 1)], [(-1, 1)])

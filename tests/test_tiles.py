@@ -5,6 +5,7 @@ import pytest
 
 from fraclat import _reduction, build_lattice
 from fraclat.energy import (
+    CustomPotential,
     EnergySpec,
     FreeBlock,
     GridFunction,
@@ -126,31 +127,16 @@ def test_assemble_matches_full_kernel_formula(d, small_tiles):
                 assert np.array_equal(system.rhs, lat.eps**d * f.values[free]), case
 
 
-def test_energy_matches_whole_matrix_sums():
-    # real tile size: this lattice spans several energy tiles
-    lat = build_lattice(1, 1 / 128, [(-1, 1)], [(-1.5, 1.5)])
-    assert len(_reduction.row_tiles(lat.n_sites, lat.n_sites)) > 3
-    field = WeightField(LogNormal(1.0), 4)
-    spec = EnergySpec(p=3.0, s=0.4, V=PowerP(3.0))
-    u = GridFunction(lat, np.random.default_rng(3).normal(size=lat.n_sites))
-    kernel = kernel_matrix(lat, field, spec.s, spec.p, "global")
-    _, k = kernel
-    diffs = u.values[:, None] - u.values[None, :]
-    value = float((k * spec.V.value(diffs)).sum())
-    grad = 2.0 * (k * spec.V.derivative(diffs)).sum(axis=1)
-    assert energy_value(spec, kernel, u) == pytest.approx(value, rel=1e-13, abs=0)
-    np.testing.assert_allclose(energy_gradient(spec, kernel, u).values, grad, rtol=1e-13, atol=0)
+# The pair pass adds the terms of a whole-matrix sum in another order (the q/w
+# form also factors out p and c0), and a free block's outer row sums lose up to
+# an ulp of the whole row sums.  A pairwise sum of n terms errs by at most about
+# log2(n) units of float64 roundoff of the sum of their magnitudes, and these
+# sums have fewer than 2^17 terms: allow 2^5 units.
+PAIR_SUM_TOL = 32 * np.finfo(float).eps
 
 
-# The free block adds the same terms as the whole kernel in another order, and
-# its outer row sums lose up to an ulp of the whole row sums.  A pairwise sum of
-# n terms errs by at most about log2(n) units of float64 roundoff of the sum of
-# their magnitudes, and these sums have fewer than 2^17 terms: allow 2^5 units.
-FREE_BLOCK_TOL = 32 * np.finfo(float).eps
-
-
-# Potentials whose value and gradient on a free block come from one fused pass
-# over F x F, and one (p < 2, no derivative) whose value keeps the plain pass.
+# Potentials whose pair pass takes the q/w form, and one (p < 2, no derivative)
+# that the pass sums through V.value alone.
 FUSED_POTENTIALS = (
     SmoothedPowerP(3.0, 1e-4),
     SmoothedPowerP(1.5, 0.1),
@@ -160,6 +146,57 @@ FUSED_POTENTIALS = (
     PowerP(4.0),
 )
 VALUE_ONLY_POTENTIALS = (PowerP(1.5),)
+# a potential that the pass sums through V.value and V.derivative
+CUSTOM = CustomPotential(lambda t: np.cosh(t) - 1.0, np.sinh)
+
+
+def test_energy_matches_whole_matrix_sums():
+    # real tile size: this lattice spans several energy tiles
+    lat = build_lattice(1, 1 / 128, [(-1, 1)], [(-1.5, 1.5)])
+    assert len(_reduction.row_tiles(lat.n_sites, lat.n_sites)) > 3
+    field = WeightField(LogNormal(1.0), 4)
+    u = GridFunction(lat, np.random.default_rng(3).normal(size=lat.n_sites))
+    for flavor in ("global", "local"):
+        kernel = kernel_matrix(lat, field, 0.4, 3.0, flavor)
+        ids, k = kernel
+        v = u.values[ids]
+        diffs = v[:, None] - v[None, :]
+        for V in FUSED_POTENTIALS + VALUE_ONLY_POTENTIALS + (CUSTOM,):
+            spec = EnergySpec(p=3.0, s=0.4, V=V, flavor=flavor)
+            case = (flavor, V)
+            value = float((k * V.value(diffs)).sum())
+            assert energy_value(spec, kernel, u) == pytest.approx(value, rel=1e-13, abs=0), case
+            if V in VALUE_ONLY_POTENTIALS:
+                with pytest.raises(ValueError, match="SmoothedPowerP"):
+                    energy_gradient(spec, kernel, u)
+                continue
+            terms = 2.0 * k * V.derivative(diffs)
+            grad = np.zeros(lat.n_sites)
+            grad[ids] = terms.sum(axis=1)
+            # a row sum of terms of both signs errs relative to their magnitudes
+            g_scale = np.zeros(lat.n_sites)
+            g_scale[ids] = np.abs(terms).sum(axis=1)
+            assert np.all(np.abs(energy_gradient(spec, kernel, u).values - grad) <= PAIR_SUM_TOL * g_scale), case
+        # at p = 2 the pass adds the products of the plain tiles in their order
+        spec = EnergySpec(p=3.0, s=0.4, V=PowerP(2.0), flavor=flavor)
+        plain = _reduction.blocked_total(lambda lo, hi: k[lo:hi] * spec.V.value(v[lo:hi, None] - v[None, :]),
+                                         len(ids), len(ids))
+        assert energy_value(spec, kernel, u) == plain, flavor
+
+
+def _assert_reads_back(spec, spec_other, fresh, u, u_moved, case):
+    """A FreeBlock from fresh() reads back its pass for a gradient at the same
+    u, and sums afresh, to a fresh block's bits, at another u or V."""
+    kb = fresh()
+    energy_value(spec, kb, u)
+    last = kb.last
+    g = energy_gradient(spec, kb, u).values
+    assert kb.last is last, case
+    assert g.tobytes() == energy_gradient(spec, fresh(), u).values.tobytes(), case
+    assert energy_value(spec, kb, u_moved) == energy_value(spec, fresh(), u_moved), case
+    assert energy_gradient(spec, kb, u).values.tobytes() == g.tobytes(), case
+    assert energy_value(spec_other, kb, u) == energy_value(spec_other, fresh(), u), case
+    assert energy_gradient(spec, kb, u).values.tobytes() == g.tobytes(), case
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -198,7 +235,7 @@ def test_free_block_energy_matches_whole_kernel(d, small_tiles):
                     case = (dist, flavor, constraint, V)
                     scale = (np.abs(k * V.value(diffs)).sum() + 2 * np.abs(k.sum(axis=1) * V.value(v)).sum()
                              + eps_d * (np.abs(spec.G.value(v)) + np.abs(v * f.values[ids])).sum())
-                    assert abs(energy_value(spec, fb, u) - energy_value(spec, kernel, u)) <= FREE_BLOCK_TOL * scale, case
+                    assert abs(energy_value(spec, fb, u) - energy_value(spec, kernel, u)) <= PAIR_SUM_TOL * scale, case
                     if V in VALUE_ONLY_POTENTIALS:
                         with pytest.raises(ValueError, match="SmoothedPowerP"):
                             energy_gradient(spec, fb, u)
@@ -210,23 +247,14 @@ def test_free_block_energy_matches_whole_kernel(d, small_tiles):
                     # read back from the value's pass at the same u
                     g_block = energy_gradient(spec, fb, u).values
                     g_whole = energy_gradient(spec, kernel, u).values
-                    assert np.all(np.abs(g_block - g_whole) <= FREE_BLOCK_TOL * g_scale), case
+                    assert np.all(np.abs(g_block - g_whole) <= PAIR_SUM_TOL * g_scale), case
                     outside = np.ones(lat.n_sites, dtype=bool)
                     outside[free] = False
                     assert np.all(g_block[outside] == 0.0) and np.all(g_whole[outside] == 0.0), case
-                    # a fresh block sums afresh, to the same bits
-                    g_fresh = energy_gradient(spec, FreeBlock(free, block, outer), u).values
-                    assert g_block.tobytes() == g_fresh.tobytes(), case
-                    # a pass at another u, or with another V, is not read back
-                    u_moved = GridFunction(lat, moved)
-                    e_moved = energy_value(spec, FreeBlock(free, block, outer), u_moved)
-                    assert energy_value(spec, fb, u_moved) == e_moved, case
-                    assert energy_gradient(spec, fb, u).values.tobytes() == g_fresh.tobytes(), case
                     other = SmoothedPowerP(V.p, 0.5) if isinstance(V, PowerP) else PowerP(V.p + 1.0)
                     spec_other = EnergySpec(p=3.0, s=0.5, V=other, flavor=flavor, constraint=constraint)
-                    e_other = energy_value(spec_other, FreeBlock(free, block, outer), u)
-                    assert energy_value(spec_other, fb, u) == e_other, case
-                    assert energy_gradient(spec, fb, u).values.tobytes() == g_fresh.tobytes(), case
+                    for fresh in (lambda: FreeBlock(free, block, outer), lambda: FreeBlock(ids, k)):
+                        _assert_reads_back(spec, spec_other, fresh, u, GridFunction(lat, moved), case)
 
 
 def test_tiled_diagnostics_match_whole_matrix_sums(small_tiles):
