@@ -14,12 +14,13 @@ sites, with the whole row sums, from which `linear_ops.assemble` builds the
 p=2 system without ever holding K, and `minimize` the FreeBlock on which it
 evaluates the energy of a u that is 0 off the free sites.
 
-`energy_value` and `energy_gradient` take a whole kernel as the FreeBlock
-with no outer term, and sum its pairs in one pass over row tiles that gives
-the value's total and, when V has a derivative, the gradient's row sums.  A
-FreeBlock keeps its last pass for a gradient at the same point; nothing else
-is cached between calls.  All pair sums exclude the diagonal and go through
-the fixed-order row tiles, so values are reproducible to the bit.
+`energy_value` and `energy_gradient` take a whole kernel as the FreeBlock with
+no outer term, and sum its pairs in one pass over row tiles.  On a FreeBlock
+that the caller holds, the value's pass also sums the gradient's row sums and
+keeps them for a gradient at the same point; nothing else is cached between
+calls.  All pair sums exclude the diagonal and go through the fixed-order row
+tiles, so values are reproducible to the bit; on a held FreeBlock a
+SmoothedPowerP's E(0) is rounding noise, not 0.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ class SmoothedPowerP:
     V and V' take one power per entry: with q = t^2 + delta^2 and
     w = q^{p/2-1}, V = q w - c0 and V' = p t w (at p = 3, numpy computes w
     as a square root).  c0 is q w at t = 0 by the same operations, so V(0)
-    is 0 to the bit.
+    is 0 to the bit; a held FreeBlock's pair sum at u = 0 is not (`_pair_pass`).
     """
 
     p: float
@@ -286,10 +287,10 @@ class FreeBlock:
     V(0) = 0 and G(0) = 0: pairs outside F add nothing, and a pair
     (x in F, y outside F) adds K[x, y] (V(u(x)) + V(-u(x))).
 
-    `last` holds the latest pair pass: (values on F, V, pair total, pair row
-    sums).  A pass at bitwise the same values and an equal V reads it back,
-    so `energy_gradient` after `energy_value` at the same u costs no pair
-    pass and gives the same bits.  Nothing else is kept between calls.
+    `last` holds the latest pass that summed the pair row sums: (values on
+    F, V, pair total, row sums).  A pass at bitwise the same values and an
+    equal V reads it back, so `energy_gradient` after `energy_value` at the
+    same u costs no pair pass and gives the same bits.  Nothing else is kept.
     """
 
     free: np.ndarray
@@ -384,48 +385,48 @@ def kernel_matrix(
 # ---------------------------------------------------------------------------
 
 
-def _pair_pass(kernel: FreeBlock, V, vals: np.ndarray) -> tuple:
+def _pair_pass(kernel: FreeBlock, V, vals: np.ndarray, rows: bool) -> tuple:
     """(sum of K V(t), row sums of K V'(t)) over the block, t = u(x) - u(y),
-    from one pass over its row tiles; the row sums are NaN when V has no
-    derivative.  A pass at bitwise the same vals and an equal V is read back
-    from kernel.last.
+    from one pass over its row tiles.  Only with `rows` are the row sums
+    summed (else NaN) and the pass kept in kernel.last, where a pass at
+    bitwise the same vals and an equal V reads it back; energy_value asks
+    for them only on a FreeBlock that its caller holds.
 
-    A SmoothedPowerP, or a PowerP with p >= 2, is V = q w - c0 with
+    With rows, a SmoothedPowerP or a PowerP with p >= 2 is V = q w - c0 with
     V' = p t w: each tile takes t, q, w and K w once, then sum (K w) q and the
     row sums of (K w) t, and c0 sum K and the factor p are applied to the
-    reduced sums.  Any other V takes K V(t) and K V'(t).  A non-finite entry
-    makes its row sum and the total non-finite, so callers check the reduced
-    sums.
+    reduced sums, so with c0 > 0 a zero u gives rounding noise, not 0.  Else
+    a tile takes K V(t), and with rows K V'(t).  A non-finite entry makes its
+    row sum and the total non-finite, so callers check the reduced sums.
     """
     last = kernel.last
     if last is not None and last[1] == V and np.array_equal(last[0].view(np.int64), vals.view(np.int64)):
         return last[2], last[3]
     k = kernel.block
-    q_w = isinstance(V, (PowerP, SmoothedPowerP)) and V.has_derivative
+    q_w = rows and isinstance(V, (PowerP, SmoothedPowerP))
 
     def tile(lo, hi):
         # the temporaries are freed on return, before the next tile allocates
         t = vals[lo:hi, None] - vals[None, :]
-        if q_w:
-            q, w = V._q_w(t)
-            w *= k[lo:hi]
-            q *= w
-            w *= t
-            return float(q.sum()), w.sum(axis=1)
-        part = float((k[lo:hi] * V.value(t)).sum())
-        return part, (k[lo:hi] * V.derivative(t)).sum(axis=1) if V.has_derivative else np.nan
+        if not q_w:
+            row_sums = (k[lo:hi] * V.derivative(t)).sum(axis=1) if rows else np.nan
+            return float((k[lo:hi] * V.value(t)).sum()), row_sums
+        q, w = V._q_w(t)
+        w *= k[lo:hi]
+        q *= w
+        w *= t
+        return float(q.sum()), w.sum(axis=1)
 
-    n = len(vals)
-    total = 0.0
-    rows = np.empty(n)
-    for lo, hi in row_tiles(n, n):
-        part, rows[lo:hi] = tile(lo, hi)
+    total, sums = 0.0, np.empty(len(vals))
+    for lo, hi in row_tiles(len(vals), len(vals)):
+        part, sums[lo:hi] = tile(lo, hi)
         total += part
     if q_w:
-        total -= V._c0 * kernel.block_total
-        rows *= V.p
-    kernel.last = (vals, V, total, rows)
-    return total, rows
+        total -= V._c0 * kernel.block_total if V._c0 else 0.0
+        sums *= V.p
+    if rows:
+        kernel.last = (vals, V, total, sums)
+    return total, sums
 
 
 def check_derivative(V: Potential) -> None:
@@ -435,8 +436,7 @@ def check_derivative(V: Potential) -> None:
 
 
 def _block_values(spec: EnergySpec, kernel, u: GridFunction) -> tuple:
-    """(FreeBlock, u on its sites) after checking u and spec.f; a whole
-    kernel (ids, K) is taken as FreeBlock(ids, K)."""
+    """(FreeBlock, u on its sites), a whole kernel taken as FreeBlock(ids, K)."""
     check_constraint(u, spec.constraint)
     check_forcing(spec, u.lattice)
     block = kernel if isinstance(kernel, FreeBlock) else FreeBlock(*kernel)
@@ -447,7 +447,7 @@ def energy_value(spec: EnergySpec, kernel, u: GridFunction) -> float:
     """E(u) with the kernel of (spec.s, spec.p, spec.flavor) on u's lattice,
     whole or as a FreeBlock."""
     block, vals = _block_values(spec, kernel, u)
-    nonlocal_part = _pair_pass(block, spec.V, vals)[0]
+    nonlocal_part = _pair_pass(block, spec.V, vals, isinstance(kernel, FreeBlock) and spec.V.has_derivative)[0]
     if block.outer is not None:
         nonlocal_part += float((block.outer * (spec.V.value(vals) + spec.V.value(-vals))).sum())
     lat = u.lattice
@@ -468,7 +468,7 @@ def energy_gradient(spec: EnergySpec, kernel, u: GridFunction) -> GridFunction:
     check_derivative(spec.V)
     block, vals = _block_values(spec, kernel, u)
     ids = block.free
-    pair_sums = _pair_pass(block, spec.V, vals)[1]
+    pair_sums = _pair_pass(block, spec.V, vals, True)[1]
     if block.outer is not None:
         # not in place: the pass's row sums stay in block.last
         pair_sums = pair_sums + block.outer * spec.V.derivative(vals)

@@ -127,6 +127,22 @@ def test_assemble_matches_full_kernel_formula(d, small_tiles):
                 assert np.array_equal(system.rhs, lat.eps**d * f.values[free]), case
 
 
+def test_energy_matches_whole_matrix_sums():
+    # real tile size: this lattice spans several energy tiles
+    lat = build_lattice(1, 1 / 128, [(-1, 1)], [(-1.5, 1.5)])
+    assert len(_reduction.row_tiles(lat.n_sites, lat.n_sites)) > 3
+    field = WeightField(LogNormal(1.0), 4)
+    spec = EnergySpec(p=3.0, s=0.4, V=PowerP(3.0))
+    u = GridFunction(lat, np.random.default_rng(3).normal(size=lat.n_sites))
+    kernel = kernel_matrix(lat, field, spec.s, spec.p, "global")
+    _, k = kernel
+    diffs = u.values[:, None] - u.values[None, :]
+    value = float((k * spec.V.value(diffs)).sum())
+    grad = 2.0 * (k * spec.V.derivative(diffs)).sum(axis=1)
+    assert energy_value(spec, kernel, u) == pytest.approx(value, rel=1e-13, abs=0)
+    np.testing.assert_allclose(energy_gradient(spec, kernel, u).values, grad, rtol=1e-13, atol=0)
+
+
 # The pair pass adds the terms of a whole-matrix sum in another order (the q/w
 # form also factors out p and c0), and a free block's outer row sums lose up to
 # an ulp of the whole row sums.  A pairwise sum of n terms errs by at most about
@@ -150,12 +166,12 @@ VALUE_ONLY_POTENTIALS = (PowerP(1.5),)
 CUSTOM = CustomPotential(lambda t: np.cosh(t) - 1.0, np.sinh)
 
 
-def test_energy_matches_whole_matrix_sums():
-    # real tile size: this lattice spans several energy tiles
+def test_every_potential_matches_whole_matrix_sums():
+    # the lattice and u of test_energy_matches_whole_matrix_sums
     lat = build_lattice(1, 1 / 128, [(-1, 1)], [(-1.5, 1.5)])
-    assert len(_reduction.row_tiles(lat.n_sites, lat.n_sites)) > 3
     field = WeightField(LogNormal(1.0), 4)
     u = GridFunction(lat, np.random.default_rng(3).normal(size=lat.n_sites))
+    zero = GridFunction(lat, np.zeros(lat.n_sites))
     for flavor in ("global", "local"):
         kernel = kernel_matrix(lat, field, 0.4, 3.0, flavor)
         ids, k = kernel
@@ -165,7 +181,17 @@ def test_energy_matches_whole_matrix_sums():
             spec = EnergySpec(p=3.0, s=0.4, V=V, flavor=flavor)
             case = (flavor, V)
             value = float((k * V.value(diffs)).sum())
+            # a value alone on a whole kernel adds the products of the plain tiles in their order
+            plain = _reduction.blocked_total(lambda lo, hi: k[lo:hi] * V.value(v[lo:hi, None] - v[None, :]),
+                                             len(ids), len(ids))
+            assert energy_value(spec, kernel, u) == plain, case
             assert energy_value(spec, kernel, u) == pytest.approx(value, rel=1e-13, abs=0), case
+            # a held FreeBlock also sums the gradient's row sums
+            assert energy_value(spec, FreeBlock(ids, k), u) == pytest.approx(value, rel=1e-13, abs=0), case
+            if isinstance(V, SmoothedPowerP):
+                # there c0 sum K is subtracted once, so E(0) is rounding noise
+                assert energy_value(spec, kernel, zero) == 0.0, case
+                assert abs(energy_value(spec, FreeBlock(ids, k), zero)) <= PAIR_SUM_TOL * V.delta**V.p * k.sum(), case
             if V in VALUE_ONLY_POTENTIALS:
                 with pytest.raises(ValueError, match="SmoothedPowerP"):
                     energy_gradient(spec, kernel, u)
@@ -177,11 +203,11 @@ def test_energy_matches_whole_matrix_sums():
             g_scale = np.zeros(lat.n_sites)
             g_scale[ids] = np.abs(terms).sum(axis=1)
             assert np.all(np.abs(energy_gradient(spec, kernel, u).values - grad) <= PAIR_SUM_TOL * g_scale), case
-        # at p = 2 the pass adds the products of the plain tiles in their order
+        # at p = 2 the q/w pass of a held FreeBlock adds the same products in the same order
         spec = EnergySpec(p=3.0, s=0.4, V=PowerP(2.0), flavor=flavor)
         plain = _reduction.blocked_total(lambda lo, hi: k[lo:hi] * spec.V.value(v[lo:hi, None] - v[None, :]),
                                          len(ids), len(ids))
-        assert energy_value(spec, kernel, u) == plain, flavor
+        assert energy_value(spec, FreeBlock(ids, k), u) == plain, flavor
 
 
 def _assert_reads_back(spec, spec_other, fresh, u, u_moved, case):
