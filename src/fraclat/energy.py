@@ -16,11 +16,12 @@ evaluates the energy of a u that is 0 off the free sites.
 
 `energy_value` and `energy_gradient` take a whole kernel as the FreeBlock with
 no outer term, and sum its pairs in one pass over row tiles.  On a FreeBlock
-that the caller holds, the value's pass also sums the gradient's row sums and
-keeps them for a gradient at the same point; nothing else is cached between
-calls.  All pair sums exclude the diagonal and go through the fixed-order row
-tiles, so values are reproducible to the bit; on a held FreeBlock a
-SmoothedPowerP's E(0) is rounding noise, not 0.
+that the caller holds, the value's pass also forms the whole gradient on the
+block's sites and keeps it, keyed by u, V, G and f, for a gradient at the same
+point; nothing else is cached between calls.  All pair sums exclude the
+diagonal and go through the fixed-order row tiles, so values are reproducible
+to the bit; on a held FreeBlock a SmoothedPowerP's E(0) is rounding noise,
+not 0.
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ class GridFunction:
             raise ValueError(
                 f"values shape {self.values.shape} does not match {self.lattice.n_sites} sites"
             )
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("grid function has non-finite entries")
 
     def copy(self) -> "GridFunction":
@@ -236,7 +237,7 @@ def check_forcing(spec: EnergySpec, lattice: LatticeDomain) -> None:
 def _zero_ids(lattice: LatticeDomain, constraint: str) -> Optional[np.ndarray]:
     """The sites where the constraint fixes u = 0; None for mean0 and none."""
     if constraint == "dirichlet0":
-        return np.concatenate([lattice.boundary_ids, lattice.exterior_ids])
+        return lattice.dirichlet_ids
     if constraint == "zero_outside":
         return lattice.exterior_ids
     return None
@@ -246,7 +247,7 @@ def check_constraint(u: GridFunction, constraint: str) -> None:
     """Raise unless u lies in the constrained space (exactly, not approximately)."""
     lat, vals = u.lattice, u.values
     zero = _zero_ids(lat, constraint)
-    if zero is not None and np.any(vals[zero] != 0.0):
+    if zero is not None and vals[zero].any():
         raise ValueError(f"{constraint} constraint violated: nonzero values at sites it fixes to 0")
     if constraint == "mean0":
         total = float(vals[lat.q_ids].sum())
@@ -287,9 +288,11 @@ class FreeBlock:
     V(0) = 0 and G(0) = 0: pairs outside F add nothing, and a pair
     (x in F, y outside F) adds K[x, y] (V(u(x)) + V(-u(x))).
 
-    `last` holds the latest pass that summed the pair row sums: (values on
-    F, V, pair total, row sums).  A pass at bitwise the same values and an
-    equal V reads it back, so `energy_gradient` after `energy_value` at the
+    `last` holds the latest call that formed the gradient: (bytes of the
+    values on F, V, G, f, E, gradient on F).  That gradient is the whole
+    unprojected one on F, 2 (row sums + outer V'(u)) + eps^d G'(u) - eps^d f.
+    A call at bitwise the same values, with an equal V and G and the same f
+    object, reads it back, so `energy_gradient` after `energy_value` at the
     same u costs no pair pass and gives the same bits.  Nothing else is kept.
     """
 
@@ -387,10 +390,7 @@ def kernel_matrix(
 
 def _pair_pass(kernel: FreeBlock, V, vals: np.ndarray, rows: bool) -> tuple:
     """(sum of K V(t), row sums of K V'(t)) over the block, t = u(x) - u(y),
-    from one pass over its row tiles.  Only with `rows` are the row sums
-    summed (else NaN) and the pass kept in kernel.last, where a pass at
-    bitwise the same vals and an equal V reads it back; energy_value asks
-    for them only on a FreeBlock that its caller holds.
+    from one pass over its row tiles; the row sums only with `rows` (else NaN).
 
     With rows, a SmoothedPowerP or a PowerP with p >= 2 is V = q w - c0 with
     V' = p t w: each tile takes t, q, w and K w once, then sum (K w) q and the
@@ -399,9 +399,6 @@ def _pair_pass(kernel: FreeBlock, V, vals: np.ndarray, rows: bool) -> tuple:
     a tile takes K V(t), and with rows K V'(t).  A non-finite entry makes its
     row sum and the total non-finite, so callers check the reduced sums.
     """
-    last = kernel.last
-    if last is not None and last[1] == V and np.array_equal(last[0].view(np.int64), vals.view(np.int64)):
-        return last[2], last[3]
     k = kernel.block
     q_w = rows and isinstance(V, (PowerP, SmoothedPowerP))
 
@@ -424,8 +421,48 @@ def _pair_pass(kernel: FreeBlock, V, vals: np.ndarray, rows: bool) -> tuple:
     if q_w:
         total -= V._c0 * kernel.block_total if V._c0 else 0.0
         sums *= V.p
-    if rows:
-        kernel.last = (vals, V, total, sums)
+    return total, sums
+
+
+def _energy_pass(spec: EnergySpec, block: FreeBlock, vals: np.ndarray, epsd: float, grad: bool) -> tuple:
+    """(E, gradient on block.free) for u with values vals on the block's
+    sites; the gradient, unprojected, only with `grad` (else None).
+
+    With grad the result is kept in block.last, and a call that matches it
+    (see FreeBlock) reads it back.  A SmoothedPowerP takes one q, w for the
+    outer terms of both: V(-u) = V(u) to the bit, and V' = p u w.
+    """
+    last, key, V, G, f = block.last, vals.tobytes(), spec.V, spec.G, spec.f
+    if (last is not None and last[0] == key and last[3] is f
+            and (last[1] is V or last[1] == V) and (last[2] is G or last[2] == G)):
+        return last[4], last[5]
+    outer = block.outer
+    total, sums = _pair_pass(block, V, vals, grad)
+    if outer is not None:
+        if isinstance(V, SmoothedPowerP):
+            q, w = V._q_w(vals)
+            q *= w
+            q -= V._c0
+            total += float((outer * (q + q)).sum())
+            w *= vals
+            w *= V.p
+            dv = w
+        else:
+            total += float((outer * (V.value(vals) + V.value(-vals))).sum())
+            dv = V.derivative(vals) if grad else None
+        if grad:
+            sums += outer * dv
+    f_vals = None if f is None else f.values[block.free]
+    total += epsd * float(G.value(vals).sum())
+    if f is not None:
+        total -= epsd * float((vals * f_vals).sum())
+    if not grad:
+        return total, None
+    sums *= 2.0
+    sums += epsd * G.derivative(vals)
+    if f is not None:
+        sums -= epsd * f_vals
+    block.last = (key, V, G, f, total, sums)
     return total, sums
 
 
@@ -445,18 +482,12 @@ def _block_values(spec: EnergySpec, kernel, u: GridFunction) -> tuple:
 
 def energy_value(spec: EnergySpec, kernel, u: GridFunction) -> float:
     """E(u) with the kernel of (spec.s, spec.p, spec.flavor) on u's lattice,
-    whole or as a FreeBlock."""
+    whole or as a FreeBlock; on a held FreeBlock the pass also forms the
+    gradient and keeps it in block.last."""
     block, vals = _block_values(spec, kernel, u)
-    nonlocal_part = _pair_pass(block, spec.V, vals, isinstance(kernel, FreeBlock) and spec.V.has_derivative)[0]
-    if block.outer is not None:
-        nonlocal_part += float((block.outer * (spec.V.value(vals) + spec.V.value(-vals))).sum())
     lat = u.lattice
-    epsd = lat.eps**lat.dim
-    zero_order = epsd * float(spec.G.value(vals).sum())
-    forcing = 0.0
-    if spec.f is not None:
-        forcing = epsd * float((vals * spec.f.values[block.free]).sum())
-    total = nonlocal_part + zero_order - forcing
+    grad = isinstance(kernel, FreeBlock) and spec.V.has_derivative
+    total = _energy_pass(spec, block, vals, lat.eps**lat.dim, grad)[0]
     if not math.isfinite(total):
         raise NumericalError("energy value is non-finite")
     return total
@@ -464,31 +495,30 @@ def energy_value(spec: EnergySpec, kernel, u: GridFunction) -> float:
 
 def energy_gradient(spec: EnergySpec, kernel, u: GridFunction) -> GridFunction:
     """d/du(x) of energy_value, projected onto the constraint's tangent space;
-    it is 0 off the kernel's sites."""
+    it is 0 off the kernel's sites.
+
+    The gradient on the block's sites is scattered into the N-vector, and
+    projected only where that is not the identity: under mean0, and on a
+    whole kernel under a constraint that fixes sites (a FreeBlock with an
+    outer term spans exactly the sites its constraint leaves free).
+    """
     check_derivative(spec.V)
     block, vals = _block_values(spec, kernel, u)
-    ids = block.free
-    pair_sums = _pair_pass(block, spec.V, vals, True)[1]
-    if block.outer is not None:
-        # not in place: the pass's row sums stay in block.last
-        pair_sums = pair_sums + block.outer * spec.V.derivative(vals)
-    bad = np.flatnonzero(~np.isfinite(pair_sums))
-    if bad.size:
-        raise NumericalError(f"non-finite pair sum at site {ids[bad[0]]}")
     lat = u.lattice
+    grad_free = _energy_pass(spec, block, vals, lat.eps**lat.dim, True)[1]
+    if not np.isfinite(grad_free).all():
+        bad = block.free[np.flatnonzero(~np.isfinite(grad_free))[0]]
+        raise NumericalError(f"non-finite gradient at site {bad}")
     grad = np.zeros(lat.n_sites)
-    grad[ids] = 2.0 * pair_sums
-    epsd = lat.eps**lat.dim
-    grad[ids] += epsd * spec.G.derivative(vals)
-    if spec.f is not None:
-        grad[ids] -= epsd * spec.f.values[ids]
-    grad = project_direction(lat, grad, spec.constraint)
+    grad[block.free] = grad_free
+    if spec.constraint == "mean0" or (block.outer is None and spec.constraint != "none"):
+        grad = project_direction(lat, grad, spec.constraint)
     return GridFunction(lat, grad)
 
 
 def project_direction(lattice: LatticeDomain, g: np.ndarray, constraint: str) -> np.ndarray:
     """Project a gradient/search direction onto the constraint's tangent space."""
-    g = np.asarray(g, dtype=float).copy()
+    g = np.array(g, dtype=float)
     zero = _zero_ids(lattice, constraint)
     if zero is not None:
         g[zero] = 0.0

@@ -38,6 +38,7 @@ class LatticeDomain:
     boundary_ids: np.ndarray
     exterior_ids: np.ndarray
     q_ids: np.ndarray  # sites with eps*z in Q (interior + boundary-inside-Q)
+    dirichlet_ids: np.ndarray  # the sites that dirichlet0 fixes: boundary + exterior, in id order
     _zmin: np.ndarray = field(repr=False, default=None)
     _strides: np.ndarray = field(repr=False, default=None)
 
@@ -134,6 +135,7 @@ def build_lattice(d: int, eps: float, domain, halo, site_cap: int = DEFAULT_SITE
         boundary_ids=np.flatnonzero(boundary),
         exterior_ids=np.flatnonzero(exterior),
         q_ids=np.flatnonzero(in_q),
+        dirichlet_ids=np.flatnonzero(~interior),
         _zmin=los,
         _strides=_row_major_strides(counts),
     )

@@ -8,8 +8,10 @@ exactly at each accepted step.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -45,17 +47,24 @@ class MinimizeOptions:
     method: str = "lbfgs"  # or "gd"
 
     def __post_init__(self):
-        if self.grad_tol <= 0 or self.max_iter < 1:
-            raise ValueError("grad_tol must be positive and max_iter >= 1")
+        if not 0 < self.grad_tol < math.inf:
+            raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
+        if not isinstance(self.max_iter, Integral) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if self.method not in ("lbfgs", "gd"):
             raise ValueError(f"method must be 'lbfgs' or 'gd', got {self.method!r}")
 
 
 @dataclass(frozen=True)
 class MinimizeStats:
+    """iters accepted steps, `values` energy values (the start and every
+    line-search trial), of which `backtracks` were rejected trials."""
+
     iters: int
     final_energy: float
     grad_norm: float
+    values: int
+    backtracks: int
 
 
 def project_constraint(u: GridFunction, constraint: str) -> GridFunction:
@@ -69,14 +78,14 @@ def _two_loop(grad: np.ndarray, pairs) -> np.ndarray:
     q = grad.copy()
     alphas = []
     for s, y, rho in reversed(pairs):
-        a = rho * float(s @ q)
+        a = rho * float(s.dot(q))
         alphas.append(a)
         q -= a * y
     if pairs:
         s, y, _ = pairs[-1]
-        q *= float(s @ y) / float(y @ y)
+        q *= float(s.dot(y)) / float(y.dot(y))
     for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        b = rho * float(y @ q)
+        b = rho * float(y.dot(q))
         q += (a - b) * s
     return q
 
@@ -89,9 +98,12 @@ def minimize(spec: EnergySpec, field: WeightField, opts: MinimizeOptions = Minim
     zero_outside) it holds K[F, F] and the outer row sums, 8 |F|^2 bytes.
     Otherwise (mean0, none), and for a CustomPotential, whose V(0) need not
     be 0, it holds the whole kernel over the flavor's sites.  The energy is
-    evaluated at every line-search trial, its gradient only at the starting
-    point and at each accepted trial, where it reads back the pair row sums
-    of the value's pass.
+    evaluated at every line-search trial, and its pass also forms the whole
+    gradient on the kernel's sites, which the block keeps in `last` keyed by
+    u, V, G and f.  The gradient is taken only at the starting point and at
+    each accepted trial, where it reads that back.  Iterates, directions and
+    trials are plain N-vectors; each energy call wraps its point in one
+    GridFunction.
 
     Raises ValueError before building the kernel when V has no derivative,
     when opts.initial lies on another lattice than `lattice`, or when spec.f
@@ -126,7 +138,7 @@ def minimize(spec: EnergySpec, field: WeightField, opts: MinimizeOptions = Minim
 
     e, g = value(u), gradient(u)
     pairs: deque = deque(maxlen=MEMORY)
-    it = 0
+    it = backtracks = 0
     while it < opts.max_iter:
         gnorm = float(np.abs(g).max())
         if gnorm <= opts.grad_tol:
@@ -136,19 +148,20 @@ def minimize(spec: EnergySpec, field: WeightField, opts: MinimizeOptions = Minim
         else:
             direction = -g
         direction = project_direction(lat, direction, spec.constraint)
-        slope = float(g @ direction)
+        slope = float(g.dot(direction))
         if slope >= 0:  # quasi-Newton direction lost descent; restart on the gradient
             pairs.clear()
             direction = project_direction(lat, -g, spec.constraint)
-            slope = float(g @ direction)
+            slope = float(g.dot(direction))
         step = 1.0
         while True:
             # re-project to kill rounding drift in the affine constraints
-            trial = project_constraint(GridFunction(lat, u + step * direction), spec.constraint).values
+            trial = project_direction(lat, u + step * direction, spec.constraint)
             e_trial = value(trial)
             if e_trial <= e + SUFFICIENT_DECREASE * step * slope:
                 break
             step *= SHRINK
+            backtracks += 1
             if step < 1e-20:
                 raise NumericalError(
                     f"line search underflow at iteration {it}: energy {e:.6g}, grad sup {gnorm:.3g}"
@@ -158,11 +171,13 @@ def minimize(spec: EnergySpec, field: WeightField, opts: MinimizeOptions = Minim
         if opts.method == "lbfgs":
             s_vec = trial - u
             y_vec = g_trial - g
-            if float(s_vec @ y_vec) > 1e-14 * float(np.linalg.norm(s_vec)) * float(np.linalg.norm(y_vec)):
-                pairs.append((s_vec, y_vec, 1.0 / float(y_vec @ s_vec)))
+            sy = float(s_vec.dot(y_vec))
+            if sy > 1e-14 * math.sqrt(s_vec.dot(s_vec)) * math.sqrt(y_vec.dot(y_vec)):
+                pairs.append((s_vec, y_vec, 1.0 / sy))
         u, e, g = trial, e_trial, g_trial
         it += 1
     else:
         raise NumericalError(f"no convergence in {opts.max_iter} iterations; grad sup {float(np.abs(g).max()):.3g}")
     out = project_constraint(GridFunction(lat, u), spec.constraint)
-    return out, MinimizeStats(iters=it, final_energy=e, grad_norm=float(np.abs(g).max()))
+    return out, MinimizeStats(iters=it, final_energy=e, grad_norm=float(np.abs(g).max()),
+                              values=1 + it + backtracks, backtracks=backtracks)

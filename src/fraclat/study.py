@@ -188,9 +188,33 @@ def parse_config(text: str) -> StudyConfig:
     return cfg
 
 
+def _floats(value) -> list:
+    """The float values in a config field, a tuple or a distribution's fields."""
+    if is_dataclass(value):
+        return [x for f in fields(value) for x in _floats(getattr(value, f.name))]
+    if isinstance(value, tuple):
+        return [x for v in value for x in _floats(v)]
+    return [value] if isinstance(value, float) else []
+
+
 def _validate(cfg: StudyConfig) -> None:
     if not cfg.seeds:
         raise ConfigError("seeds must be nonempty")
+    numbers = [x for f in fields(cfg) if f.name != "q_list" for x in _floats(getattr(cfg, f.name))]
+    if not all(math.isfinite(x) for x in numbers):
+        raise ConfigError("every number in the config must be finite (q_list may hold inf)")
+    if not all(q >= 1 for q in cfg.q_list):
+        raise ConfigError(f"q_list entries must be at least 1 or inf, got {cfg.q_list}")
+    if not all(eps > 0 for eps in cfg.eps_list):
+        raise ConfigError("eps_list entries must be positive")
+    if not cfg.p > 1:
+        raise ConfigError(f"p must exceed 1, got {cfg.p}")
+    if not 0 < cfg.s < 1:
+        raise ConfigError(f"s must lie in (0, 1), got {cfg.s}")
+    if not cfg.solver_tol > 0 or cfg.solver_max_iter < 1:
+        raise ConfigError("solver.tol must be positive and solver.max_iter at least 1")
+    if cfg.k_eigs < 1:
+        raise ConfigError(f"k_eigs must be at least 1, got {cfg.k_eigs}")
     if list(cfg.eps_list) != sorted(set(cfg.eps_list), reverse=True):
         raise ConfigError("eps_list must be strictly decreasing")
     if len(cfg.domain) != 2 * cfg.d or len(cfg.halo) != 2 * cfg.d:

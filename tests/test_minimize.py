@@ -105,6 +105,8 @@ def test_gradient_only_at_accepted_points(monkeypatch):
     # some line-search trial was rejected, and no gradient was spent on it
     assert calls["gradient"] < calls["value"]
     assert calls["gradient"] == stats.iters + 1
+    assert stats.values == calls["value"]
+    assert stats.backtracks == stats.values - stats.iters - 1 > 0
 
 
 def test_minimize_builds_one_kernel_and_drops_it(monkeypatch):
@@ -317,3 +319,41 @@ def test_options_validation():
         MinimizeOptions(grad_tol=-1)
     with pytest.raises(ValueError):
         MinimizeOptions(method="newton")
+    # a NaN tolerance ran to max_iter and raised NumericalError
+    with pytest.raises(ValueError, match="grad_tol"):
+        MinimizeOptions(grad_tol=float("nan"))
+    with pytest.raises(ValueError, match="grad_tol"):
+        MinimizeOptions(grad_tol=float("inf"))
+    # a fractional max_iter gave "no convergence in 2.5 iterations"
+    with pytest.raises(ValueError, match="max_iter"):
+        MinimizeOptions(max_iter=2.5)
+    with pytest.raises(ValueError, match="max_iter"):
+        MinimizeOptions(max_iter=0)
+    assert MinimizeOptions(max_iter=np.int64(3)).max_iter == 3
+
+
+# Recorded before the free-site gradient moved into the value's pass: a small
+# p=3 LogNormal run, (iters, energy_value calls, final_energy as float.hex).
+PINNED_RUNS = {
+    "dirichlet0": (23, 27, "-0x1.d3c51a533fa2cp-3"),
+    "mean0": (30, 36, "-0x1.d7791e0f2b7fcp-2"),
+}
+
+
+@pytest.mark.parametrize("constraint", sorted(PINNED_RUNS))
+def test_minimize_pinned_bits(monkeypatch, constraint):
+    import fraclat.minimize as mz
+
+    lat = build_lattice(1, 0.125, [(-1, 1)], [(-1.5, 1.5)])
+    f = np.ones(lat.n_sites) if constraint == "dirichlet0" else lat.positions[:, 0]
+    spec = _spec(p=3, V=PowerP(3), G=PowerK(0.3, 2.0), f=GridFunction(lat, f), constraint=constraint)
+    calls = Counter()
+    real_value = mz.energy_value
+
+    def counting(*args):
+        calls["value"] += 1
+        return real_value(*args)
+
+    monkeypatch.setattr(mz, "energy_value", counting)
+    _, stats = minimize(spec, WeightField(LogNormal(0.8), 2), MinimizeOptions(grad_tol=1e-8, max_iter=500), lattice=lat)
+    assert (stats.iters, calls["value"], stats.final_energy.hex()) == PINNED_RUNS[constraint]

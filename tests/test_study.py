@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -166,11 +167,31 @@ box_side=32
         "study=solve\np=3.0\n",
         "study=homogenize\np=3.0\n",
         "study=spectral\np=1.5\n",
+        # values no study can use
+        "study=solve\neps_list=nan\n",
+        "study=solve\neps_list=-0.5\n",
+        "study=solve\ns=1.5\n",
+        "study=spectral\nk_eigs=0\n",
+        "study=solve\nsolver.tol=nan\n",
+        "study=solve\nsolver.tol=-1\nsolver.max_iter=0\n",
+        "study=solve\nsolver.max_iter=0\n",
+        "study=solve\ndist.kind=lognormal\ndist.sigma=nan\n",
+        "study=solve\ndist.kind=decaying_product\ndist.base.kind=lognormal\ndist.base.sigma=inf\n",
+        "study=solve\nf.value=nan\n",
+        "study=gamma_limit\np=0.5\n",
+        "study=embeddings\nq_list=2.0,nan\n",
+        "study=embeddings\nq_list=0.5\n",
+        "study=solve\nsolver.tol=inf\n",
     ],
 )
 def test_bad_configs_rejected(text):
     with pytest.raises(ConfigError):
         parse_config(text)
+
+
+def test_sup_norm_q_accepted():
+    # q = inf is the one non-finite number a config may hold
+    assert parse_config("study=embeddings\nq_list=2.0,inf\n").q_list == (2.0, math.inf)
 
 
 def test_comments_and_blank_lines_ignored():
@@ -249,6 +270,15 @@ def test_cli_config_errors(tmp_path, capsys):
     mismatched.write_text(SOLVE_CFG)
     assert main(["spectral", "--config", str(mismatched)]) == 2
     capsys.readouterr()
+
+
+def test_cli_nan_solver_tol_is_a_config_error(tmp_path, capsys):
+    # a NaN tolerance used to run CG until p @ ap == 0 and exit 1 on ZeroDivisionError
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(SOLVE_CFG + "solver.tol=nan\n")
+    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "solve.csv").exists()
 
 
 def test_cli_numerical_failure(tmp_path, capsys):

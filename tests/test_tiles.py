@@ -1,5 +1,7 @@
 """Row-tiled pair sums pinned to their whole-matrix definitions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -212,7 +214,7 @@ def test_every_potential_matches_whole_matrix_sums():
 
 def _assert_reads_back(spec, spec_other, fresh, u, u_moved, case):
     """A FreeBlock from fresh() reads back its pass for a gradient at the same
-    u, and sums afresh, to a fresh block's bits, at another u or V."""
+    u, and sums afresh, to a fresh block's bits, at another u, V, G or f."""
     kb = fresh()
     energy_value(spec, kb, u)
     last = kb.last
@@ -223,6 +225,15 @@ def _assert_reads_back(spec, spec_other, fresh, u, u_moved, case):
     assert energy_gradient(spec, kb, u).values.tobytes() == g.tobytes(), case
     assert energy_value(spec_other, kb, u) == energy_value(spec_other, fresh(), u), case
     assert energy_gradient(spec, kb, u).values.tobytes() == g.tobytes(), case
+    # specs that differ from spec only in G, or only in f (an equal copy is another f)
+    lat = u.lattice
+    others = [replace(spec, G=PowerK(0.25, 3.0)), replace(spec, f=spec.f.copy()),
+              replace(spec, f=GridFunction(lat, np.linspace(-1.0, 2.0, lat.n_sites)))]
+    for other in others:
+        energy_value(spec, kb, u)
+        expected = energy_gradient(other, fresh(), u).values
+        assert energy_gradient(other, kb, u).values.tobytes() == expected.tobytes(), (case, other)
+        assert kb.last[3] is other.f, (case, other)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -281,6 +292,30 @@ def test_free_block_energy_matches_whole_kernel(d, small_tiles):
                     spec_other = EnergySpec(p=3.0, s=0.5, V=other, flavor=flavor, constraint=constraint)
                     for fresh in (lambda: FreeBlock(free, block, outer), lambda: FreeBlock(ids, k)):
                         _assert_reads_back(spec, spec_other, fresh, u, GridFunction(lat, moved), case)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_whole_kernel_reads_back_under_mean0(d, small_tiles):
+    # every site is free under mean0, so minimize holds the whole kernel, and
+    # the gradient is projected on the Q sites' mean
+    lat = build_lattice(**LATTICES[d])
+    rng = np.random.default_rng(10 + d)
+    f = GridFunction(lat, rng.normal(size=lat.n_sites))
+    field = WeightField(LogNormal(1.0), 3)
+    for flavor in ("global", "local"):
+        ids, k = kernel_matrix(lat, field, 0.5, 3.0, flavor)
+        vals = rng.normal(size=lat.n_sites)
+        vals[lat.q_ids] -= vals[lat.q_ids].mean()
+        u = GridFunction(lat, vals)
+        moved = vals.copy()
+        moved[lat.q_ids[:2]] += (0.5, -0.5)
+        for V in FUSED_POTENTIALS + (CUSTOM,):
+            spec = EnergySpec(p=3.0, s=0.5, V=V, G=PowerK(0.5, 2.0), f=f, flavor=flavor, constraint="mean0")
+            spec_other = replace(spec, V=SmoothedPowerP(3.0, 0.5))
+            case = (d, flavor, V)
+            g = energy_gradient(spec, FreeBlock(ids, k), u).values
+            assert abs(g[lat.q_ids].sum()) <= 1e-12 * np.abs(g).sum(), case
+            _assert_reads_back(spec, spec_other, lambda: FreeBlock(ids, k), u, GridFunction(lat, moved), case)
 
 
 def test_tiled_diagnostics_match_whole_matrix_sums(small_tiles):
