@@ -1,16 +1,13 @@
 """Deterministic row-tiled reductions.
 
-Every O(N^2) pair sum is computed in row tiles: a tile function produces rows
-lo:hi of the (never materialized) pair matrix, `blocked_row_sum` /
-`blocked_total` reduce each tile with single numpy calls and combine the
-partials in tile order.  Tile ranges depend only on the matrix shape, so the
-order of summation, and with it every bit of the result, is fixed by the
-inputs.
+Every O(N^2) pair sum is computed in row tiles whose ranges depend only on
+the matrix shape, so the order of summation, and with it every bit of the
+result, is fixed by the inputs.  Sums over a held kernel are the energy
+module's pair pass over `row_tiles`; `blocked_total` sums a never materialized
+pair matrix from a tile function, adding the tile partials in order.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 # Byte budget of one tile.  Each per-tile temporary stays below glibc's default
 # mmap threshold (M_MMAP_THRESHOLD, 128 KiB): a larger block is mmapped when
@@ -54,10 +51,3 @@ def blocked_total(tile, n_rows: int, n_cols: int, item_bytes: int = 8) -> float:
         total += float(tile(lo, hi).sum())
     return total
 
-
-def blocked_row_sum(tile, n_rows: int, n_cols: int) -> np.ndarray:
-    """Row sums of the n_rows x n_cols matrix whose rows lo:hi are tile(lo, hi)."""
-    out = np.empty(n_rows)
-    for lo, hi in row_tiles(n_rows, n_cols):
-        out[lo:hi] = tile(lo, hi).sum(axis=1)
-    return out

@@ -24,7 +24,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a key=value config file")
         p.add_argument("--out", default=".", help="output directory (default: current)")
         p.add_argument("--seed-override", type=int, default=None, help="replace the config's seed list")
-        p.add_argument("--threads", type=int, default=None, help="accepted for compatibility; has no effect")
         p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     return parser
 
@@ -47,6 +46,9 @@ def main(argv=None) -> int:
 
     try:
         report = run_study(cfg)
+    except ConfigError as exc:  # a value that only the built lattice rejects
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

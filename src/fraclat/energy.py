@@ -11,17 +11,17 @@ eps^{2d} c_{x,y} / |x-y|^{d+ps} is the kernel K: `kernel_matrix` builds it as
 an explicit (ids, K) value, which callers build once and pass to every
 function that sums over pairs.  It also builds the block of K over a set of
 sites, with the whole row sums, from which `linear_ops.assemble` builds the
-p=2 system without ever holding K, and `minimize` the FreeBlock on which it
-evaluates the energy of a u that is 0 off the free sites.
+p=2 system without ever holding K, and `held_block` the FreeBlock on which
+`minimize` evaluates the energy of a u that is 0 off the free sites.
 
-`energy_value` and `energy_gradient` take a whole kernel as the FreeBlock with
-no outer term, and sum its pairs in one pass over row tiles.  On a FreeBlock
-that the caller holds, the value's pass also forms the whole gradient on the
-block's sites and keeps it, keyed by u, V, G and f, for a gradient at the same
-point; nothing else is cached between calls.  All pair sums exclude the
-diagonal and go through the fixed-order row tiles, so values are reproducible
-to the bit; on a held FreeBlock a SmoothedPowerP's E(0) is rounding noise,
-not 0.
+Every sum over a held kernel, a whole one taken as the FreeBlock with no outer
+term, is one pass over its row tiles: the energy and its gradient, the value
+total of `weighted_seminorm` and the p = 2 row sums of `apply_operator`.  On a
+FreeBlock that the caller holds, the value's pass also forms the whole
+gradient on the block's sites and keeps it, keyed by u and the spec; nothing
+else is cached between calls.  All pair sums exclude the diagonal and go
+through the fixed-order row tiles, so values are reproducible to the bit; on
+a held FreeBlock a SmoothedPowerP's E(0) is rounding noise, not 0.
 """
 
 from __future__ import annotations
@@ -289,11 +289,11 @@ class FreeBlock:
     (x in F, y outside F) adds K[x, y] (V(u(x)) + V(-u(x))).
 
     `last` holds the latest call that formed the gradient: (bytes of the
-    values on F, V, G, f, E, gradient on F).  That gradient is the whole
+    values on F, spec, E, gradient on F).  That gradient is the whole
     unprojected one on F, 2 (row sums + outer V'(u)) + eps^d G'(u) - eps^d f.
-    A call at bitwise the same values, with an equal V and G and the same f
-    object, reads it back, so `energy_gradient` after `energy_value` at the
-    same u costs no pair pass and gives the same bits.  Nothing else is kept.
+    A call at bitwise the same values with the very same spec object reads it
+    back, so `energy_gradient` after `energy_value` at the same u costs no
+    pair pass and gives the same bits.  Nothing else is kept.
     """
 
     free: np.ndarray
@@ -383,6 +383,18 @@ def kernel_matrix(
     return ids, k
 
 
+def held_block(lattice: LatticeDomain, field: WeightField, spec: EnergySpec) -> FreeBlock:
+    """The FreeBlock of spec's kernel that a caller holds across calls: K[F, F]
+    and the outer row sums, 8 |F|^2 bytes, when the constraint fixes u = 0 off
+    F (dirichlet0, zero_outside); else (mean0, none, and a CustomPotential,
+    whose V(0) need not be 0) the whole kernel over the flavor's sites."""
+    free = None if isinstance(spec.V, CustomPotential) else free_sites(lattice, spec.flavor, spec.constraint)
+    if free is None:
+        return FreeBlock(*kernel_matrix(lattice, field, spec.s, spec.p, spec.flavor))
+    sums, block = kernel_matrix(lattice, field, spec.s, spec.p, spec.flavor, free)
+    return FreeBlock(free, block, sums - block.sum(axis=1))
+
+
 # ---------------------------------------------------------------------------
 # energies and norms
 # ---------------------------------------------------------------------------
@@ -433,9 +445,8 @@ def _energy_pass(spec: EnergySpec, block: FreeBlock, vals: np.ndarray, epsd: flo
     outer terms of both: V(-u) = V(u) to the bit, and V' = p u w.
     """
     last, key, V, G, f = block.last, vals.tobytes(), spec.V, spec.G, spec.f
-    if (last is not None and last[0] == key and last[3] is f
-            and (last[1] is V or last[1] == V) and (last[2] is G or last[2] == G)):
-        return last[4], last[5]
+    if last is not None and last[1] is spec and last[0] == key:
+        return last[2], last[3]
     outer = block.outer
     total, sums = _pair_pass(block, V, vals, grad)
     if outer is not None:
@@ -462,7 +473,7 @@ def _energy_pass(spec: EnergySpec, block: FreeBlock, vals: np.ndarray, epsd: flo
     sums += epsd * G.derivative(vals)
     if f is not None:
         sums -= epsd * f_vals
-    block.last = (key, V, G, f, total, sums)
+    block.last = (key, spec, total, sums)
     return total, sums
 
 
@@ -556,15 +567,11 @@ def weighted_seminorm(kernel: tuple, u: GridFunction, p: float) -> float:
     """[u]_{s,p,eps,c}: as gagliardo_seminorm with the weight c inserted.
 
     The kernel of (s, p) fixes s and the range: the global flavor sums over
-    all halo sites, the local one over Q^eps.
+    all halo sites, the local one over Q^eps.  The p-th power is the pair
+    pass's value-only total at V = |t|^p.
     """
     ids, k = kernel
-    vals = u.values[ids]
-
-    def tile(lo, hi):
-        return k[lo:hi] * np.abs(vals[lo:hi, None] - vals[None, :]) ** p
-
-    return float(blocked_total(tile, len(ids), len(ids)) ** (1.0 / p))
+    return float(_pair_pass(FreeBlock(ids, k), PowerP(p), u.values[ids], rows=False)[0] ** (1.0 / p))
 
 
 def lq_norm(lattice: LatticeDomain, u: GridFunction, q: float, rng: str = "q") -> float:

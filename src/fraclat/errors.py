@@ -10,4 +10,4 @@ class NumericalError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """Invalid or unknown study configuration."""
+    """Invalid or unknown study configuration, or a value the lattice it builds cannot take."""

@@ -12,7 +12,8 @@ constraint.  `assemble` needs only the free rows of the kernel K: A holds
 every interaction with the constrained sites.  `kernel_matrix` fills that
 block and the row sums one tile of rows at a time, and A is the block scaled
 in place, so the N x N kernel is never held and peak memory is the
-8 |free|^2 bytes of A plus one tile.
+8 |free|^2 bytes of A plus one tile.  `apply_operator` sums over a held
+kernel through the energy module's pair pass.
 
 scipy.linalg is imported on first use, inside `spectrum`, its only user: the
 import costs 0.18-0.29 s on a 2-vCPU machine, and only the spectral study
@@ -25,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._reduction import blocked_row_sum
-from .energy import GridFunction, kernel_matrix, require_memory
-from .errors import NumericalError
+from .energy import FreeBlock, GridFunction, PowerP, _pair_pass, kernel_matrix, require_memory
+from .errors import ConfigError, NumericalError
 from .lattice import LatticeDomain
 from .weights import WeightField
 
@@ -78,7 +78,7 @@ def assemble(
     else:
         raise ValueError(f"constraint must be 'dirichlet0' or 'mean0', got {constraint!r}")
     if len(free) == 0:
-        raise ValueError("empty free set: no unconstrained sites")
+        raise ConfigError(f"empty free set: no unconstrained sites at eps={lattice.eps:g}")
     m = len(free)
     require_memory(8 * m * m, f"assembled matrix over {m} free sites")
     # free sites lie inside both flavors' ranges
@@ -92,12 +92,13 @@ def assemble(
 
 def apply_operator(kernel: tuple, u: GridFunction) -> GridFunction:
     """(L u)(x) = eps^d sum_{y != x} c (u(y)-u(x)) / |x-y|^{d+2s} over all halo
-    sites, from the global kernel of (s, p=2)."""
+    sites, from the global kernel of (s, p=2): half the row sums of the p = 2
+    pair pass on -u, whose t = -u(x) + u(y) is u(y) - u(x) to the bit."""
     lattice = u.lattice
     ids, k = kernel
-    vals = u.values[ids]
+    out = _pair_pass(FreeBlock(ids, k), PowerP(2.0), -u.values[ids], rows=True)[1]
     # k carries eps^{2d}; the operator carries a single eps^d
-    out = blocked_row_sum(lambda lo, hi: k[lo:hi] * (vals[None, :] - vals[lo:hi, None]), len(ids), len(ids))
+    out *= 0.5
     out /= lattice.eps**lattice.dim
     return GridFunction(lattice, out)
 
@@ -165,7 +166,7 @@ def spectrum(system: BilinearSystem, k: int) -> SpectralReport:
         raise ValueError("spectrum requires the Dirichlet constraint")
     n = system.matrix.shape[0]
     if not 1 <= k <= n:
-        raise ValueError(f"k must lie in 1..{n}, got {k}")
+        raise ConfigError(f"k must lie in 1..{n} (the free sites at eps={system.lattice.eps:g}), got {k}")
     import scipy.linalg
 
     try:

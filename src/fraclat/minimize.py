@@ -17,16 +17,13 @@ from typing import Optional
 import numpy as np
 
 from .energy import (
-    CustomPotential,
     EnergySpec,
-    FreeBlock,
     GridFunction,
     check_derivative,
     check_forcing,
     energy_gradient,
     energy_value,
-    free_sites,
-    kernel_matrix,
+    held_block,
     project_direction,
 )
 from .errors import NumericalError
@@ -93,15 +90,13 @@ def _two_loop(grad: np.ndarray, pairs) -> np.ndarray:
 def minimize(spec: EnergySpec, field: WeightField, opts: MinimizeOptions = MinimizeOptions(), lattice: Optional[LatticeDomain] = None):
     """Minimize the energy; returns (GridFunction, MinimizeStats).
 
-    The kernel is a FreeBlock, built once per call and dropped when the call
-    returns.  When the constraint fixes u = 0 off a free set F (dirichlet0,
-    zero_outside) it holds K[F, F] and the outer row sums, 8 |F|^2 bytes.
-    Otherwise (mean0, none), and for a CustomPotential, whose V(0) need not
-    be 0, it holds the whole kernel over the flavor's sites.  The energy is
-    evaluated at every line-search trial, and its pass also forms the whole
-    gradient on the kernel's sites, which the block keeps in `last` keyed by
-    u, V, G and f.  The gradient is taken only at the starting point and at
-    each accepted trial, where it reads that back.  Iterates, directions and
+    The kernel is `held_block(lattice, field, spec)`, built once per call and
+    dropped when the call returns: K[F, F] and the outer row sums when the
+    constraint fixes u = 0 off a free set F, else the whole kernel.  The
+    energy is evaluated at every line-search trial, and its pass also forms
+    the whole gradient on the kernel's sites, which the block keeps in `last`
+    keyed by u and spec.  The gradient is taken only at the starting point and
+    at each accepted trial, where it reads that back.  Iterates, directions and
     trials are plain N-vectors; each energy call wraps its point in one
     GridFunction.
 
@@ -123,12 +118,7 @@ def minimize(spec: EnergySpec, field: WeightField, opts: MinimizeOptions = Minim
         lat = lattice
         u = np.zeros(lat.n_sites)
     check_forcing(spec, lat)
-    free = None if isinstance(spec.V, CustomPotential) else free_sites(lat, spec.flavor, spec.constraint)
-    if free is None:
-        kernel = FreeBlock(*kernel_matrix(lat, field, spec.s, spec.p, spec.flavor))
-    else:
-        sums, block = kernel_matrix(lat, field, spec.s, spec.p, spec.flavor, free)
-        kernel = FreeBlock(free, block, sums - block.sum(axis=1))
+    kernel = held_block(lat, field, spec)
 
     def value(vals):
         return energy_value(spec, kernel, GridFunction(lat, vals))

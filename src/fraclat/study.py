@@ -528,6 +528,9 @@ def run_ergodic(cfg: StudyConfig) -> StudyReport:
                 field = WeightField(cfg.dist, seed)
                 sums = [locality_scaling_sum(lat, field, alpha, xi) for xi in xis]
                 incs = [sums[i + 1] - sums[i] for i in range(len(sums) - 1)]
+                if min(incs) <= 0:
+                    raise ConfigError(f"eps={eps:g} is too coarse for the locality probe: "
+                                      f"a shell of xi = {xis} holds no pair")
                 slope = float(np.polyfit(np.log(xis[:-1]), np.log(incs), 1)[0])
                 report.add(eps, seed, f"locality_exponent_a{alpha:g}", slope)
     return report

@@ -110,7 +110,7 @@ def test_gradient_only_at_accepted_points(monkeypatch):
 
 
 def test_minimize_builds_one_kernel_and_drops_it(monkeypatch):
-    import fraclat.minimize as mz
+    import fraclat.energy as en
 
     lat = build_lattice(1, 0.125, [(-1, 1)], [(-1, 1)])
     field = WeightField(LogNormal(0.8), 2)
@@ -122,7 +122,7 @@ def test_minimize_builds_one_kernel_and_drops_it(monkeypatch):
         refs.append(weakref.ref(out[1]))
         return out
 
-    monkeypatch.setattr(mz, "kernel_matrix", recording)
+    monkeypatch.setattr(en, "kernel_matrix", recording)
     _, stats = minimize(spec, field, MinimizeOptions(grad_tol=1e-8, max_iter=500), lattice=lat)
     assert stats.iters > 1
     assert len(refs) == 1
@@ -130,8 +130,9 @@ def test_minimize_builds_one_kernel_and_drops_it(monkeypatch):
 
 
 def _recording_kernels(monkeypatch):
-    """Patch minimize's kernel_matrix to record (args, shape, weakref) of each array it returns."""
-    import fraclat.minimize as mz
+    """Patch the kernel_matrix through which held_block builds minimize's
+    kernel to record (args, shape, weakref) of each array it returns."""
+    import fraclat.energy as en
 
     calls = []
 
@@ -140,7 +141,7 @@ def _recording_kernels(monkeypatch):
         calls.append((args, out[1].shape, weakref.ref(out[1])))
         return out
 
-    monkeypatch.setattr(mz, "kernel_matrix", recording)
+    monkeypatch.setattr(en, "kernel_matrix", recording)
     return calls
 
 

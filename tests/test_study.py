@@ -281,6 +281,29 @@ def test_cli_nan_solver_tol_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "solve.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "study, text, message",
+    [
+        # five free sites cannot carry six modes
+        ("spectral", "eps_list=0.25\nhalo=-1,1\nk_eigs=6\n", "k must lie in 1..5"),
+        # a lattice coarser than the domain has no interior site
+        ("solve", "eps_list=4.0\n", "empty free set"),
+        # the smallest locality shell holds no pair at this eps
+        ("ergodic", "eps_list=0.5\n", "too coarse for the locality probe"),
+    ],
+)
+def test_cli_values_the_lattice_rejects_are_config_errors(tmp_path, capsys, study, text, message):
+    # each of these used to exit 1 with a traceback
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(f"study={study}\n{text}")
+    assert main([study, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and err.count("\n") == 1
+    assert not (tmp_path / f"{study}.csv").exists()
+    with pytest.raises(ConfigError, match=message):
+        run_study(parse_config(cfg_path.read_text()))
+
+
 def test_cli_numerical_failure(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(SOLVE_CFG + "solver.tol=1e-300\nsolver.max_iter=2\n")
@@ -386,18 +409,6 @@ print(" ".join(m for m in sys.modules if m.split(".")[0] == "scipy"))
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == []
-
-
-def test_thread_count_does_not_change_bytes(tmp_path):
-    cfg_path = tmp_path / "cfg.txt"
-    cfg_path.write_text(SOLVE_CFG)
-    outs = []
-    for threads, sub in ((1, "a"), (8, "b")):
-        out = tmp_path / sub
-        assert main(["solve", "--config", str(cfg_path), "--out", str(out),
-                     "--threads", str(threads)]) == 0
-        outs.append((out / "solve.csv").read_bytes())
-    assert outs[0] == outs[1]
 
 
 def test_run_study_all_drivers_smoke(tmp_path):

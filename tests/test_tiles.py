@@ -18,11 +18,13 @@ from fraclat.energy import (
     energy_value,
     free_sites,
     gagliardo_seminorm,
+    held_block,
     holder_chain_constant,
     kernel_matrix,
     pair_ids,
+    weighted_seminorm,
 )
-from fraclat.linear_ops import assemble
+from fraclat.linear_ops import apply_operator, assemble
 from fraclat.weights import (
     Constant,
     DecayingProduct,
@@ -233,7 +235,7 @@ def _assert_reads_back(spec, spec_other, fresh, u, u_moved, case):
         energy_value(spec, kb, u)
         expected = energy_gradient(other, fresh(), u).values
         assert energy_gradient(other, kb, u).values.tobytes() == expected.tobytes(), (case, other)
-        assert kb.last[3] is other.f, (case, other)
+        assert kb.last[1] is other, (case, other)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -254,9 +256,10 @@ def test_free_block_energy_matches_whole_kernel(d, small_tiles):
                 # the free block spans several row tiles
                 assert len(_reduction.row_tiles(len(free), len(free), 8 * d)) > 1
                 kernel = kernel_matrix(lat, field, 0.5, 3.0, flavor)
-                sums, block = kernel_matrix(lat, field, 0.5, 3.0, flavor, free)
-                outer = sums - block.sum(axis=1)
-                fb = FreeBlock(free, block, outer)
+                fb = held_block(lat, field, EnergySpec(p=3.0, s=0.5, V=PowerP(3.0), flavor=flavor,
+                                                       constraint=constraint))
+                assert np.array_equal(fb.free, free), (dist, flavor, constraint)
+                block, outer = fb.block, fb.outer
                 vals = np.zeros(lat.n_sites)
                 vals[free] = rng.normal(size=len(free))
                 u = GridFunction(lat, vals)
@@ -316,6 +319,35 @@ def test_whole_kernel_reads_back_under_mean0(d, small_tiles):
             g = energy_gradient(spec, FreeBlock(ids, k), u).values
             assert abs(g[lat.q_ids].sum()) <= 1e-12 * np.abs(g).sum(), case
             _assert_reads_back(spec, spec_other, lambda: FreeBlock(ids, k), u, GridFunction(lat, moved), case)
+
+
+@pytest.mark.parametrize("d, eps", [(1, 1 / 128), (2, 1 / 10)])
+def test_seminorm_and_operator_match_their_tiled_sums(d, eps):
+    # real tile size: each lattice spans several row tiles
+    lat = build_lattice(d, eps, [(-1, 1)] * d, [(-1.5, 1.5)] * d)
+    n = lat.n_sites
+    assert len(_reduction.row_tiles(n, n)) > 3
+    field = WeightField(LogNormal(1.0), 4)
+    # a constant u checks that L u is +0.0, not -0.0
+    us = [GridFunction(lat, np.random.default_rng(d).normal(size=n)), GridFunction(lat, np.full(n, 0.7))]
+    for flavor in ("global", "local"):
+        for p in (1.5, 2.0, 3.0):
+            ids, k = kernel_matrix(lat, field, 0.5, p, flavor)
+            for u in us:
+                v = u.values[ids]
+                total = _reduction.blocked_total(lambda lo, hi: k[lo:hi] * np.abs(v[lo:hi, None] - v[None, :]) ** p,
+                                                 len(ids), len(ids))
+                assert weighted_seminorm((ids, k), u, p) == total ** (1.0 / p), (flavor, p)
+    kernel = kernel_matrix(lat, field, 0.5, 2.0, "global")
+    k = kernel[1]
+    for u in us:
+        vals = u.values
+        op = np.empty(n)
+        for lo, hi in _reduction.row_tiles(n, n):
+            op[lo:hi] = (k[lo:hi] * (vals[None, :] - vals[lo:hi, None])).sum(axis=1)
+        op /= lat.eps**d
+        assert apply_operator(kernel, u).values.tobytes() == op.tobytes()
+    assert not np.signbit(apply_operator(kernel, us[1]).values).any()
 
 
 def test_tiled_diagnostics_match_whole_matrix_sums(small_tiles):
