@@ -21,7 +21,9 @@ FreeBlock that the caller holds, the value's pass also forms the whole
 gradient on the block's sites and keeps it, keyed by u and the spec; nothing
 else is cached between calls.  All pair sums exclude the diagonal and go
 through the fixed-order row tiles, so values are reproducible to the bit; on
-a held FreeBlock a SmoothedPowerP's E(0) is rounding noise, not 0.
+a held FreeBlock a SmoothedPowerP's E(0) is rounding noise, not 0.  The
+FreeBlock's outer terms, one per free site, go through V.value and
+V.derivative for every potential; only the pair pass has a fused form.
 """
 
 from __future__ import annotations
@@ -176,8 +178,6 @@ class PowerK:
     def derivative(self, t: np.ndarray) -> np.ndarray:
         if self.k < 1:
             raise ValueError("PowerK derivative needs k >= 1")
-        if self.k == 1:
-            return self.alpha * np.sign(t)
         return self.alpha * self.k * np.abs(t) ** (self.k - 1) * np.sign(t)
 
 
@@ -441,8 +441,8 @@ def _energy_pass(spec: EnergySpec, block: FreeBlock, vals: np.ndarray, epsd: flo
     sites; the gradient, unprojected, only with `grad` (else None).
 
     With grad the result is kept in block.last, and a call that matches it
-    (see FreeBlock) reads it back.  A SmoothedPowerP takes one q, w for the
-    outer terms of both: V(-u) = V(u) to the bit, and V' = p u w.
+    (see FreeBlock) reads it back.  The outer terms are outer (V(u) + V(-u))
+    and outer V'(u) for every potential.
     """
     last, key, V, G, f = block.last, vals.tobytes(), spec.V, spec.G, spec.f
     if last is not None and last[1] is spec and last[0] == key:
@@ -450,19 +450,9 @@ def _energy_pass(spec: EnergySpec, block: FreeBlock, vals: np.ndarray, epsd: flo
     outer = block.outer
     total, sums = _pair_pass(block, V, vals, grad)
     if outer is not None:
-        if isinstance(V, SmoothedPowerP):
-            q, w = V._q_w(vals)
-            q *= w
-            q -= V._c0
-            total += float((outer * (q + q)).sum())
-            w *= vals
-            w *= V.p
-            dv = w
-        else:
-            total += float((outer * (V.value(vals) + V.value(-vals))).sum())
-            dv = V.derivative(vals) if grad else None
+        total += float((outer * (V.value(vals) + V.value(-vals))).sum())
         if grad:
-            sums += outer * dv
+            sums += outer * V.derivative(vals)
     f_vals = None if f is None else f.values[block.free]
     total += epsd * float(G.value(vals).sum())
     if f is not None:

@@ -84,11 +84,15 @@ def _row_major_strides(counts: np.ndarray) -> np.ndarray:
     return strides
 
 
-def _box_points(los, his) -> np.ndarray:
-    """Every integer point of the box prod [lo, hi], shape (n, d), in
+def grid_points(axes) -> np.ndarray:
+    """The tensor grid of the 1-d arrays in `axes`, shape (n, d), in
     lexicographic order (the first axis varies slowest)."""
-    axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in zip(los, his)]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def _box_points(los, his) -> np.ndarray:
+    """Every integer point of the box prod [lo, hi], shape (n, d), lexicographic."""
+    return grid_points([np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in zip(los, his)])
 
 
 def build_lattice(d: int, eps: float, domain, halo, site_cap: int = DEFAULT_SITE_CAP) -> LatticeDomain:

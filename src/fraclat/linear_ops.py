@@ -70,6 +70,11 @@ def assemble(
     is that block scaled in place, so no N x N array is allocated.  A is
     symmetric to the bit, because K[x, y] and K[y, x] are.  Raises
     CapacityError before allocating when A would not fit in physical memory.
+
+    The free sites are the interior ones under dirichlet0 and Q^eps under
+    mean0, so the mean0 system also fixes u = 0 off Q: under the global
+    flavor that is another problem than EnergySpec's mean0, which leaves the
+    halo free.  The p=2 studies take dirichlet0 only.
     """
     if constraint == "dirichlet0":
         free = lattice.interior_ids

@@ -26,7 +26,6 @@ from .energy import (
     EnergySpec,
     GridFunction,
     NoneTerm,
-    PowerK,
     PowerP,
     embedding_denominator,
     energy_value,
@@ -52,12 +51,9 @@ from .weights import (
 
 STUDIES = ("solve", "homogenize", "gamma_limit", "spectral", "embeddings", "ergodic", "vanish")
 
-# the studies that solve the p=2 problem, and the constraints their solver takes
-_P2_CONSTRAINTS = {
-    "solve": ("dirichlet0", "mean0"),
-    "homogenize": ("dirichlet0", "mean0"),
-    "spectral": ("dirichlet0",),
-}
+# the studies that solve the p=2 problem with no zero-order term under dirichlet0,
+# the one problem their solver (assemble, then CG or eigh) solves
+_P2_STUDIES = ("solve", "homogenize", "spectral")
 
 
 @dataclass(frozen=True)
@@ -225,13 +221,13 @@ def _validate(cfg: StudyConfig) -> None:
         raise ConfigError(f"unknown flavor {cfg.flavor!r}; expected one of {FLAVORS}")
     if cfg.constraint not in CONSTRAINTS:
         raise ConfigError(f"unknown constraint {cfg.constraint!r}; expected one of {CONSTRAINTS}")
-    if cfg.study in _P2_CONSTRAINTS:
+    if cfg.study in _P2_STUDIES:
         if cfg.p != 2.0:
             raise ConfigError(f"{cfg.study} solves the p=2 problem only, got p={cfg.p}")
-        if cfg.constraint not in _P2_CONSTRAINTS[cfg.study]:
-            raise ConfigError(
-                f"{cfg.study} takes constraint {' or '.join(_P2_CONSTRAINTS[cfg.study])}, got {cfg.constraint!r}"
-            )
+        if cfg.constraint != "dirichlet0":
+            raise ConfigError(f"{cfg.study} takes constraint dirichlet0 only, got {cfg.constraint!r}")
+        if cfg.g_kind != "none":
+            raise ConfigError(f"{cfg.study} solves the problem without G, got G.kind={cfg.g_kind!r}")
     if cfg.study in ("homogenize", "spectral", "embeddings") and not isinstance(cfg.dist, Constant):
         q_max = cfg.dist.q_max()
         if not check_assumption(cfg.p, cfg.s, cfg.d, q_max).satisfied:
@@ -321,10 +317,6 @@ def _forcing(cfg: StudyConfig, lat) -> GridFunction:
     return GridFunction(lat, np.full(lat.n_sites, cfg.f_value))
 
 
-def _zero_order(cfg: StudyConfig):
-    return NoneTerm() if cfg.g_kind == "none" else PowerK(cfg.g_alpha, cfg.g_k)
-
-
 def tent_function(domain) -> ContinuumFunction:
     """Unit tent peaking at the domain center, zero on the boundary (d=1)."""
     a, b = np.asarray(domain, dtype=float).reshape(2)
@@ -361,8 +353,7 @@ def _new_report(cfg: StudyConfig) -> StudyReport:
 
 def run_solve(cfg: StudyConfig) -> StudyReport:
     report = _new_report(cfg)
-    spec_tpl = dict(p=cfg.p, s=cfg.s, V=PowerP(cfg.p), G=_zero_order(cfg),
-                    flavor=cfg.flavor, constraint=cfg.constraint)
+    spec_tpl = dict(p=cfg.p, s=cfg.s, V=PowerP(cfg.p), flavor=cfg.flavor, constraint=cfg.constraint)
     for eps in cfg.eps_list:
         lat = _lattice(cfg, eps)
         for seed in cfg.seeds:

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .energy import GridFunction
-from .lattice import LatticeDomain
+from .lattice import LatticeDomain, grid_points
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
 
@@ -59,18 +59,10 @@ def embed(u: GridFunction) -> ContinuumFunction:
 
 def average(f: ContinuumFunction, lattice: LatticeDomain) -> GridFunction:
     """Cell averages eps^{-d} int_{cell} f by tensor Gauss quadrature (order 5)."""
-    eps, d = lattice.eps, lattice.dim
-    half = eps / 2.0
+    d = lattice.dim
     # tensor nodes/weights on [-eps/2, eps/2]^d, normalized to average
-    nodes_1d = half * _GAUSS_X
-    wts_1d = _GAUSS_W / 2.0  # leggauss weights sum to 2
-    if d == 1:
-        offsets = nodes_1d.reshape(-1, 1)
-        wts = wts_1d
-    else:
-        ox, oy = np.meshgrid(nodes_1d, nodes_1d, indexing="ij")
-        offsets = np.stack([ox.ravel(), oy.ravel()], axis=1)
-        wts = np.outer(wts_1d, wts_1d).ravel()
+    offsets = grid_points([lattice.eps / 2.0 * _GAUSS_X] * d)
+    wts = grid_points([_GAUSS_W / 2.0] * d).prod(axis=1)  # leggauss weights sum to 2
     pos = lattice.positions
     vals = np.zeros(lattice.n_sites)
     for off, w in zip(offsets, wts):
@@ -246,7 +238,7 @@ def pc_l2_distance(u1: GridFunction, u2: GridFunction, box) -> float:
         raise ValueError("dimension mismatch")
     box = np.asarray(box, dtype=float).reshape(d, 2)
     f1, f2 = embed(u1), embed(u2)
-    axes = []
+    mids, lens = [], []
     for ax in range(d):
         lo, hi = box[ax]
         breaks = np.unique(
@@ -254,15 +246,9 @@ def pc_l2_distance(u1: GridFunction, u2: GridFunction, box) -> float:
                 [[lo, hi], _axis_breaks(u1.lattice, ax, lo, hi), _axis_breaks(u2.lattice, ax, lo, hi)]
             )
         )
-        mids = 0.5 * (breaks[:-1] + breaks[1:])
-        lens = np.diff(breaks)
-        axes.append((mids, lens))
-    if d == 1:
-        pts = axes[0][0].reshape(-1, 1)
-        wts = axes[0][1]
-    else:
-        mx, my = np.meshgrid(axes[0][0], axes[1][0], indexing="ij")
-        pts = np.stack([mx.ravel(), my.ravel()], axis=1)
-        wts = np.outer(axes[0][1], axes[1][1]).ravel()
+        mids.append(0.5 * (breaks[:-1] + breaks[1:]))
+        lens.append(np.diff(breaks))
+    pts = grid_points(mids)
+    wts = grid_points(lens).prod(axis=1)
     diff = f1(pts) - f2(pts)
     return float(math.sqrt(float((wts * diff * diff).sum())))

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._reduction import blocked_total
 from .errors import NumericalError
-from .lattice import pair_offsets
+from .lattice import _box_points, pair_offsets
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +344,7 @@ def empirical_moment(
     """
     if box_radius < 1 or origin_samples < 1:
         raise ValueError("box_radius and origin_samples must be >= 1")
-    side = np.arange(-box_radius, box_radius + 1, dtype=np.int64)
-    if d == 1:
-        pts = side.reshape(-1, 1)
-    else:
-        pts = np.array(np.meshgrid(side, side, indexing="ij")).reshape(2, -1).T
+    pts = _box_points([-box_radius] * d, [box_radius] * d)
     iu, ju = np.triu_indices(pts.shape[0], k=1)
     samples = []
     for origin in _origins(field.seed, origin_samples, d):
@@ -389,10 +385,8 @@ def check_assumption(p: float, s: float, d: int, q_max: float) -> AssumptionRepo
         return AssumptionReport(False, None)
     r_lo = max(1.0, p * ratio_lo / (1.0 + ratio_lo))
     r_hi = p if math.isinf(q_max) else p * q_max / (1.0 + q_max)
-    witness = min(r_hi, 0.5 * (r_lo + r_hi))
-    if not (1.0 < witness < p):
-        witness = 0.5 * (r_lo + r_hi)
-    return AssumptionReport(True, witness)
+    # q_max > ratio_lo gives 1 <= r_lo < r_hi <= p, so the midpoint lies in (1, p)
+    return AssumptionReport(True, 0.5 * (r_lo + r_hi))
 
 
 def critical_exponent(p: float, s: float, d: int, q_max: float) -> float:
@@ -418,12 +412,8 @@ def divergence_probe(field: WeightField, p: float, s: float, radii, d: int = 1, 
     """
     radii = sorted(int(r) for r in radii)
     rmax = radii[-1]
-    if d == 1:
-        zs = np.concatenate([np.arange(-rmax, 0), np.arange(1, rmax + 1)]).reshape(-1, 1)
-    else:
-        side = np.arange(-rmax, rmax + 1)
-        zs = np.array(np.meshgrid(side, side, indexing="ij")).reshape(2, -1).T
-        zs = zs[np.any(zs != 0, axis=1)]
+    zs = _box_points([-rmax] * d, [rmax] * d)
+    zs = zs[np.any(zs != 0, axis=1)]
     norms = np.sqrt((zs.astype(float) ** 2).sum(axis=1))
     keep = norms <= rmax
     zs, norms = zs[keep], norms[keep]

@@ -13,6 +13,7 @@ from fraclat.energy import (
     GridFunction,
     PowerK,
     PowerP,
+    SmoothedPowerP,
     energy_value,
     kernel_matrix,
     pair_ids,
@@ -333,21 +334,25 @@ def test_options_validation():
     assert MinimizeOptions(max_iter=np.int64(3)).max_iter == 3
 
 
-# Recorded before the free-site gradient moved into the value's pass: a small
-# p=3 LogNormal run, (iters, energy_value calls, final_energy as float.hex).
+# A small p=3 LogNormal run, (constraint, V, (iters, energy_value calls,
+# final_energy as float.hex)).  The PowerP runs were recorded before the
+# free-site gradient moved into the value's pass, the SmoothedPowerP run
+# before its outer terms went through V.value and V.derivative.
 PINNED_RUNS = {
-    "dirichlet0": (23, 27, "-0x1.d3c51a533fa2cp-3"),
-    "mean0": (30, 36, "-0x1.d7791e0f2b7fcp-2"),
+    "dirichlet0": ("dirichlet0", PowerP(3), (23, 27, "-0x1.d3c51a533fa2cp-3")),
+    "mean0": ("mean0", PowerP(3), (30, 36, "-0x1.d7791e0f2b7fcp-2")),
+    "dirichlet0-smoothed": ("dirichlet0", SmoothedPowerP(3.0, 1e-4), (23, 26, "-0x1.d3c50e630316fp-3")),
 }
 
 
-@pytest.mark.parametrize("constraint", sorted(PINNED_RUNS))
-def test_minimize_pinned_bits(monkeypatch, constraint):
+@pytest.mark.parametrize("case", sorted(PINNED_RUNS))
+def test_minimize_pinned_bits(monkeypatch, case):
     import fraclat.minimize as mz
 
+    constraint, V, pinned = PINNED_RUNS[case]
     lat = build_lattice(1, 0.125, [(-1, 1)], [(-1.5, 1.5)])
     f = np.ones(lat.n_sites) if constraint == "dirichlet0" else lat.positions[:, 0]
-    spec = _spec(p=3, V=PowerP(3), G=PowerK(0.3, 2.0), f=GridFunction(lat, f), constraint=constraint)
+    spec = _spec(p=3, V=V, G=PowerK(0.3, 2.0), f=GridFunction(lat, f), constraint=constraint)
     calls = Counter()
     real_value = mz.energy_value
 
@@ -357,4 +362,4 @@ def test_minimize_pinned_bits(monkeypatch, constraint):
 
     monkeypatch.setattr(mz, "energy_value", counting)
     _, stats = minimize(spec, WeightField(LogNormal(0.8), 2), MinimizeOptions(grad_tol=1e-8, max_iter=500), lattice=lat)
-    assert (stats.iters, calls["value"], stats.final_energy.hex()) == PINNED_RUNS[constraint]
+    assert (stats.iters, calls["value"], stats.final_energy.hex()) == pinned

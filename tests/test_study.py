@@ -159,10 +159,17 @@ box_side=32
         "study=homogenize\ndist.kind=unit_power_law\ndist.a=0.5\n",
         "study=solve\nflavor=bogus\n",
         "study=gamma_limit\nconstraint=bogus\n",
-        # constraints that the study's p=2 solver cannot use
+        # constraints that the study's p=2 solver cannot use; its mean0 system
+        # fixes u = 0 off Q, and a constant f projects to a zero right-hand side
         "study=solve\nconstraint=none\n",
+        "study=solve\nconstraint=mean0\n",
         "study=homogenize\nconstraint=zero_outside\n",
+        "study=homogenize\nconstraint=mean0\n",
         "study=spectral\nconstraint=mean0\n",
+        # the p=2 solvers take no zero-order term
+        "study=solve\nG.kind=power\nG.alpha=5\n",
+        "study=homogenize\nG.kind=power\n",
+        "study=spectral\nG.kind=power\n",
         # the p=2 studies solve nothing else
         "study=solve\np=3.0\n",
         "study=homogenize\np=3.0\n",

@@ -190,3 +190,17 @@ def test_pc_l2_distance_exact():
     step1 = GridFunction(lat1, np.where(lat1.positions[:, 0] >= 0, 1.0, 0.0))
     step2 = GridFunction(lat2, np.where(lat2.positions[:, 0] >= 0, 1.0, 0.0))
     assert pc_l2_distance(step1, step2, [(-1, 1)]) == pytest.approx(np.sqrt(0.125), rel=1e-14)
+
+
+def test_d2_average_and_distance_pinned():
+    # float.hex values recorded before both functions built their tensor grids
+    # with lattice.grid_points.  f takes only + and *, so no libm call moves a
+    # bit; the box is not square and the cell grids are not nested, so points
+    # with swapped axes would change the distance.
+    box = [(-1, 1), (-0.5, 0.5)]
+    coarse, fine = (build_lattice(2, eps, box, [(-1.5, 1.5), (-1, 1)]) for eps in (0.25, 0.1))
+    f = ContinuumFunction(lambda x: x[:, 0] * x[:, 0] * x[:, 0] - 2.0 * x[:, 0] * x[:, 1] * x[:, 1] + x[:, 1], 2)
+    u_coarse, u_fine = average(f, coarse), average(f, fine)
+    assert [u_coarse.values[i].hex() for i in (0, 17, 100)] == [
+        "-0x1.6200000000000p+0", "0x1.8a55555555552p+0", "-0x1.92aaaaaaaaaa7p-3"]
+    assert pc_l2_distance(u_coarse, u_fine, box).hex() == "0x1.876cbb98d8684p-3"

@@ -221,6 +221,23 @@ def test_critical_exponent_matches_symbolic_limit():
     assert critical_exponent(p, s, d, 1000.0) == pytest.approx(lim, rel=1e-2)
 
 
+# (mean, stderr, n) of empirical_moment and the divergence_probe totals, as
+# float.hex, recorded before both built their box of offsets with one grid for
+# every d
+PINNED_DIAGNOSTICS = {
+    1: ("0x1.39bb2719b2272p+0", "0x1.046afc1df01f3p-2", 42, ["0x1.493f995b5752ap+1", "0x1.ef5b867aaed24p+1"]),
+    2: ("0x1.5313378b32d68p+0", "0x1.e7d0545352b6ap-5", 2352, ["0x1.7e4cb9d14a3f2p+2", "0x1.602fac4a9e5aap+3"]),
+}
+
+
+@pytest.mark.parametrize("d", sorted(PINNED_DIAGNOSTICS))
+def test_diagnostics_pinned(d):
+    field = WeightField(LogNormal(1.0), 3)
+    est = empirical_moment(field, 1.5, 3, 2, d=d)
+    probe = divergence_probe(field, 2.0, 0.5, (2, 5), d=d, origin_samples=2)
+    assert (est.mean.hex(), est.stderr.hex(), est.n, [t.hex() for _, t in probe]) == PINNED_DIAGNOSTICS[d]
+
+
 def test_divergence_probe_constant():
     f = WeightField(Constant(1.0), 0)
     out = dict(divergence_probe(f, 2, 0.5, [1, 10, 100, 1000]))
