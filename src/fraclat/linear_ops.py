@@ -5,13 +5,14 @@ The assembled matrix A over the free sites satisfies
 
     u^T A v = eps^{2d} sum sum c (u(y)-u(x)) (v(y)-v(x)) / |x-y|^{d+2s}
 
-(sums over the flavor's site range, u and v extended by zero off the free set),
-so A is symmetric positive semi-definite and definite under the Dirichlet
-constraint.  `assemble` needs only the free rows of the kernel K: A holds
--2 K[free, free] and, on its diagonal, twice the whole row sums, which fold in
-every interaction with the constrained sites.  `kernel_matrix` fills that
-block and the row sums one tile of rows at a time, and A is the block scaled
-in place, so the N x N kernel is never held and peak memory is the
+(sums over the flavor's site range, u and v extended by zero off the free set).
+The free sites are the interior ones: the p=2 problem here is the Dirichlet
+one (u = 0 off the interior) with no zero-order term, and A is symmetric
+positive definite.  `assemble` needs only the free rows of the kernel K: A
+holds -2 K[free, free] and, on its diagonal, twice the whole row sums, which
+fold in every interaction with the constrained sites.  `kernel_matrix` fills
+that block and the row sums one tile of rows at a time, and A is the block
+scaled in place, so the N x N kernel is never held and peak memory is the
 8 |free|^2 bytes of A plus one tile.  `apply_operator` sums over a held
 kernel through the energy module's pair pass.
 
@@ -38,14 +39,12 @@ class BilinearSystem:
     free_ids: np.ndarray
     matrix: np.ndarray  # dense symmetric, over free_ids
     rhs: np.ndarray  # eps^d * f on free_ids
-    constraint: str
 
 
 @dataclass(frozen=True)
 class SolveStats:
     iters: int
     residual: float
-    rhs_projected: bool = False
 
 
 @dataclass(frozen=True)
@@ -56,32 +55,17 @@ class SpectralReport:
 
 
 def assemble(
-    lattice: LatticeDomain,
-    field: WeightField,
-    s: float,
-    flavor: str,
-    constraint: str,
-    f: GridFunction,
+    lattice: LatticeDomain, field: WeightField, s: float, flavor: str, f: GridFunction
 ) -> BilinearSystem:
-    """The p=2 weak form over the free sites, from the kernel K of (s, p=2, flavor).
+    """The p=2 weak form over the interior sites, from the kernel K of (s, p=2, flavor).
 
     A = -2 K[free, free] off the diagonal and twice the row sums of K on it.
     `kernel_matrix` builds K[free, free] and the row sums tile by tile, and A
     is that block scaled in place, so no N x N array is allocated.  A is
     symmetric to the bit, because K[x, y] and K[y, x] are.  Raises
     CapacityError before allocating when A would not fit in physical memory.
-
-    The free sites are the interior ones under dirichlet0 and Q^eps under
-    mean0, so the mean0 system also fixes u = 0 off Q: under the global
-    flavor that is another problem than EnergySpec's mean0, which leaves the
-    halo free.  The p=2 studies take dirichlet0 only.
     """
-    if constraint == "dirichlet0":
-        free = lattice.interior_ids
-    elif constraint == "mean0":
-        free = lattice.q_ids
-    else:
-        raise ValueError(f"constraint must be 'dirichlet0' or 'mean0', got {constraint!r}")
+    free = lattice.interior_ids
     if len(free) == 0:
         raise ConfigError(f"empty free set: no unconstrained sites at eps={lattice.eps:g}")
     m = len(free)
@@ -92,7 +76,7 @@ def assemble(
     np.fill_diagonal(a, 2.0 * row_sums)
     epsd = lattice.eps**lattice.dim
     rhs = epsd * f.values[free]
-    return BilinearSystem(lattice=lattice, free_ids=free, matrix=a, rhs=rhs, constraint=constraint)
+    return BilinearSystem(lattice=lattice, free_ids=free, matrix=a, rhs=rhs)
 
 
 def apply_operator(kernel: tuple, u: GridFunction) -> GridFunction:
@@ -108,26 +92,14 @@ def apply_operator(kernel: tuple, u: GridFunction) -> GridFunction:
     return GridFunction(lattice, out)
 
 
-def _project_mean(v: np.ndarray) -> np.ndarray:
-    return v - v.mean()
-
-
 def solve(system: BilinearSystem, tol: float = 1e-10, max_iter: int = 10_000):
     """Conjugate gradients on the free set; returns (full GridFunction, SolveStats)."""
-    a, b = system.matrix, system.rhs.copy()
-    mean_zero = system.constraint == "mean0"
-    projected = False
-    if mean_zero:
-        mean = float(b.mean())
-        if abs(mean) > 1e-15 * max(1.0, float(np.abs(b).max())):
-            projected = True
-        b = _project_mean(b)
+    a, b = system.matrix, system.rhs
     bnorm = float(np.linalg.norm(b))
     history = []
     x = np.zeros_like(b)
     if bnorm == 0.0:
-        stats = SolveStats(iters=0, residual=0.0, rhs_projected=projected)
-        return _embed(system, x), stats
+        return _embed(system, x), SolveStats(iters=0, residual=0.0)
     r = b.copy()
     p = r.copy()
     rs = float(r @ r)
@@ -138,8 +110,6 @@ def solve(system: BilinearSystem, tol: float = 1e-10, max_iter: int = 10_000):
         if res <= tol:
             break
         ap = a @ p
-        if mean_zero:
-            ap = _project_mean(ap)
         alpha = rs / float(p @ ap)
         x = x + alpha * p
         r = r - alpha * ap
@@ -152,10 +122,7 @@ def solve(system: BilinearSystem, tol: float = 1e-10, max_iter: int = 10_000):
             f"conjugate gradients did not reach tol={tol:g} in {max_iter} iterations; "
             f"residual history tail {history[-5:]}"
         )
-    if mean_zero:
-        x = _project_mean(x)
-    stats = SolveStats(iters=it, residual=history[-1], rhs_projected=projected)
-    return _embed(system, x), stats
+    return _embed(system, x), SolveStats(iters=it, residual=history[-1])
 
 
 def _embed(system: BilinearSystem, x: np.ndarray) -> GridFunction:
@@ -167,8 +134,6 @@ def _embed(system: BilinearSystem, x: np.ndarray) -> GridFunction:
 def spectrum(system: BilinearSystem, k: int) -> SpectralReport:
     """k largest eigenvalues mu_j of the solution operator, i.e. mu_j = eps^d / lambda_j
     for the k smallest eigenvalues of A, with L2(Q^eps)-orthonormal eigenvectors."""
-    if system.constraint != "dirichlet0":
-        raise ValueError("spectrum requires the Dirichlet constraint")
     n = system.matrix.shape[0]
     if not 1 <= k <= n:
         raise ConfigError(f"k must lie in 1..{n} (the free sites at eps={system.lattice.eps:g}), got {k}")

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import __version__
 from .energy import (
-    CONSTRAINTS,
     FLAVORS,
     EnergySpec,
     GridFunction,
@@ -55,6 +54,8 @@ STUDIES = ("solve", "homogenize", "gamma_limit", "spectral", "embeddings", "ergo
 # the one problem their solver (assemble, then CG or eigh) solves
 _P2_STUDIES = ("solve", "homogenize", "spectral")
 
+_D1_STUDIES = ("gamma_limit", "vanish", "embeddings")
+
 
 @dataclass(frozen=True)
 class StudyConfig:
@@ -75,10 +76,6 @@ class StudyConfig:
     dist: object = Constant(1.0)
     seeds: tuple = (1,)
     f_value: float = 1.0
-    g_kind: str = "none"
-    g_alpha: float = 0.0
-    g_k: float = 2.0
-    constraint: str = "dirichlet0"
     flavor: str = "global"
     solver_tol: float = 1e-10
     solver_max_iter: int = 10_000
@@ -91,8 +88,8 @@ class StudyConfig:
 
 
 # config keys that differ from their field's name
-_KEYS = {"f_value": "f.value", "g_kind": "G.kind", "g_alpha": "G.alpha", "g_k": "G.k",
-         "solver_tol": "solver.tol", "solver_max_iter": "solver.max_iter", "alpha_list": "alpha"}
+_KEYS = {"f_value": "f.value", "solver_tol": "solver.tol", "solver_max_iter": "solver.max_iter",
+         "alpha_list": "alpha"}
 
 # dist.kind -> (class, its one parameter, that parameter's default); dist.normalize
 # is read for every kind and passed to the classes that have it
@@ -211,23 +208,21 @@ def _validate(cfg: StudyConfig) -> None:
         raise ConfigError("solver.tol must be positive and solver.max_iter at least 1")
     if cfg.k_eigs < 1:
         raise ConfigError(f"k_eigs must be at least 1, got {cfg.k_eigs}")
+    if cfg.quad_n < 1:
+        raise ConfigError(f"quad_n must be at least 1, got {cfg.quad_n}")
+    if cfg.box_side < 2:
+        raise ConfigError(f"box_side must be at least 2, got {cfg.box_side}")
     if list(cfg.eps_list) != sorted(set(cfg.eps_list), reverse=True):
         raise ConfigError("eps_list must be strictly decreasing")
     if len(cfg.domain) != 2 * cfg.d or len(cfg.halo) != 2 * cfg.d:
         raise ConfigError("domain and halo need 2 entries per dimension")
-    if cfg.g_kind not in ("none", "power"):
-        raise ConfigError(f"unsupported G.kind {cfg.g_kind!r}")
     if cfg.flavor not in FLAVORS:
         raise ConfigError(f"unknown flavor {cfg.flavor!r}; expected one of {FLAVORS}")
-    if cfg.constraint not in CONSTRAINTS:
-        raise ConfigError(f"unknown constraint {cfg.constraint!r}; expected one of {CONSTRAINTS}")
-    if cfg.study in _P2_STUDIES:
-        if cfg.p != 2.0:
-            raise ConfigError(f"{cfg.study} solves the p=2 problem only, got p={cfg.p}")
-        if cfg.constraint != "dirichlet0":
-            raise ConfigError(f"{cfg.study} takes constraint dirichlet0 only, got {cfg.constraint!r}")
-        if cfg.g_kind != "none":
-            raise ConfigError(f"{cfg.study} solves the problem without G, got G.kind={cfg.g_kind!r}")
+    if cfg.study in _P2_STUDIES and cfg.p != 2.0:
+        raise ConfigError(f"{cfg.study} solves the p=2 problem only, got p={cfg.p}")
+    if cfg.study in _D1_STUDIES and cfg.d != 1:
+        raise ConfigError(f"{cfg.study} runs in d=1 only (tent_function, _test_family and "
+                          f"continuum_energy are one-dimensional), got d={cfg.d}")
     if cfg.study in ("homogenize", "spectral", "embeddings") and not isinstance(cfg.dist, Constant):
         q_max = cfg.dist.q_max()
         if not check_assumption(cfg.p, cfg.s, cfg.d, q_max).satisfied:
@@ -335,7 +330,7 @@ def tent_function(domain) -> ContinuumFunction:
 
 
 def _solve_p2(cfg: StudyConfig, lat, field: WeightField):
-    system = assemble(lat, field, cfg.s, cfg.flavor, cfg.constraint, _forcing(cfg, lat))
+    system = assemble(lat, field, cfg.s, cfg.flavor, _forcing(cfg, lat))
     return solve(system, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
 
 
@@ -353,7 +348,7 @@ def _new_report(cfg: StudyConfig) -> StudyReport:
 
 def run_solve(cfg: StudyConfig) -> StudyReport:
     report = _new_report(cfg)
-    spec_tpl = dict(p=cfg.p, s=cfg.s, V=PowerP(cfg.p), flavor=cfg.flavor, constraint=cfg.constraint)
+    spec_tpl = dict(p=cfg.p, s=cfg.s, V=PowerP(cfg.p), flavor=cfg.flavor, constraint="dirichlet0")
     for eps in cfg.eps_list:
         lat = _lattice(cfg, eps)
         for seed in cfg.seeds:
@@ -432,7 +427,7 @@ def run_spectral(cfg: StudyConfig) -> StudyReport:
     epsd_inner = lambda lat, a, b: lat.eps**lat.dim * float(a @ b)
 
     def modes(lat, field):
-        system = assemble(lat, field, cfg.s, cfg.flavor, "dirichlet0", _forcing(cfg, lat))
+        system = assemble(lat, field, cfg.s, cfg.flavor, _forcing(cfg, lat))
         return spectrum(system, cfg.k_eigs)
 
     for eps in cfg.eps_list:

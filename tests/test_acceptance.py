@@ -65,7 +65,7 @@ def test_a1_micro_oracles(verdict):
     checks += [(f"op[{i}]", op[i], t) for i, t in enumerate((2.0, -4.0, 2.0))]
     lat5 = build_lattice(1, 0.5, [(-1, 1)], [(-1, 1)])
     f = GridFunction(lat5, np.ones(lat5.n_sites))
-    system = assemble(lat5, field, 0.5, "global", "dirichlet0", f)
+    system = assemble(lat5, field, 0.5, "global", f)
     checks.append(("A", system.matrix[0, 0], 5.0))
     u5, _ = solve(system)
     checks.append(("u0", u5.values[lat5.interior_ids[0]], 0.1))
@@ -233,7 +233,7 @@ def test_a8_structural_invariants(verdict):
 
     f1 = GridFunction(lat, np.ones(lat.n_sites))
     local = kernel_matrix(lat, field, 0.5, 2.0, "local")
-    system = assemble(lat, field, 0.5, "local", "mean0", f1)
+    system = assemble(lat, field, 0.5, "local", f1)
     x = rng.normal(size=system.matrix.shape[0])
     full = np.zeros(lat.n_sites)
     full[system.free_ids] = x

@@ -44,7 +44,7 @@ def _kernel(lat, field, flavor="global"):
 
 
 def test_assemble_one_by_one(lat5, const_field):
-    system = assemble(lat5, const_field, 0.5, "global", "dirichlet0", _ones(lat5))
+    system = assemble(lat5, const_field, 0.5, "global", _ones(lat5))
     assert system.matrix.shape == (1, 1)
     assert system.matrix[0, 0] == pytest.approx(5.0, rel=1e-12)
     assert system.rhs[0] == pytest.approx(0.5, rel=1e-12)
@@ -53,7 +53,7 @@ def test_assemble_one_by_one(lat5, const_field):
 def test_assemble_symmetry_and_psd():
     lat = build_lattice(1, 0.125, [(-1, 1)], [(-1, 1)])
     field = WeightField(LogNormal(1.0), 3)
-    system = assemble(lat, field, 0.5, "global", "dirichlet0", _ones(lat))
+    system = assemble(lat, field, 0.5, "global", _ones(lat))
     a = system.matrix
     assert np.array_equal(a, a.T)
     rng = np.random.default_rng(0)
@@ -62,19 +62,11 @@ def test_assemble_symmetry_and_psd():
         assert v @ a @ v >= 0
 
 
-def test_mean_zero_annihilates_constants():
-    lat = build_lattice(1, 0.25, [(-1, 1)], [(-1, 1)])
-    field = WeightField(LogNormal(0.5), 1)
-    system = assemble(lat, field, 0.5, "local", "mean0", _ones(lat))
-    ones = np.ones(system.matrix.shape[0])
-    assert abs(ones @ system.matrix @ ones) < 1e-10 * np.abs(system.matrix).max()
-
-
 def test_quadratic_form_identity():
     # u^T A u == weighted_seminorm^2 on the same index range, to 1e-12 relative
     lat = build_lattice(1, 0.25, [(-1, 1)], [(-1, 1)])
     field = WeightField(LogNormal(0.8), 5)
-    system = assemble(lat, field, 0.5, "local", "mean0", _ones(lat))
+    system = assemble(lat, field, 0.5, "local", _ones(lat))
     rng = np.random.default_rng(1)
     for _ in range(3):
         x = rng.normal(size=system.matrix.shape[0])
@@ -112,7 +104,7 @@ def test_operator_linearity(a, b):
 
 
 def test_solve_one_by_one(lat5, const_field):
-    system = assemble(lat5, const_field, 0.5, "global", "dirichlet0", _ones(lat5))
+    system = assemble(lat5, const_field, 0.5, "global", _ones(lat5))
     u, stats = solve(system)
     center = lat5.interior_ids[0]
     assert u.values[center] == pytest.approx(0.1, rel=1e-12)
@@ -120,7 +112,7 @@ def test_solve_one_by_one(lat5, const_field):
 
 def test_solve_zero_rhs(lat5, const_field):
     f = GridFunction(lat5, np.zeros(lat5.n_sites))
-    system = assemble(lat5, const_field, 0.5, "global", "dirichlet0", f)
+    system = assemble(lat5, const_field, 0.5, "global", f)
     u, stats = solve(system)
     assert stats.iters == 0
     assert np.all(u.values == 0.0)
@@ -129,30 +121,20 @@ def test_solve_zero_rhs(lat5, const_field):
 def test_cg_matches_dense_direct():
     lat = build_lattice(1, 0.0625, [(-1, 1)], [(-1, 1)])
     field = WeightField(LogNormal(1.0), 7)
-    system = assemble(lat, field, 0.5, "global", "dirichlet0", _ones(lat))
+    system = assemble(lat, field, 0.5, "global", _ones(lat))
     u, stats = solve(system, tol=1e-12)
     direct = scipy.linalg.solve(system.matrix, system.rhs, assume_a="pos")
     assert np.abs(u.values[system.free_ids] - direct).max() <= 10 * 1e-12 * np.abs(direct).max()
 
 
-def test_mean_zero_solve_projects_rhs():
-    lat = build_lattice(1, 0.25, [(-1, 1)], [(-1, 1)])
-    field = WeightField(LogNormal(0.5), 9)
-    system = assemble(lat, field, 0.5, "local", "mean0", _ones(lat))
-    u, stats = solve(system, tol=1e-11)
-    assert stats.rhs_projected  # f = 1 is incompatible until projected
-    q = u.values[lat.q_ids]
-    assert abs(q.sum()) < 1e-10 * max(1.0, np.abs(q).max()) * len(q)
-
-
 def test_solve_nonconvergence_raises(lat5, const_field):
-    system = assemble(lat5, const_field, 0.5, "global", "dirichlet0", _ones(lat5))
+    system = assemble(lat5, const_field, 0.5, "global", _ones(lat5))
     with pytest.raises(NumericalError):
         solve(system, tol=1e-30, max_iter=1)
 
 
 def test_spectrum_one_by_one(lat5, const_field):
-    system = assemble(lat5, const_field, 0.5, "global", "dirichlet0", _ones(lat5))
+    system = assemble(lat5, const_field, 0.5, "global", _ones(lat5))
     rep = spectrum(system, 1)
     assert rep.eigenvalues[0] == pytest.approx(0.1, rel=1e-12)
 
@@ -160,7 +142,7 @@ def test_spectrum_one_by_one(lat5, const_field):
 def test_spectrum_positive_decreasing_orthonormal():
     lat = build_lattice(1, 0.0625, [(-1, 1)], [(-1, 1)])
     field = WeightField(Constant(1.0), 0)
-    system = assemble(lat, field, 0.5, "global", "dirichlet0", _ones(lat))
+    system = assemble(lat, field, 0.5, "global", _ones(lat))
     rep = spectrum(system, 6)
     mu = rep.eigenvalues
     assert np.all(mu > 0)
@@ -177,8 +159,8 @@ def test_spectrum_positive_decreasing_orthonormal():
 def test_spectrum_homogeneity_in_c():
     lat = build_lattice(1, 0.125, [(-1, 1)], [(-1, 1)])
     f = _ones(lat)
-    rep1 = spectrum(assemble(lat, WeightField(Constant(1.0), 0), 0.5, "global", "dirichlet0", f), 4)
-    rep2 = spectrum(assemble(lat, WeightField(Constant(2.0), 0), 0.5, "global", "dirichlet0", f), 4)
+    rep1 = spectrum(assemble(lat, WeightField(Constant(1.0), 0), 0.5, "global", f), 4)
+    rep2 = spectrum(assemble(lat, WeightField(Constant(2.0), 0), 0.5, "global", f), 4)
     assert np.allclose(rep2.eigenvalues, 0.5 * rep1.eigenvalues, rtol=1e-12)
 
 
@@ -189,7 +171,7 @@ def test_weak_form_consistency():
     field = WeightField(LogNormal(0.6), 11)
     f = _ones(lat)
     kernel = _kernel(lat, field)
-    system = assemble(lat, field, 0.5, "global", "dirichlet0", f)
+    system = assemble(lat, field, 0.5, "global", f)
     spec = EnergySpec(p=2, s=0.5, V=HALF_QUADRATIC, f=f, flavor="global", constraint="dirichlet0")
     rng = np.random.default_rng(2)
     for _ in range(3):
@@ -217,7 +199,7 @@ def test_assemble_never_holds_the_kernel():
     field = WeightField(LogNormal(1.0), 1)
     tracemalloc.start()
     try:
-        assemble(lat, field, 0.5, "global", "dirichlet0", _ones(lat))
+        assemble(lat, field, 0.5, "global", _ones(lat))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -230,4 +212,4 @@ def test_empty_free_set_rejected(const_field):
     lat = build_lattice(1, 1.0, [(-1, 1)], [(-1, 1)])  # every site is boundary layer
     assert len(lat.interior_ids) == 0
     with pytest.raises(ValueError):
-        assemble(lat, const_field, 0.5, "global", "dirichlet0", _ones(lat))
+        assemble(lat, const_field, 0.5, "global", _ones(lat))

@@ -43,7 +43,7 @@ def test_p2_matches_cg():
     lat = build_lattice(1, 0.125, [(-1, 1)], [(-1, 1)])
     field = WeightField(LogNormal(1.0), 5)
     f = GridFunction(lat, np.ones(lat.n_sites))
-    system = assemble(lat, field, 0.5, "global", "dirichlet0", f)
+    system = assemble(lat, field, 0.5, "global", f)
     u_cg, _ = solve(system, tol=1e-12)
     spec = _spec(V=HALF_QUADRATIC, f=f)
     u_min, stats = minimize(spec, field, MinimizeOptions(grad_tol=1e-10, max_iter=2000), lattice=lat)

@@ -40,6 +40,8 @@ def test_parse_defaults():
     assert cfg.study == "solve"
     assert cfg.dist == Constant(1.0)
     assert cfg.seeds == (1,)
+    # a study name may be spelled with hyphens, as its subcommand is
+    assert parse_config("study=gamma-limit\n").study == "gamma_limit"
 
 
 @pytest.mark.parametrize(
@@ -73,7 +75,7 @@ def test_roundtrip_nested_dist():
 
 # every key set to a value other than its default
 GOLDEN_CFG = """\
-study=gamma-limit
+study=ergodic
 d=2
 s=0.75
 p=3.0
@@ -88,10 +90,6 @@ dist.base.a=6.0
 dist.base.normalize=false
 seeds=3,5,8
 f.value=-2.5
-G.kind=power
-G.alpha=0.25
-G.k=3.0
-constraint=mean0
 flavor=local
 solver.tol=1e-08
 solver.max_iter=500
@@ -107,7 +105,7 @@ box_side=32
 def test_serialize_config_golden():
     # the outer decaying_product writes no normalize line: it is never rescaled
     assert serialize_config(parse_config(GOLDEN_CFG)) == """\
-study=gamma_limit
+study=ergodic
 d=2
 s=0.75
 p=3.0
@@ -121,10 +119,6 @@ dist.base.a=6.0
 dist.base.normalize=false
 seeds=3,5,8
 f.value=-2.5
-G.kind=power
-G.alpha=0.25
-G.k=3.0
-constraint=mean0
 flavor=local
 solver.tol=1e-08
 solver.max_iter=500
@@ -154,31 +148,41 @@ box_side=32
         "study=solve\nseeds=\n",
         "study=solve\nd=two\n",
         "study=solve\nu.kind=sine\n",
-        "study=solve\nf.kind=constant\n",  # removed key: forcing is always constant
-        # moment assumption: unit_power_law a=0.5 has q_max=0.5 < p/(p-1)... too weak
-        "study=homogenize\ndist.kind=unit_power_law\ndist.a=0.5\n",
-        "study=solve\nflavor=bogus\n",
+        # removed keys: the forcing is always constant (f.kind), and the p=2
+        # studies always solve dirichlet0 with G = 0 (constraint, G.*), which
+        # no other study read
+        "study=solve\nf.kind=constant\n",
         "study=gamma_limit\nconstraint=bogus\n",
-        # constraints that the study's p=2 solver cannot use; its mean0 system
-        # fixes u = 0 off Q, and a constant f projects to a zero right-hand side
         "study=solve\nconstraint=none\n",
         "study=solve\nconstraint=mean0\n",
         "study=homogenize\nconstraint=zero_outside\n",
         "study=homogenize\nconstraint=mean0\n",
         "study=spectral\nconstraint=mean0\n",
-        # the p=2 solvers take no zero-order term
+        "study=solve\nconstraint=dirichlet0\n",
         "study=solve\nG.kind=power\nG.alpha=5\n",
         "study=homogenize\nG.kind=power\n",
         "study=spectral\nG.kind=power\n",
+        "study=gamma_limit\nG.kind=none\n",
+        "study=ergodic\nG.alpha=0.5\n",
+        # moment assumption: unit_power_law a=0.5 has q_max=0.5 < p/(p-1)... too weak
+        "study=homogenize\ndist.kind=unit_power_law\ndist.a=0.5\n",
+        "study=solve\nflavor=bogus\n",
         # the p=2 studies solve nothing else
         "study=solve\np=3.0\n",
         "study=homogenize\np=3.0\n",
         "study=spectral\np=1.5\n",
+        # tent_function, _test_family and continuum_energy are d=1 only
+        "study=gamma_limit\nd=2\ndomain=-1,1,-1,1\nhalo=-1,1,-1,1\neps_list=0.5\n",
+        "study=vanish\nd=2\ndomain=-1,1,-1,1\nhalo=-1,1,-1,1\neps_list=0.5\n",
+        "study=embeddings\nd=2\ndomain=-1,1,-1,1\nhalo=-1,1,-1,1\neps_list=0.5\n",
         # values no study can use
         "study=solve\neps_list=nan\n",
         "study=solve\neps_list=-0.5\n",
         "study=solve\ns=1.5\n",
         "study=spectral\nk_eigs=0\n",
+        "study=ergodic\nbox_side=1\n",
+        "study=gamma_limit\nquad_n=0\n",
+        "study=vanish\nquad_n=-4\n",
         "study=solve\nsolver.tol=nan\n",
         "study=solve\nsolver.tol=-1\nsolver.max_iter=0\n",
         "study=solve\nsolver.max_iter=0\n",
