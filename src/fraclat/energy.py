@@ -37,7 +37,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from ._reduction import blocked_total, row_tiles, triangle_tiles
-from .errors import CapacityError, NumericalError
+from .errors import CapacityError, ConfigError, NumericalError
 from .lattice import LatticeDomain, PairOffsets, pair_offsets, same_lattice
 from .weights import WeightField, pair_weight_matrix
 
@@ -373,7 +373,7 @@ def kernel_matrix(
         for lo, hi in row_tiles(len(rows), n):
             tile = factors(zr[lo:hi], cr[lo:hi], z, codes)
             sums[lo:hi] = tile.sum(axis=1)
-            block[lo:hi] = tile[:, cols]
+            np.take(tile, cols, axis=1, out=block[lo:hi])
         return sums, block
     k = np.empty((n, n))
     for lo, hi in triangle_tiles(n):
@@ -589,7 +589,9 @@ def embedding_denominator(
     else:
         den = weighted_seminorm(weighted, u, p)
     if den == 0.0:
-        raise ValueError("embedding ratio undefined: zero denominator (constant function?)")
+        # in a study, an eps so coarse that a test function samples to a constant
+        raise ConfigError(f"embedding ratio undefined at eps={lattice.eps:g}: "
+                          "zero denominator (constant function?)")
     return den
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, ConfigError
 
 DEFAULT_SITE_CAP = 1_000_000
 
@@ -77,6 +77,20 @@ def _as_box(box, d: int) -> np.ndarray:
     return arr
 
 
+def check_boxes(d: int, domain, halo):
+    """The domain and halo boxes as (d, 2) arrays; raises ValueError unless d is
+    1 or 2, neither box is degenerate and the halo contains the closure of the
+    domain."""
+    if d not in (1, 2):
+        raise ValueError(f"dimension must be 1 or 2, got {d}")
+    q = _as_box(domain, d)
+    b = _as_box(halo, d)
+    tol = _REL_TOL * max(1.0, float(np.abs(b).max()))
+    if np.any(b[:, 0] > q[:, 0] + tol) or np.any(b[:, 1] < q[:, 1] - tol):
+        raise ValueError("halo box must contain the closure of the domain box")
+    return q, b
+
+
 def _row_major_strides(counts: np.ndarray) -> np.ndarray:
     strides = np.ones(len(counts), dtype=np.int64)
     for i in range(len(counts) - 2, -1, -1):
@@ -98,15 +112,10 @@ def _box_points(los, his) -> np.ndarray:
 def build_lattice(d: int, eps: float, domain, halo, site_cap: int = DEFAULT_SITE_CAP) -> LatticeDomain:
     """Construct the lattice of all z with eps*z in the closed halo box, with the
     interior/boundary/exterior partition of the Dirichlet boundary layer."""
-    if d not in (1, 2):
-        raise ValueError(f"dimension must be 1 or 2, got {d}")
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    q = _as_box(domain, d)
-    b = _as_box(halo, d)
+    q, b = check_boxes(d, domain, halo)
     tol = _REL_TOL * max(1.0, float(np.abs(b).max()))
-    if np.any(b[:, 0] > q[:, 0] + tol) or np.any(b[:, 1] < q[:, 1] - tol):
-        raise ValueError("halo box must contain the closure of the domain box")
 
     los = np.ceil(b[:, 0] / eps - _REL_TOL).astype(np.int64)
     his = np.floor(b[:, 1] / eps + _REL_TOL).astype(np.int64)
@@ -115,7 +124,7 @@ def build_lattice(d: int, eps: float, domain, halo, site_cap: int = DEFAULT_SITE
     if n > site_cap:
         raise CapacityError(f"lattice would have {n} sites, cap is {site_cap}")
     if n <= 0:
-        raise ValueError("halo box contains no lattice sites")
+        raise ConfigError(f"halo box contains no lattice sites at eps={eps:g}")
 
     sites = _box_points(los, his)
 
@@ -167,7 +176,7 @@ class PairOffsets:
 
     def index(self, row_codes: np.ndarray, col_codes: np.ndarray) -> np.ndarray:
         """(len(row_codes), len(col_codes)) table indices of the site pairs."""
-        return col_codes[None, :] - (row_codes[:, None] - self.center)
+        return (self.center - row_codes)[:, None] + col_codes
 
     def distance(self, eps: float) -> np.ndarray:
         """Physical distance eps * |offset| of every table entry (0 at the center)."""

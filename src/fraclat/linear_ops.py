@@ -16,6 +16,13 @@ scaled in place, so the N x N kernel is never held and peak memory is the
 8 |free|^2 bytes of A plus one tile.  `apply_operator` sums over a held
 kernel through the energy module's pair pass.
 
+`solve` computes CG's products a @ p over fixed row tiles, each with fewer
+entries than `_GEMV_THREADED_ENTRIES`, the size from which OpenBLAS 0.3.31
+was measured to split a matrix-vector product over its threads.  A threaded
+product sums in another order, so a report's bits would depend on the BLAS
+thread count.  Each tile runs on one thread, so CG has the one-thread bits
+at any thread count, and the BLAS worker threads never wake during a solve.
+
 scipy.linalg is imported on first use, inside `spectrum`, its only user: the
 import costs 0.18-0.29 s on a 2-vCPU machine, and only the spectral study
 pays it.
@@ -92,14 +99,40 @@ def apply_operator(kernel: tuple, u: GridFunction) -> GridFunction:
     return GridFunction(lattice, out)
 
 
+# OpenBLAS 0.3.31 (x86-64, numpy 2.4) splits a double matrix-vector product
+# over its threads from 460,800 matrix entries on, measured on a 2-vCPU
+# machine.  Row tiles below that size whose heights are multiples of 8
+# reproduced the one-thread bits of a @ p at 1 and 2 threads for all 241
+# sizes m tried between 29 and 2599.
+_GEMV_THREADED_ENTRIES = 460_800
+
+
+def _product_rows(m: int) -> int:
+    """Rows per tile of an m x m product: all m below the threading size, else
+    the largest multiple of 8 (at least 8) whose tile stays below it."""
+    if m * m < _GEMV_THREADED_ENTRIES:
+        return m
+    return max(8, (_GEMV_THREADED_ENTRIES - 1) // m // 8 * 8)
+
+
 def solve(system: BilinearSystem, tol: float = 1e-10, max_iter: int = 10_000):
-    """Conjugate gradients on the free set; returns (full GridFunction, SolveStats)."""
+    """Conjugate gradients on the free set; returns (full GridFunction, SolveStats).
+
+    Each product a @ p is written tile by tile into one preallocated vector,
+    over row tiles of `_product_rows` rows.  A tile has fewer entries than
+    `_GEMV_THREADED_ENTRIES`, the measured size from which OpenBLAS threads
+    the product, so the iterates have the one-thread bits at any BLAS thread
+    count.
+    """
     a, b = system.matrix, system.rhs
     bnorm = float(np.linalg.norm(b))
     history = []
     x = np.zeros_like(b)
     if bnorm == 0.0:
         return _embed(system, x), SolveStats(iters=0, residual=0.0)
+    step = _product_rows(len(b))
+    tiles = [slice(lo, lo + step) for lo in range(0, len(b), step)]
+    ap = np.empty_like(b)
     r = b.copy()
     p = r.copy()
     rs = float(r @ r)
@@ -109,7 +142,8 @@ def solve(system: BilinearSystem, tol: float = 1e-10, max_iter: int = 10_000):
         history.append(res)
         if res <= tol:
             break
-        ap = a @ p
+        for rows in tiles:
+            np.matmul(a[rows], p, out=ap[rows])
         alpha = rs / float(p @ ap)
         x = x + alpha * p
         r = r - alpha * ap

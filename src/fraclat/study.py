@@ -32,7 +32,7 @@ from .energy import (
     lq_norm,
 )
 from .errors import ConfigError
-from .lattice import build_lattice
+from .lattice import build_lattice, check_boxes
 from .linear_ops import assemble, solve, spectrum
 from .transfer import ContinuumFunction, continuum_energy, pc_l2_distance, sample
 from .weights import (
@@ -212,10 +212,16 @@ def _validate(cfg: StudyConfig) -> None:
         raise ConfigError(f"quad_n must be at least 1, got {cfg.quad_n}")
     if cfg.box_side < 2:
         raise ConfigError(f"box_side must be at least 2, got {cfg.box_side}")
+    if not all(r >= 1 for r in cfg.radii):
+        raise ConfigError(f"radii entries must be at least 1, got {cfg.radii}")
     if list(cfg.eps_list) != sorted(set(cfg.eps_list), reverse=True):
         raise ConfigError("eps_list must be strictly decreasing")
     if len(cfg.domain) != 2 * cfg.d or len(cfg.halo) != 2 * cfg.d:
         raise ConfigError("domain and halo need 2 entries per dimension")
+    try:
+        check_boxes(cfg.d, cfg.domain, cfg.halo)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if cfg.flavor not in FLAVORS:
         raise ConfigError(f"unknown flavor {cfg.flavor!r}; expected one of {FLAVORS}")
     if cfg.study in _P2_STUDIES and cfg.p != 2.0:
@@ -296,11 +302,7 @@ def write_report(report: StudyReport, path: str, fmt: str = "csv") -> None:
 
 
 def _boxes(cfg: StudyConfig):
-    d = cfg.d
-    return (
-        np.asarray(cfg.domain, dtype=float).reshape(d, 2),
-        np.asarray(cfg.halo, dtype=float).reshape(d, 2),
-    )
+    return check_boxes(cfg.d, cfg.domain, cfg.halo)
 
 
 def _lattice(cfg: StudyConfig, eps: float):

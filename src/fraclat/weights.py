@@ -10,8 +10,13 @@ hash any subset of pairs in any order: the kernel build hashes only the upper
 triangle, tile by tile, and mirrors it; `weight_pairs` broadcasts two site
 arrays, so a tile is one call.  `Constant` weights are never hashed.
 `LogNormal` uses `_ndtri`, a numpy port of Cephes ndtri, so hashing imports no
-scipy.  The uniform is (k + 1/2) 2^-53 for the top 53 hash bits k, clamped to
-1 - 2^-53 where k = 2^53 - 1 would round it to 1.0 (a LogNormal weight of inf).
+scipy.  `_ndtri` evaluates the central rational function on the whole tile,
+then gathers the lower tail (u <= exp(-2)) and the upper tail
+(u > 1 - exp(-2)) with one `flatnonzero` each, computes both from
+r = sqrt(-2 log y) in one array, with y = u or 1 - u, and scatters them back,
+the lower tail negated.  The uniform is (k + 1/2) 2^-53 for the top 53 hash
+bits k, clamped to 1 - 2^-53 where k = 2^53 - 1 would round it to 1.0 (a
+LogNormal weight of inf).
 
 Distributions are rescaled at construction so the analytic mean is 1 unless
 `normalize=False`; the homogenized limit then matches the constant-weight
@@ -82,14 +87,15 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     t *= x
     x += t
     x *= 2.50662827463100050242  # sqrt(2 pi)
-    # the tails, from r = sqrt(-2 log y) with y = u or 1 - u
+    # the tails, from r = sqrt(-2 log y): y = u below exp(-2), y = 1 - u above 1 - exp(-2)
     flat = u.reshape(-1)
-    upper = flat > 1.0 - _EXPM2
-    tails = np.flatnonzero(upper | (flat <= _EXPM2))
-    if tails.size:
-        up = upper[tails]
-        y = flat[tails]
-        np.subtract(1.0, y, out=y, where=up)
+    low = np.flatnonzero(flat <= _EXPM2)
+    high = np.flatnonzero(flat > 1.0 - _EXPM2)
+    if low.size or high.size:
+        n = low.size
+        y = np.empty(n + high.size)
+        np.take(flat, low, out=y[:n])
+        np.subtract(1.0, flat[high], out=y[n:])
         with np.errstate(divide="ignore", invalid="ignore"):
             r = np.sqrt(-2.0 * np.log(y))
             z = 1.0 / r
@@ -100,8 +106,10 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
             tail = r - np.log(r) / r
         tail -= r1
         tail[y == 0.0] = np.inf
-        np.negative(tail, out=tail, where=~up)
-        x.reshape(-1)[tails] = tail
+        np.negative(tail[:n], out=tail[:n])
+        out = x.reshape(-1)
+        out[low] = tail[:n]
+        out[high] = tail[n:]
     return x
 
 
@@ -130,7 +138,9 @@ class LogNormal:
         return math.inf
 
     def _transform(self, u: np.ndarray) -> np.ndarray:
-        return np.exp(self.sigma * _ndtri(u))
+        x = _ndtri(u)
+        x *= self.sigma
+        return np.exp(x, out=x)
 
     @property
     def scale(self) -> float:
@@ -251,7 +261,8 @@ def _hash(seed: int, z1: np.ndarray, z2: np.ndarray):
     for diff in diffs[1:]:
         swap |= equal & (diff < 0)
         equal &= diff == 0
-    for diff in diffs:
+    np.abs(diffs[0], out=diffs[0])  # swapped exactly where it is negative
+    for diff in diffs[1:]:
         np.negative(diff, out=diff, where=swap)
     first1, first2 = (_mix(_encode(z[..., 0]) ^ h0) for z in (z1, z2))
     h = np.where(swap, first2, first1)
@@ -273,8 +284,7 @@ def weight_pairs(field: WeightField, z1: np.ndarray, z2: np.ndarray) -> np.ndarr
     h, diffs, equal = _hash(field.seed, z1, z2)
     h >>= np.uint64(11)
     # below 2^53 either conversion is exact, and numpy's int64 one is ~8x faster
-    u = h.view(np.int64).astype(np.float64)
-    u += 0.5
+    u = np.add(h.view(np.int64), 0.5)
     u *= 2.0**-53
     np.minimum(u, _BELOW_ONE, out=u)  # only k = 2^53 - 1 rounds to 1.0
     dist = field.dist

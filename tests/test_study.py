@@ -12,7 +12,8 @@ import pytest
 import fraclat.study
 from fraclat.cli import main
 from fraclat.errors import ConfigError
-from fraclat.linear_ops import assemble
+from fraclat.lattice import build_lattice
+from fraclat.linear_ops import _GEMV_THREADED_ENTRIES, assemble
 from fraclat.study import (
     StudyConfig,
     StudyReport,
@@ -181,6 +182,8 @@ box_side=32
         "study=solve\ns=1.5\n",
         "study=spectral\nk_eigs=0\n",
         "study=ergodic\nbox_side=1\n",
+        "study=vanish\nradii=-5\n",
+        "study=ergodic\nradii=10,0\n",
         "study=gamma_limit\nquad_n=0\n",
         "study=vanish\nquad_n=-4\n",
         "study=solve\nsolver.tol=nan\n",
@@ -301,18 +304,47 @@ def test_cli_nan_solver_tol_is_a_config_error(tmp_path, capsys):
         ("solve", "eps_list=4.0\n", "empty free set"),
         # the smallest locality shell holds no pair at this eps
         ("ergodic", "eps_list=0.5\n", "too coarse for the locality probe"),
+        # build_lattice takes d = 1 or 2, nondegenerate boxes and a halo around the domain
+        ("solve", "d=3\ndomain=-1,1,-1,1,-1,1\nhalo=-2,2,-2,2,-2,2\n", "dimension must be 1 or 2"),
+        ("solve", "domain=1,-1\n", "degenerate box"),
+        ("solve", "halo=-0.5,0.5\n", "halo box must contain the closure"),
+        ("gamma_limit", "halo=-0.5,0.5\n", "halo box must contain the closure"),
+        ("solve", "eps_list=1.0\ndomain=0.1,0.2\nhalo=0.05,0.3\n", "no lattice sites"),
+        # at this eps every test function samples to a constant
+        ("embeddings", "eps_list=4.0\n", "zero denominator"),
     ],
 )
 def test_cli_values_the_lattice_rejects_are_config_errors(tmp_path, capsys, study, text, message):
     # each of these used to exit 1 with a traceback
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(f"study={study}\n{text}")
-    assert main([study, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert main([study.replace("_", "-"), "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err and err.count("\n") == 1
     assert not (tmp_path / f"{study}.csv").exists()
     with pytest.raises(ConfigError, match=message):
         run_study(parse_config(cfg_path.read_text()))
+
+
+def test_blas_thread_count_does_not_change_bytes(tmp_path):
+    # 1021 free sites: A has more entries than OpenBLAS needs to thread a
+    # matrix-vector product, so untiled CG products sum in another order on
+    # two threads than on one, and the report's bits would move
+    text = ("study=solve\neps_list=0.001953125\nhalo=-1.25,1.25\n"
+            "dist.kind=lognormal\ndist.sigma=1.0\nseeds=1\n")
+    m = len(build_lattice(1, 0.001953125, [-1, 1], [-1.25, 1.25]).interior_ids)
+    assert m * m > _GEMV_THREADED_ENTRIES
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(text)
+    src = pathlib.Path(fraclat.study.__file__).parents[1]
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-m", "fraclat.cli", "solve", "--config", str(cfg_path), "--out", str(out)],
+                       env=env, capture_output=True, check=True)
+        reports.append((out / "solve.csv").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_cli_numerical_failure(tmp_path, capsys):

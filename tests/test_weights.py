@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import fraclat.weights
 from fraclat.errors import NumericalError
+from fraclat.lattice import _box_points
 from fraclat.weights import (
     Constant,
     DecayingProduct,
@@ -147,6 +149,85 @@ def test_top_hash_gives_finite_weight(monkeypatch):
                  DecayingProduct(LogNormal(1.0), 3.0)):
         w = weight(WeightField(dist, 0), [0], [3])
         assert math.isfinite(w) and w > 0.0, dist
+
+
+_PIN_DISTS = {
+    "constant": Constant(2.0),
+    "lognormal": LogNormal(1.0),
+    "lognormal_raw": LogNormal(0.5, normalize=False),
+    "unit_power_law": UnitPowerLaw(4.0),
+    "shifted_pareto": ShiftedPareto(2.5),
+    "decaying_lognormal": DecayingProduct(LogNormal(1.0), 3.0),
+    "decaying_power_law": DecayingProduct(UnitPowerLaw(3.0), 1.5),
+}
+
+# sha256 prefixes of weight tiles and of _ndtri's tails, recorded from the
+# implementation with masked (where=) ufuncs: a faster hash, uniform map,
+# _ndtri or LogNormal must give every weight the same bits
+PINNED_TILES = {
+    1: {
+        "constant": "6f0c36ecdd87fe59",
+        "lognormal": "0ed9d984dfda336d",
+        "lognormal_raw": "92811d981dc02fe0",
+        "unit_power_law": "f700d4670c794343",
+        "shifted_pareto": "637aa3d8397ae32c",
+        "decaying_lognormal": "8eb99d9590b8cbec",
+        "decaying_power_law": "b114381709689dbe",
+    },
+    2: {
+        "constant": "fd990ba3358aea1d",
+        "lognormal": "833d2adf386e031f",
+        "lognormal_raw": "557af32387fd7f10",
+        "unit_power_law": "2a5e53ad2baac7be",
+        "shifted_pareto": "fef89528305d465a",
+        "decaying_lognormal": "11e651ccbc615f6d",
+        "decaying_power_law": "770075ea5fc43dd4",
+    },
+}
+PINNED_NDTRI = "eb46a6d150a96df5"
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _pin_sites(d):
+    # unsorted, overlapping row and column sets, with negative and far coordinates
+    if d == 1:
+        za = np.arange(40, -24, -1).reshape(-1, 1)
+        zb = np.concatenate([np.arange(-260, 252), [2**40, 3 - 2**40]]).reshape(-1, 1)
+    else:
+        za = _box_points([-3, -4], [4, 3])[::-1]
+        zb = np.concatenate([_box_points([-12, -10], [11, 9]), [[2**40, -5], [-3, -(2**40)]]])
+    return za, zb
+
+
+@pytest.mark.parametrize("d", sorted(PINNED_TILES))
+def test_pair_weight_tiles_pinned(d):
+    # every distribution's weights keep their bits, tails of LogNormal's ndtri included
+    za, zb = _pin_sites(d)
+    got = {
+        name: _digest(pair_weight_matrix(WeightField(dist, seed), za, zb) for seed in (0, 2**62 + 5))
+        for name, dist in _PIN_DISTS.items()
+    }
+    assert got == PINNED_TILES[d]
+
+
+def test_ndtri_tails_pinned():
+    e2 = 0.13533528323661269189
+    k = np.arange(4096)
+    u = np.concatenate([
+        [0.0, 1.0, 2.0**-54, np.nextafter(e2, 0), e2, np.nextafter(e2, 1),
+         np.nextafter(1 - e2, 0), 1 - e2, np.nextafter(1 - e2, 1), 1 - 2.0**-53],
+        2.0 ** -np.arange(40.0, 1075.0, 7.0),  # the far lower tail, down to subnormals
+        (k + 0.5) * 2.0**-53,  # the smallest uniforms weight_pairs makes ...
+        (2**53 - 1 - k + 0.5) * 2.0**-53,  # ... and the largest
+        np.linspace(0.0, 1.0, 4097),
+    ])
+    assert _digest([_ndtri(u)]) == PINNED_NDTRI
 
 
 def test_origins_pinned():
