@@ -16,20 +16,22 @@ scaled in place, so the N x N kernel is never held and peak memory is the
 8 |free|^2 bytes of A plus one tile.  `apply_operator` sums over a held
 kernel through the energy module's pair pass.
 
-`solve` computes CG's products a @ p over fixed row tiles, each with fewer
-entries than `_GEMV_THREADED_ENTRIES`, the size from which OpenBLAS 0.3.31
-was measured to split a matrix-vector product over its threads.  A threaded
-product sums in another order, so a report's bits would depend on the BLAS
-thread count.  Each tile runs on one thread, so CG has the one-thread bits
-at any thread count, and the BLAS worker threads never wake during a solve.
+`solve` and `spectrum` run inside `_one_blas_thread`, which sets the OpenBLAS
+that numpy or scipy links to one thread and restores the old count after the
+call.  A threaded product or factorization sums in another order, so a
+report's bits would depend on the BLAS thread count; on one thread they do
+not, and no BLAS worker thread wakes to spin-wait.  Where no OpenBLAS is found
+(MKL, Accelerate), the count is left alone.  `spectrum` works in A's own
+buffer, so `assemble`'s capacity check covers the whole spectral study.
 
 scipy.linalg is imported on first use, inside `spectrum`, its only user: the
 import costs 0.18-0.29 s on a 2-vCPU machine, and only the spectral study
-pays it.
+pays it.  ctypes, likewise, is imported only by a solve.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +46,7 @@ from .weights import WeightField
 class BilinearSystem:
     lattice: LatticeDomain
     free_ids: np.ndarray
-    matrix: np.ndarray  # dense symmetric, over free_ids
+    matrix: np.ndarray  # dense symmetric, over free_ids; `spectrum` overwrites it
     rhs: np.ndarray  # eps^d * f on free_ids
 
 
@@ -99,30 +101,37 @@ def apply_operator(kernel: tuple, u: GridFunction) -> GridFunction:
     return GridFunction(lattice, out)
 
 
-# OpenBLAS 0.3.31 (x86-64, numpy 2.4) splits a double matrix-vector product
-# over its threads from 460,800 matrix entries on, measured on a 2-vCPU
-# machine.  Row tiles below that size whose heights are multiples of 8
-# reproduced the one-thread bits of a @ p at 1 and 2 threads for all 241
-# sizes m tried between 29 and 2599.
-_GEMV_THREADED_ENTRIES = 460_800
+# the thread count's get/set names in numpy wheels' OpenBLAS, scipy wheels' and a system one
+_OPENBLAS_THREADS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads", "openblas_{}_num_threads")
 
 
-def _product_rows(m: int) -> int:
-    """Rows per tile of an m x m product: all m below the threading size, else
-    the largest multiple of 8 (at least 8) whose tile stays below it."""
-    if m * m < _GEMV_THREADED_ENTRIES:
-        return m
-    return max(8, (_GEMV_THREADED_ENTRIES - 1) // m // 8 * 8)
+@contextmanager
+def _one_blas_thread(module):
+    """Run the body with the OpenBLAS that the extension `module` links on one
+    thread, restoring the count on exit; where no name resolves, run it as is.
+    `ctypes.CDLL` of a loaded module returns its handle, and a symbol lookup on
+    that handle searches the module's dependencies too."""
+    import ctypes
+
+    lib = ctypes.CDLL(module.__file__)
+    name = next((n for n in _OPENBLAS_THREADS if hasattr(lib, n.format("get"))), None)
+    if name is None:
+        yield
+        return
+    old = getattr(lib, name.format("get"))()
+    getattr(lib, name.format("set"))(1)
+    try:
+        yield
+    finally:
+        getattr(lib, name.format("set"))(old)
 
 
 def solve(system: BilinearSystem, tol: float = 1e-10, max_iter: int = 10_000):
     """Conjugate gradients on the free set; returns (full GridFunction, SolveStats).
 
-    Each product a @ p is written tile by tile into one preallocated vector,
-    over row tiles of `_product_rows` rows.  A tile has fewer entries than
-    `_GEMV_THREADED_ENTRIES`, the measured size from which OpenBLAS threads
-    the product, so the iterates have the one-thread bits at any BLAS thread
-    count.
+    Each product a @ p is written into one preallocated vector on one thread
+    of the OpenBLAS behind numpy's matmul, which numpy's linalg extension
+    links too, so the iterates have the one-thread bits at any thread count.
     """
     a, b = system.matrix, system.rhs
     bnorm = float(np.linalg.norm(b))
@@ -130,32 +139,30 @@ def solve(system: BilinearSystem, tol: float = 1e-10, max_iter: int = 10_000):
     x = np.zeros_like(b)
     if bnorm == 0.0:
         return _embed(system, x), SolveStats(iters=0, residual=0.0)
-    step = _product_rows(len(b))
-    tiles = [slice(lo, lo + step) for lo in range(0, len(b), step)]
     ap = np.empty_like(b)
     r = b.copy()
     p = r.copy()
     rs = float(r @ r)
     it = 0
-    while it < max_iter:
-        res = float(np.sqrt(rs)) / bnorm
-        history.append(res)
-        if res <= tol:
-            break
-        for rows in tiles:
-            np.matmul(a[rows], p, out=ap[rows])
-        alpha = rs / float(p @ ap)
-        x = x + alpha * p
-        r = r - alpha * ap
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-        it += 1
-    else:
-        raise NumericalError(
-            f"conjugate gradients did not reach tol={tol:g} in {max_iter} iterations; "
-            f"residual history tail {history[-5:]}"
-        )
+    with _one_blas_thread(np.linalg._umath_linalg):
+        while it < max_iter:
+            res = float(np.sqrt(rs)) / bnorm
+            history.append(res)
+            if res <= tol:
+                break
+            np.matmul(a, p, out=ap)
+            alpha = rs / float(p @ ap)
+            x = x + alpha * p
+            r = r - alpha * ap
+            rs_new = float(r @ r)
+            p = r + (rs_new / rs) * p
+            rs = rs_new
+            it += 1
+        else:
+            raise NumericalError(
+                f"conjugate gradients did not reach tol={tol:g} in {max_iter} iterations; "
+                f"residual history tail {history[-5:]}"
+            )
     return _embed(system, x), SolveStats(iters=it, residual=history[-1])
 
 
@@ -167,14 +174,21 @@ def _embed(system: BilinearSystem, x: np.ndarray) -> GridFunction:
 
 def spectrum(system: BilinearSystem, k: int) -> SpectralReport:
     """k largest eigenvalues mu_j of the solution operator, i.e. mu_j = eps^d / lambda_j
-    for the k smallest eigenvalues of A, with L2(Q^eps)-orthonormal eigenvectors."""
+    for the k smallest eigenvalues of A, with L2(Q^eps)-orthonormal eigenvectors.
+
+    Consumes `system.matrix`: A is symmetric to the bit, so A.T is A in Fortran
+    order, and `eigh` overwrites that buffer instead of copying 8 m^2 bytes that
+    `assemble`'s capacity check never counted.  It runs on one BLAS thread, so
+    its bits do not depend on the thread count.
+    """
     n = system.matrix.shape[0]
     if not 1 <= k <= n:
         raise ConfigError(f"k must lie in 1..{n} (the free sites at eps={system.lattice.eps:g}), got {k}")
     import scipy.linalg
 
     try:
-        lam, vecs = scipy.linalg.eigh(system.matrix, subset_by_index=(0, k - 1))
+        with _one_blas_thread(scipy.linalg._flapack):
+            lam, vecs = scipy.linalg.eigh(system.matrix.T, subset_by_index=(0, k - 1), overwrite_a=True)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalError(f"dense eigensolver failed: {exc}") from exc
     if lam[0] <= 0:

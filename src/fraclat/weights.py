@@ -78,8 +78,9 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     SIMD log may differ from libm's by 1 ulp, which moves a rare value by a few ulp.
     """
     # the central formula in u - 1/2, on the whole array: its Q0 denominator stays in
-    # [-1.18, -2.7e-4] for |u - 1/2| <= 1/2, so the tail entries raise no warning
-    x = u - 0.5
+    # [-1.18, -2.7e-4] for |u - 1/2| <= 1/2, so the tail entries raise no warning.
+    # x is C-ordered whatever u's layout, so x.reshape(-1) below is a view of x
+    x = np.subtract(u, 0.5, order="C")
     x2 = x * x
     t = _polevl(x2, _P0)
     t *= x2

@@ -1,3 +1,4 @@
+import ctypes
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ from fraclat.energy import (
     weighted_seminorm,
 )
 from fraclat.errors import NumericalError
-from fraclat.linear_ops import apply_operator, assemble, solve, spectrum
+from fraclat.linear_ops import _OPENBLAS_THREADS, _one_blas_thread, apply_operator, assemble, solve, spectrum
 from fraclat.weights import Constant, LogNormal, WeightField
 
 # the p=2 functional whose stationarity is the assembled weak form A u = b
@@ -206,6 +207,68 @@ def test_assemble_never_holds_the_kernel():
     # A takes 8 m^2 bytes, about 5.7 MB, and the N x N kernel alone would take
     # 8 * 4225^2 bytes, about 143 MB; a second m x m array would exceed the bound
     assert peak < 1.5 * 8 * m * m
+
+
+def _thread_count(module):
+    """The (get, set) pair of the OpenBLAS that `module` links; skips where there is none."""
+    lib = ctypes.CDLL(module.__file__)
+    for name in _OPENBLAS_THREADS:
+        if hasattr(lib, name.format("get")):
+            return getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+    pytest.skip(f"{module.__name__} links no OpenBLAS")
+
+
+@pytest.mark.parametrize("module", [np.linalg._umath_linalg, scipy.linalg._flapack], ids=["numpy", "scipy"])
+def test_one_blas_thread_restores_the_count(module):
+    get, set_ = _thread_count(module)
+    before = get()
+    set_(2)
+    try:
+        with _one_blas_thread(module):
+            assert get() == 1
+        assert get() == 2
+        with pytest.raises(RuntimeError, match="in the body"):
+            with _one_blas_thread(module):
+                assert get() == 1
+                raise RuntimeError("in the body")
+        assert get() == 2
+    finally:
+        set_(before)
+
+
+def test_one_blas_thread_without_openblas_runs_the_body():
+    # the JSON accelerator is an extension module that links no BLAS
+    import _json
+
+    lib = ctypes.CDLL(_json.__file__)
+    assert not any(hasattr(lib, name.format(verb)) for name in _OPENBLAS_THREADS for verb in ("get", "set"))
+    get, set_ = _thread_count(np.linalg._umath_linalg)
+    before = get()
+    set_(2)
+    ran = []
+    try:
+        with _one_blas_thread(_json):
+            ran.append(get())
+        assert ran == [2] and get() == 2
+    finally:
+        set_(before)
+
+
+def test_spectrum_overwrites_a_instead_of_copying_it():
+    # scipy.linalg is imported at the top of this module, so its import's own
+    # allocations fall outside the traced span
+    lat = build_lattice(1, 1 / 256, [(-1, 1)], [(-1.25, 1.25)])
+    system = assemble(lat, WeightField(LogNormal(1.0), 1), 0.5, "global", _ones(lat))
+    m = len(system.free_ids)
+    assert m == 509
+    tracemalloc.start()
+    try:
+        spectrum(system, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a copy of A for LAPACK would take 8 m^2 bytes, about 2.1 MB
+    assert peak < 8 * m * m
 
 
 def test_empty_free_set_rejected(const_field):

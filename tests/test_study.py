@@ -12,8 +12,7 @@ import pytest
 import fraclat.study
 from fraclat.cli import main
 from fraclat.errors import ConfigError
-from fraclat.lattice import build_lattice
-from fraclat.linear_ops import _GEMV_THREADED_ENTRIES, assemble
+from fraclat.linear_ops import assemble
 from fraclat.study import (
     StudyConfig,
     StudyReport,
@@ -326,14 +325,26 @@ def test_cli_values_the_lattice_rejects_are_config_errors(tmp_path, capsys, stud
         run_study(parse_config(cfg_path.read_text()))
 
 
-def test_blas_thread_count_does_not_change_bytes(tmp_path):
-    # 1021 free sites: A has more entries than OpenBLAS needs to thread a
-    # matrix-vector product, so untiled CG products sum in another order on
-    # two threads than on one, and the report's bits would move
-    text = ("study=solve\neps_list=0.001953125\nhalo=-1.25,1.25\n"
-            "dist.kind=lognormal\ndist.sigma=1.0\nseeds=1\n")
-    m = len(build_lattice(1, 0.001953125, [-1, 1], [-1.25, 1.25]).interior_ids)
-    assert m * m > _GEMV_THREADED_ENTRIES
+@pytest.mark.parametrize(
+    "study, text, free_sites",
+    [
+        # 1021 free sites: A has more entries than the 460,800 from which
+        # OpenBLAS 0.3.31 threads a matrix-vector product (measured on a
+        # 2-vCPU machine), so CG products left to two threads would sum in
+        # another order than on one, and the report's bits would move
+        ("solve", "eps_list=0.001953125\nhalo=-1.25,1.25\n", 1021),
+        # 169 free sites: with eigh left to two threads, 15 of this
+        # report's 20 data rows had other bytes than on one
+        ("spectral", "d=2\neps_list=0.125\ndomain=-1,1,-1,1\nhalo=-1.5,1.5,-1.5,1.5\nk_eigs=5\n", 169),
+    ],
+    ids=["solve", "spectral"],
+)
+def test_blas_thread_count_does_not_change_bytes(tmp_path, study, text, free_sites):
+    text = f"study={study}\n{text}dist.kind=lognormal\ndist.sigma=1.0\nseeds=1\n"
+    cfg = parse_config(text)
+    m = len(fraclat.study._lattice(cfg, cfg.eps_list[0]).interior_ids)
+    assert m == free_sites
+    assert study != "solve" or m * m > 460_800
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(text)
     src = pathlib.Path(fraclat.study.__file__).parents[1]
@@ -341,9 +352,9 @@ def test_blas_thread_count_does_not_change_bytes(tmp_path):
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
         out = tmp_path / threads
-        subprocess.run([sys.executable, "-m", "fraclat.cli", "solve", "--config", str(cfg_path), "--out", str(out)],
+        subprocess.run([sys.executable, "-m", "fraclat.cli", study, "--config", str(cfg_path), "--out", str(out)],
                        env=env, capture_output=True, check=True)
-        reports.append((out / "solve.csv").read_bytes())
+        reports.append((out / f"{study}.csv").read_bytes())
     assert reports[0] == reports[1]
 
 

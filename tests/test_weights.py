@@ -135,6 +135,16 @@ def test_ndtri_matches_scipy():
     assert np.array_equal(_ndtri(tile), ours[:6000].reshape(3, 2000))
 
 
+def test_ndtri_any_layout_gives_the_c_ordered_bits():
+    # the tails must be written into x itself, not into a copy of a
+    # non-C-ordered x, which would leave the central formula's -2.32447 at u = 0.01
+    u = np.array([[0.01, 0.5, 0.99], [0.3, 0.05, 0.97]])
+    assert np.array_equal(_ndtri(np.asfortranarray(u)), _ndtri(u))
+    grid = np.linspace(1e-6, 1 - 1e-6, 60).reshape(6, 10)  # both tails and the center
+    for view in (np.asfortranarray(grid), grid.T, grid.T[::2], grid[::2].T, grid[:, ::3], grid[::-1]):
+        assert np.array_equal(_ndtri(view), _ndtri(np.ascontiguousarray(view)))
+
+
 def test_top_hash_gives_finite_weight(monkeypatch):
     # the top 53 hash bits all ones make (k + 1/2) 2^-53 round to 1.0, where ndtri is inf
     real_hash = fraclat.weights._hash
