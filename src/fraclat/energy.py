@@ -29,7 +29,6 @@ V.derivative for every potential; only the pair pass has a fused form.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Union
@@ -37,7 +36,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from ._reduction import blocked_total, row_tiles, triangle_tiles
-from .errors import CapacityError, ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, require_memory
 from .lattice import LatticeDomain, PairOffsets, pair_offsets, same_lattice
 from .weights import WeightField, pair_weight_matrix
 
@@ -313,14 +312,6 @@ def _distance_powers(offsets: PairOffsets, eps: float, exponent: float) -> np.nd
     return dist**exponent
 
 
-def require_memory(nbytes: int, what: str) -> None:
-    """Raise CapacityError when the nbytes that `what` needs exceed physical
-    memory; callers check before they allocate."""
-    ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if nbytes > ram:
-        raise CapacityError(f"{what} needs {nbytes / 1e9:.1f} GB, physical memory is {ram / 1e9:.1f} GB")
-
-
 def kernel_matrix(
     lattice: LatticeDomain,
     field: WeightField,
@@ -498,10 +489,9 @@ def energy_gradient(spec: EnergySpec, kernel, u: GridFunction) -> GridFunction:
     """d/du(x) of energy_value, projected onto the constraint's tangent space;
     it is 0 off the kernel's sites.
 
-    The gradient on the block's sites is scattered into the N-vector, and
-    projected only where that is not the identity: under mean0, and on a
-    whole kernel under a constraint that fixes sites (a FreeBlock with an
-    outer term spans exactly the sites its constraint leaves free).
+    The gradient on the block's sites is scattered into the N-vector, which is
+    then projected.  On a FreeBlock with an outer term the sites that the
+    constraint fixes already hold +0.0, so there the projection keeps the bits.
     """
     check_derivative(spec.V)
     block, vals = _block_values(spec, kernel, u)
@@ -512,9 +502,7 @@ def energy_gradient(spec: EnergySpec, kernel, u: GridFunction) -> GridFunction:
         raise NumericalError(f"non-finite gradient at site {bad}")
     grad = np.zeros(lat.n_sites)
     grad[block.free] = grad_free
-    if spec.constraint == "mean0" or (block.outer is None and spec.constraint != "none"):
-        grad = project_direction(lat, grad, spec.constraint)
-    return GridFunction(lat, grad)
+    return GridFunction(lat, project_direction(lat, grad, spec.constraint))
 
 
 def project_direction(lattice: LatticeDomain, g: np.ndarray, constraint: str) -> np.ndarray:

@@ -31,8 +31,6 @@ _REL_TOL = 1e-12
 class LatticeDomain:
     dim: int
     eps: float
-    domain_box: np.ndarray  # shape (d, 2), open box Q
-    halo_box: np.ndarray  # shape (d, 2), closed box B >= closure(Q)
     sites: np.ndarray  # shape (N, d) integer coordinates, lexicographic
     interior_ids: np.ndarray
     boundary_ids: np.ndarray
@@ -109,7 +107,7 @@ def _box_points(los, his) -> np.ndarray:
     return grid_points([np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in zip(los, his)])
 
 
-def build_lattice(d: int, eps: float, domain, halo, site_cap: int = DEFAULT_SITE_CAP) -> LatticeDomain:
+def build_lattice(d: int, eps: float, domain, halo) -> LatticeDomain:
     """Construct the lattice of all z with eps*z in the closed halo box, with the
     interior/boundary/exterior partition of the Dirichlet boundary layer."""
     if not eps > 0:
@@ -121,8 +119,8 @@ def build_lattice(d: int, eps: float, domain, halo, site_cap: int = DEFAULT_SITE
     his = np.floor(b[:, 1] / eps + _REL_TOL).astype(np.int64)
     counts = his - los + 1
     n = int(np.prod(counts.astype(object)))
-    if n > site_cap:
-        raise CapacityError(f"lattice would have {n} sites, cap is {site_cap}")
+    if n > DEFAULT_SITE_CAP:
+        raise CapacityError(f"lattice would have {n} sites, cap is {DEFAULT_SITE_CAP}")
     if n <= 0:
         raise ConfigError(f"halo box contains no lattice sites at eps={eps:g}")
 
@@ -141,8 +139,6 @@ def build_lattice(d: int, eps: float, domain, halo, site_cap: int = DEFAULT_SITE
     return LatticeDomain(
         dim=d,
         eps=float(eps),
-        domain_box=q,
-        halo_box=b,
         sites=sites,
         interior_ids=np.flatnonzero(interior),
         boundary_ids=np.flatnonzero(boundary),

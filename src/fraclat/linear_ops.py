@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import FreeBlock, GridFunction, PowerP, _pair_pass, kernel_matrix, require_memory
-from .errors import ConfigError, NumericalError
+from .energy import FreeBlock, GridFunction, PowerP, _pair_pass, kernel_matrix
+from .errors import ConfigError, NumericalError, require_memory
 from .lattice import LatticeDomain
 from .weights import WeightField
 
@@ -58,7 +58,6 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    eps: float
     eigenvalues: np.ndarray  # mu_1 >= mu_2 >= ... of the solution operator
     eigenvectors: list  # GridFunctions, L2(Q^eps)-orthonormal
 
@@ -202,4 +201,4 @@ def spectrum(system: BilinearSystem, k: int) -> SpectralReport:
         if nz.size and v[nz[0]] < 0:
             v = -v
         funcs.append(_embed(system, v))
-    return SpectralReport(eps=eps, eigenvalues=mu, eigenvectors=funcs)
+    return SpectralReport(eigenvalues=mu, eigenvectors=funcs)

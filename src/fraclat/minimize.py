@@ -1,9 +1,11 @@
 """Minimization of the discrete energies over constrained spaces.
 
-L-BFGS with backtracking line search as the default, plain projected gradient
-descent as a slow cross-check.  Constraints are handled by projection: every
-iterate and every search direction is projected, so the constraint holds
-exactly at each accepted step.
+L-BFGS with backtracking line search.  Projected gradient descent, the slow
+cross-check (method "gd"), is the same loop with no memory: the two-loop
+recursion over no pairs returns the gradient itself (Nocedal & Wright,
+Numerical Optimization, 2nd ed., section 7.2).  Constraints are handled by
+projection: every iterate and every search direction is projected, so the
+constraint holds exactly at each accepted step.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import NumericalError
 from .lattice import LatticeDomain, same_lattice
 from .weights import WeightField
 
-# Armijo backtracking (step factor, decrease fraction) and the L-BFGS memory
+# Armijo backtracking (step factor, decrease fraction) and the L-BFGS memory; "gd" keeps none
 SHRINK = 0.5
 SUFFICIENT_DECREASE = 1e-4
 MEMORY = 8
@@ -127,17 +129,13 @@ def minimize(spec: EnergySpec, field: WeightField, opts: MinimizeOptions = Minim
         return energy_gradient(spec, kernel, GridFunction(lat, vals)).values
 
     e, g = value(u), gradient(u)
-    pairs: deque = deque(maxlen=MEMORY)
+    pairs: deque = deque(maxlen=MEMORY if opts.method == "lbfgs" else 0)
     it = backtracks = 0
     while it < opts.max_iter:
         gnorm = float(np.abs(g).max())
         if gnorm <= opts.grad_tol:
             break
-        if opts.method == "lbfgs" and pairs:
-            direction = -_two_loop(g, pairs)
-        else:
-            direction = -g
-        direction = project_direction(lat, direction, spec.constraint)
+        direction = project_direction(lat, -_two_loop(g, pairs), spec.constraint)
         slope = float(g.dot(direction))
         if slope >= 0:  # quasi-Newton direction lost descent; restart on the gradient
             pairs.clear()
@@ -158,12 +156,11 @@ def minimize(spec: EnergySpec, field: WeightField, opts: MinimizeOptions = Minim
                 )
         # the gradient is needed only at the accepted trial
         g_trial = gradient(trial)
-        if opts.method == "lbfgs":
-            s_vec = trial - u
-            y_vec = g_trial - g
-            sy = float(s_vec.dot(y_vec))
-            if sy > 1e-14 * math.sqrt(s_vec.dot(s_vec)) * math.sqrt(y_vec.dot(y_vec)):
-                pairs.append((s_vec, y_vec, 1.0 / sy))
+        s_vec = trial - u
+        y_vec = g_trial - g
+        sy = float(s_vec.dot(y_vec))
+        if sy > 1e-14 * math.sqrt(s_vec.dot(s_vec)) * math.sqrt(y_vec.dot(y_vec)):
+            pairs.append((s_vec, y_vec, 1.0 / sy))  # a no-op with no memory
         u, e, g = trial, e_trial, g_trial
         it += 1
     else:

@@ -24,7 +24,6 @@ from .energy import (
     FLAVORS,
     EnergySpec,
     GridFunction,
-    NoneTerm,
     PowerP,
     embedding_denominator,
     energy_value,
@@ -326,7 +325,6 @@ def tent_function(domain) -> ContinuumFunction:
         evaluate=evaluate,
         dim=1,
         support_box=np.array([[a, b]]),
-        smoothness="lipschitz",
         lipschitz_const=1.0 / half,
     )
 
@@ -350,14 +348,14 @@ def _new_report(cfg: StudyConfig) -> StudyReport:
 
 def run_solve(cfg: StudyConfig) -> StudyReport:
     report = _new_report(cfg)
-    spec_tpl = dict(p=cfg.p, s=cfg.s, V=PowerP(cfg.p), flavor=cfg.flavor, constraint="dirichlet0")
     for eps in cfg.eps_list:
         lat = _lattice(cfg, eps)
+        spec = EnergySpec(p=cfg.p, s=cfg.s, V=PowerP(cfg.p), f=_forcing(cfg, lat), flavor=cfg.flavor,
+                          constraint="dirichlet0")
         for seed in cfg.seeds:
             field = WeightField(cfg.dist, seed)
             kernel = kernel_matrix(lat, field, cfg.s, cfg.p, cfg.flavor)  # for the energy row
             u, stats = _solve_p2(cfg, lat, field)
-            spec = EnergySpec(f=_forcing(cfg, lat), **spec_tpl)
             report.add(eps, seed, "energy", energy_value(spec, kernel, u))
             report.add(eps, seed, "iters", stats.iters)
             report.add(eps, seed, "residual", stats.residual)
@@ -393,22 +391,17 @@ def run_homogenize(cfg: StudyConfig) -> StudyReport:
     return report
 
 
-def run_gamma_limit(
-    cfg: StudyConfig, u: Optional[ContinuumFunction] = None, metric: str = "discrete_energy"
-) -> StudyReport:
+def run_gamma_limit(cfg: StudyConfig, metric: str = "discrete_energy") -> StudyReport:
     report = _new_report(cfg)
     dom = _boxes(cfg)[0]
-    if u is None:
-        u = tent_function(dom)
+    u = tent_function(dom)
     bracket = continuum_energy(u, cfg.s, cfg.p, PowerP(cfg.p), dom, quad_n=cfg.quad_n)
     report.add(0.0, 0, "bracket_low", bracket.low)
     report.add(0.0, 0, "bracket_high", bracket.high)
-    spec_tpl = dict(p=cfg.p, s=cfg.s, V=PowerP(cfg.p), G=NoneTerm(), f=None,
-                    flavor="local", constraint="none")
+    spec = EnergySpec(p=cfg.p, s=cfg.s, V=PowerP(cfg.p), flavor="local")
     for eps in cfg.eps_list:
         lat = _lattice(cfg, eps)
         uh = sample(u, lat)
-        spec = EnergySpec(**spec_tpl)
         for seed in cfg.seeds:
             kernel = kernel_matrix(lat, WeightField(cfg.dist, seed), spec.s, spec.p, spec.flavor)
             report.add(eps, seed, metric, energy_value(spec, kernel, uh))

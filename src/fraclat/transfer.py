@@ -21,6 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .energy import GridFunction
+from .errors import require_memory
 from .lattice import LatticeDomain, grid_points
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
@@ -31,8 +32,7 @@ class ContinuumFunction:
     evaluate: Callable  # (n, d) array of points -> (n,) values
     dim: int
     support_box: Optional[np.ndarray] = None  # (d, 2); zero outside when set
-    smoothness: str = "C0"  # "C0", "C1", or "lipschitz"
-    lipschitz_const: Optional[float] = None
+    lipschitz_const: Optional[float] = None  # None when no Lipschitz constant is known
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -54,7 +54,7 @@ def embed(u: GridFunction) -> ContinuumFunction:
         ids = lat.site_ids(z)  # raises outside the halo
         return u.values[ids]
 
-    return ContinuumFunction(evaluate=evaluate, dim=lat.dim, smoothness="C0")
+    return ContinuumFunction(evaluate=evaluate, dim=lat.dim)
 
 
 def average(f: ContinuumFunction, lattice: LatticeDomain) -> GridFunction:
@@ -99,7 +99,7 @@ def fe_interpolate(u: GridFunction) -> ContinuumFunction:
         ids_hi = lat.site_ids(lat.sites[keep] + shift)
         slopes.append(np.abs(u.values[ids_hi] - u.values[keep]).max() / eps if keep.any() else 0.0)
     lip = float(np.linalg.norm(slopes))
-    return ContinuumFunction(evaluate=evaluate, dim=d, smoothness="lipschitz", lipschitz_const=lip)
+    return ContinuumFunction(evaluate=evaluate, dim=d, lipschitz_const=lip)
 
 
 def sample(f: ContinuumFunction, lattice: LatticeDomain) -> GridFunction:
@@ -120,7 +120,8 @@ def _bump(t: float, norm: float) -> float:
 
 def mollified_recovery(f: ContinuumFunction, k: int) -> ContinuumFunction:
     """Convolution with the unit-mass bump at scale 1/k (d=1): smooth, sup-norm
-    non-increasing, support grown by 1/k."""
+    non-increasing, support grown by 1/k.  A non-negative unit-mass kernel keeps
+    f's Lipschitz constant, so the result carries it."""
     if f.dim != 1:
         raise NotImplementedError("mollified recovery implemented for d=1")
     if k < 1:
@@ -147,8 +148,7 @@ def mollified_recovery(f: ContinuumFunction, k: int) -> ContinuumFunction:
     support = None
     if f.support_box is not None:
         support = f.support_box + np.array([-1.0 / k, 1.0 / k])
-    return ContinuumFunction(evaluate=evaluate, dim=1, support_box=support, smoothness="C1",
-                             lipschitz_const=f.lipschitz_const)
+    return ContinuumFunction(evaluate=evaluate, dim=1, support_box=support, lipschitz_const=f.lipschitz_const)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +160,6 @@ def mollified_recovery(f: ContinuumFunction, k: int) -> ContinuumFunction:
 class EnergyBracket:
     low: float
     high: float
-    xi: float
 
 
 def continuum_energy(
@@ -177,12 +176,15 @@ def continuum_energy(
     Tile pairs separated by at least xi are integrated with tensor Gauss
     quadrature; the remaining near-diagonal strip |x-y| < xi + 2h is bracketed
     between 0 and the Lipschitz bound  beta * C_L^p * |Q| * 2 delta^{p-ps}/(p-ps),
-    delta = xi + 2h.  d=1 only.
+    delta = xi + 2h.  d=1 only.  Raises CapacityError before allocating when
+    the quadrature arrays would not fit in physical memory.
     """
     if f.dim != 1:
         raise NotImplementedError("continuum energy implemented for d=1")
-    if f.smoothness != "lipschitz" or f.lipschitz_const is None:
+    if f.lipschitz_const is None:
         raise ValueError("continuum energy needs a Lipschitz function with a known constant")
+    # measured peak: about 976 bytes per panel, from the (5, 5 quad_n) arrays of a tile row
+    require_memory(1000 * quad_n, f"continuum energy quadrature over {quad_n} panels")
     a, b = np.asarray(domain, dtype=float).reshape(2)
     h = (b - a) / quad_n
     if xi is None:
@@ -215,7 +217,7 @@ def continuum_energy(
     near_high = beta * c_l**p * (b - a) * 2.0 * delta ** (p - p * s) / (p - p * s)
     if p - p * s <= 0:
         raise ValueError("near-diagonal bracket needs p(1-s) > 0")
-    return EnergyBracket(low=far, high=far + near_high, xi=float(xi))
+    return EnergyBracket(low=far, high=far + near_high)
 
 
 # ---------------------------------------------------------------------------

@@ -288,10 +288,12 @@ def test_gradient_descent_agrees_with_lbfgs():
     f = GridFunction(lat, np.ones(lat.n_sites))
     spec = _spec(V=HALF_QUADRATIC, f=f)
     u_l, _ = minimize(spec, field, MinimizeOptions(grad_tol=1e-8, max_iter=5000), lattice=lat)
-    u_g, _ = minimize(
+    u_g, stats = minimize(
         spec, field, MinimizeOptions(grad_tol=1e-8, max_iter=20000, method="gd"), lattice=lat
     )
     assert np.abs(u_l.values - u_g.values).max() < 1e-5
+    # gradient descent's path, pinned to the bit
+    assert (stats.iters, stats.values, stats.final_energy.hex()) == (39, 116, "-0x1.0f16e9df7b51cp-3")
 
 
 def test_project_examples():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -394,6 +395,27 @@ def test_cli_assembled_matrix_over_memory(tmp_path, capsys):
     assert not (tmp_path / "spectral.csv").exists()
 
 
+_ERGODIC_D2 = "study=ergodic\nd=2\ndomain=-1,1,-1,1\nhalo=-2,2,-2,2\n"
+
+
+@pytest.mark.parametrize("study, text, what", [
+    # 16,008,001 box points: the pair arrays alone would take over 10 PB
+    ("ergodic", _ERGODIC_D2 + "box_side=4000\n", "moment estimate over "),
+    # a 400,001^2 offset box; a small moment box keeps the case fast
+    ("ergodic", _ERGODIC_D2 + "box_side=2\nradii=200000\n", "divergence probe over "),
+    ("gamma_limit", "study=gamma_limit\neps_list=0.5\nhalo=-1,1\nquad_n=1000000000000\n",
+     "continuum energy quadrature over 1000000000000 panels"),
+], ids=["moment_box", "probe_radius", "quad_n"])
+def test_cli_diagnostic_over_memory(tmp_path, capsys, study, text, what):
+    # each is refused before its first allocation, instead of a numpy MemoryError
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(text)
+    assert main([study.replace("_", "-"), "--config", str(cfg_path), "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error: " + what) and err.count("\n") == 1
+    assert not (tmp_path / f"{study}.csv").exists()
+
+
 def test_homogenize_builds_seeds_plus_one_kernels_per_eps(monkeypatch):
     built = []
 
@@ -481,8 +503,19 @@ def test_run_study_all_drivers_smoke(tmp_path):
                   "dist.kind=decaying_product\ndist.alpha=3.0\n"
                   "dist.base.kind=lognormal\ndist.base.sigma=0.5\n",
     }
+    # sha256[:16] of each report's CSV, the same at 1 and 2 BLAS threads
+    pinned = {
+        "solve": "03e732e36dc73c7d",
+        "homogenize": "a96c001855db1b7c",
+        "gamma_limit": "64e7828784eae8b9",
+        "spectral": "842669c493d071e8",
+        "embeddings": "a79eb1ef2a9710ab",
+        "ergodic": "b7c6f93323a13b1b",
+        "vanish": "315a9f2b4fd7beb7",
+    }
     for study, text in configs.items():
         rep = run_study(parse_config(text))
         assert rep.study == study
         assert rep.rows, study
         assert rep.meta["wall_time"] >= 0
+        assert hashlib.sha256(rep.to_csv().encode()).hexdigest()[:16] == pinned[study], study

@@ -115,8 +115,7 @@ def test_mollify_sup_bound_and_convergence():
 
 
 def test_continuum_energy_constant_zero():
-    const = ContinuumFunction(lambda p: np.ones(p.shape[0]), dim=1,
-                              smoothness="lipschitz", lipschitz_const=0.0)
+    const = ContinuumFunction(lambda p: np.ones(p.shape[0]), dim=1, lipschitz_const=0.0)
     br = continuum_energy(const, 0.5, 2.0, PowerP(2), (-1, 1), quad_n=32)
     assert br.low == 0.0 and br.high == 0.0
 
@@ -143,9 +142,20 @@ def test_continuum_energy_quadrature_refinement():
 
 
 def test_continuum_energy_requires_lipschitz():
-    rough = ContinuumFunction(lambda p: np.sign(p[:, 0]), dim=1, smoothness="C0")
+    rough = ContinuumFunction(lambda p: np.sign(p[:, 0]), dim=1)
     with pytest.raises(ValueError):
         continuum_energy(rough, 0.5, 2.0, PowerP(2), (-1, 1))
+
+
+def test_continuum_energy_of_mollified_tent():
+    # mollification keeps the tent's Lipschitz constant, so its energy is bracketed,
+    # and the two brackets overlap
+    tent = tent_function((-1.0, 1.0))
+    smooth = mollified_recovery(tent, 8)
+    assert smooth.lipschitz_const == tent.lipschitz_const
+    br = continuum_energy(smooth, 0.5, 2.0, PowerP(2), (-1, 1), quad_n=16)
+    ref = continuum_energy(tent, 0.5, 2.0, PowerP(2), (-1, 1), quad_n=16)
+    assert 0.0 < br.low <= br.high and max(br.low, ref.low) <= min(br.high, ref.high)
 
 
 def test_fe_stability_across_eps():
