@@ -24,13 +24,19 @@ not, and no BLAS worker thread wakes to spin-wait.  Where no OpenBLAS is found
 (MKL, Accelerate), the count is left alone.  `spectrum` works in A's own
 buffer, so `assemble`'s capacity check covers the whole spectral study.
 
-scipy.linalg is imported on first use, inside `spectrum`, its only user: the
-import costs 0.18-0.29 s on a 2-vCPU machine, and only the spectral study
-pays it.  ctypes, likewise, is imported only by a solve.
+`spectrum` calls LAPACK's dsyevr through scipy's own extension module
+`scipy.linalg._flapack`, which `_flapack` loads from its file on first use
+without running the scipy.linalg package: after numpy, that package's imports
+take about 0.28 s and 29 MB, the extension alone 4 ms and 2.6 MB.  ctypes is
+imported only when a solve or `spectrum` pins the BLAS thread count.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -171,25 +177,56 @@ def _embed(system: BilinearSystem, x: np.ndarray) -> GridFunction:
     return GridFunction(system.lattice, full)
 
 
+def _flapack():
+    """scipy's LAPACK extension `scipy.linalg._flapack`, loaded from its file
+    under the scipy package directory, which `find_spec` locates without
+    importing scipy.  The module goes into `sys.modules` under its own name, so
+    a later `import scipy.linalg` reuses it; where the file is missing, it is
+    imported the usual way, through the package."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(root, "linalg", "_flapack" + suffix)
+        if os.path.exists(path):
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+            loader.exec_module(module)
+            sys.modules[name] = module
+            return module
+    from scipy.linalg import _flapack
+
+    return _flapack
+
+
 def spectrum(system: BilinearSystem, k: int) -> SpectralReport:
     """k largest eigenvalues mu_j of the solution operator, i.e. mu_j = eps^d / lambda_j
     for the k smallest eigenvalues of A, with L2(Q^eps)-orthonormal eigenvectors.
 
-    Consumes `system.matrix`: A is symmetric to the bit, so A.T is A in Fortran
-    order, and `eigh` overwrites that buffer instead of copying 8 m^2 bytes that
-    `assemble`'s capacity check never counted.  It runs on one BLAS thread, so
-    its bits do not depend on the thread count.
+    The eigenpairs come from LAPACK's dsyevr over A's lower triangle, the call
+    that `scipy.linalg.eigh(A.T, subset_by_index=(0, k - 1), overwrite_a=True)`
+    makes, to the bit.  It consumes `system.matrix`: A is symmetric to the
+    bit, so A.T is A in Fortran order, and dsyevr overwrites that buffer
+    instead of copying 8 m^2 bytes that `assemble`'s capacity check never
+    counted.  It runs on one BLAS thread, so its bits do not depend on the
+    thread count.  A non-finite entry of A raises NumericalError first.
     """
     n = system.matrix.shape[0]
     if not 1 <= k <= n:
         raise ConfigError(f"k must lie in 1..{n} (the free sites at eps={system.lattice.eps:g}), got {k}")
-    import scipy.linalg
-
-    try:
-        with _one_blas_thread(scipy.linalg._flapack):
-            lam, vecs = scipy.linalg.eigh(system.matrix.T, subset_by_index=(0, k - 1), overwrite_a=True)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalError(f"dense eigensolver failed: {exc}") from exc
+    a = system.matrix.T
+    if not np.isfinite(a).all():
+        raise NumericalError("assembled matrix holds a non-finite entry")
+    lapack = _flapack()
+    with _one_blas_thread(lapack):
+        work, iwork, _ = lapack.dsyevr_lwork(n, lower=1)
+        lam, vecs, found, _, info = lapack.dsyevr(
+            a, compute_v=1, range="I", il=1, iu=k, lower=1, lwork=int(work), liwork=int(iwork), overwrite_a=1
+        )
+    if info != 0 or found < k:
+        raise NumericalError(f"dense eigensolver dsyevr failed: info={info}, {found} of {k} eigenpairs")
+    lam, vecs = lam[:found], vecs[:, :found]
     if lam[0] <= 0:
         raise NumericalError(f"form eigenvalue {lam[0]:g} is not positive")
     eps, d = system.lattice.eps, system.lattice.dim

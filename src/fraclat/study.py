@@ -195,6 +195,13 @@ def _validate(cfg: StudyConfig) -> None:
     numbers = [x for f in fields(cfg) if f.name != "q_list" for x in _floats(getattr(cfg, f.name))]
     if not all(math.isfinite(x) for x in numbers):
         raise ConfigError("every number in the config must be finite (q_list may hold inf)")
+    base = cfg.dist.base if isinstance(cfg.dist, DecayingProduct) else cfg.dist
+    try:
+        scale = base.scale
+    except (OverflowError, ZeroDivisionError):
+        scale = math.nan
+    if not (math.isfinite(scale) and scale > 0):
+        raise ConfigError(f"{base} has no finite positive normalizing scale (1 / its mean)")
     if not all(q >= 1 for q in cfg.q_list):
         raise ConfigError(f"q_list entries must be at least 1 or inf, got {cfg.q_list}")
     if not all(eps > 0 for eps in cfg.eps_list):

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .energy import GridFunction
-from .errors import require_memory
+from .errors import CapacityError
 from .lattice import LatticeDomain, grid_points
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
@@ -162,6 +162,12 @@ class EnergyBracket:
     high: float
 
 
+# The panel-pair loop takes 0.25-0.42 us per panel^2 (d=1 tent, 500-4000
+# panels, one core of a 2-vCPU machine), so the cap is 1-2 minutes of work.
+# Its arrays, about 1 kB per panel, then stay far below any machine's memory.
+QUAD_N_CAP = 16_384
+
+
 def continuum_energy(
     f: ContinuumFunction,
     s: float,
@@ -176,15 +182,18 @@ def continuum_energy(
     Tile pairs separated by at least xi are integrated with tensor Gauss
     quadrature; the remaining near-diagonal strip |x-y| < xi + 2h is bracketed
     between 0 and the Lipschitz bound  beta * C_L^p * |Q| * 2 delta^{p-ps}/(p-ps),
-    delta = xi + 2h.  d=1 only.  Raises CapacityError before allocating when
-    the quadrature arrays would not fit in physical memory.
+    delta = xi + 2h.  d=1 only.  Raises CapacityError before any work when
+    quad_n exceeds QUAD_N_CAP.
     """
     if f.dim != 1:
         raise NotImplementedError("continuum energy implemented for d=1")
     if f.lipschitz_const is None:
         raise ValueError("continuum energy needs a Lipschitz function with a known constant")
-    # measured peak: about 976 bytes per panel, from the (5, 5 quad_n) arrays of a tile row
-    require_memory(1000 * quad_n, f"continuum energy quadrature over {quad_n} panels")
+    if quad_n > QUAD_N_CAP:
+        raise CapacityError(
+            f"continuum energy quadrature over {quad_n} panels: its time grows as quad_n^2, "
+            f"about 0.3 us per panel^2, and the cap is {QUAD_N_CAP} panels"
+        )
     a, b = np.asarray(domain, dtype=float).reshape(2)
     h = (b - a) / quad_n
     if xi is None:

@@ -1,4 +1,9 @@
 import ctypes
+import json
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,6 +12,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraclat
 from fraclat import build_lattice
 from fraclat.energy import (
     CustomPotential,
@@ -17,7 +23,15 @@ from fraclat.energy import (
     weighted_seminorm,
 )
 from fraclat.errors import NumericalError
-from fraclat.linear_ops import _OPENBLAS_THREADS, _one_blas_thread, apply_operator, assemble, solve, spectrum
+from fraclat.linear_ops import (
+    _OPENBLAS_THREADS,
+    _flapack,
+    _one_blas_thread,
+    apply_operator,
+    assemble,
+    solve,
+    spectrum,
+)
 from fraclat.weights import Constant, LogNormal, WeightField
 
 # the p=2 functional whose stationarity is the assembled weak form A u = b
@@ -255,10 +269,10 @@ def test_one_blas_thread_without_openblas_runs_the_body():
 
 
 def test_spectrum_overwrites_a_instead_of_copying_it():
-    # scipy.linalg is imported at the top of this module, so its import's own
-    # allocations fall outside the traced span
-    lat = build_lattice(1, 1 / 256, [(-1, 1)], [(-1.25, 1.25)])
-    system = assemble(lat, WeightField(LogNormal(1.0), 1), 0.5, "global", _ones(lat))
+    # importing scipy.linalg at the top of this module loaded its _flapack
+    # extension, which `spectrum` reuses, so the traced span holds only the
+    # eigensolve's own allocations
+    system = _system_m509()
     m = len(system.free_ids)
     assert m == 509
     tracemalloc.start()
@@ -269,6 +283,74 @@ def test_spectrum_overwrites_a_instead_of_copying_it():
         tracemalloc.stop()
     # a copy of A for LAPACK would take 8 m^2 bytes, about 2.1 MB
     assert peak < 8 * m * m
+
+
+def _system_m509():
+    lat = build_lattice(1, 1 / 256, [(-1, 1)], [(-1.25, 1.25)])
+    return assemble(lat, WeightField(LogNormal(1.0), 1), 0.5, "global", _ones(lat))
+
+
+def _system_d2():
+    # the constant field on a square: mu_2 = mu_3 is a degenerate pair, whose
+    # eigenvectors depend on which triangle of A the solver reads
+    lat = build_lattice(2, 0.125, [(-1, 1)] * 2, [(-1.5, 1.5)] * 2)
+    return assemble(lat, WeightField(Constant(1.0), 0), 0.5, "global", _ones(lat))
+
+
+@pytest.mark.parametrize("make", [_system_m509, _system_d2], ids=["d1_m509", "d2"])
+@pytest.mark.parametrize("k", [1, 5])
+def test_spectrum_matches_scipy_eigh_to_the_bit(make, k):
+    system, reference = make(), make()
+    rep = spectrum(system, k)
+    with _one_blas_thread(_flapack()):
+        lam, vecs = scipy.linalg.eigh(reference.matrix.T, subset_by_index=(0, k - 1), overwrite_a=True)
+    lat = system.lattice
+    assert np.array_equal(rep.eigenvalues, lat.eps**lat.dim / lam)
+    for j in range(k):
+        want = vecs[:, j] * lat.eps ** (-lat.dim / 2)
+        if want[np.flatnonzero(want)[0]] < 0:
+            want = -want
+        assert np.array_equal(rep.eigenvectors[j].values[system.free_ids], want)
+
+
+def test_spectrum_rejects_a_nonfinite_matrix(lat5, const_field):
+    system = assemble(lat5, const_field, 0.5, "global", _ones(lat5))
+    system.matrix[0, 0] = np.nan
+    with pytest.raises(NumericalError, match="non-finite"):
+        spectrum(system, 1)
+
+
+_SPECTRAL_WITHOUT_SCIPY_LINALG = """
+import json, sys
+import numpy as np
+from fraclat.linear_ops import _one_blas_thread, assemble, spectrum
+from fraclat.study import _forcing, _lattice, parse_config, run_study
+from fraclat.weights import WeightField
+cfg = parse_config(sys.argv[1])
+run_study(cfg)
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+lat = _lattice(cfg, cfg.eps_list[0])
+system = assemble(lat, WeightField(cfg.dist, 1), cfg.s, cfg.flavor, _forcing(cfg, lat))
+reference = system.matrix.copy()
+mu = spectrum(system, cfg.k_eigs).eigenvalues
+import scipy.linalg
+flapack = sys.modules["scipy.linalg._flapack"]
+with _one_blas_thread(flapack):
+    lam = scipy.linalg.eigh(reference.T, subset_by_index=(0, cfg.k_eigs - 1), overwrite_a=True)[0]
+json.dump({"loaded": loaded, "reused": scipy.linalg.lapack._flapack is flapack,
+           "same_bits": bool(np.array_equal(mu, lat.eps**lat.dim / lam))}, sys.stdout)
+"""
+
+
+def test_spectral_study_loads_only_the_lapack_extension():
+    # a fresh interpreter: this module's own `import scipy.linalg` would hide
+    # a fallback to the package import
+    text = ("study=spectral\nd=2\neps_list=0.25,0.125\ndomain=-1,1,-1,1\nhalo=-1.5,1.5,-1.5,1.5\n"
+            "k_eigs=3\ndist.kind=lognormal\nseeds=1\n")
+    src = pathlib.Path(fraclat.__file__).parents[1]
+    out = subprocess.run([sys.executable, "-c", _SPECTRAL_WITHOUT_SCIPY_LINALG, text],
+                         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, check=True, text=True)
+    assert json.loads(out.stdout) == {"loaded": ["scipy.linalg._flapack"], "reused": True, "same_bits": True}
 
 
 def test_empty_free_set_rejected(const_field):

@@ -21,6 +21,7 @@ from fraclat.study import (
     run_study,
     serialize_config,
 )
+from fraclat.transfer import QUAD_N_CAP
 from fraclat.weights import Constant, DecayingProduct, LogNormal
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -196,6 +197,9 @@ box_side=32
         "study=embeddings\nq_list=2.0,nan\n",
         "study=embeddings\nq_list=0.5\n",
         "study=solve\nsolver.tol=inf\n",
+        # exp(sigma^2 / 2), the mean that normalizes the weights, overflows
+        "study=homogenize\ndist.kind=lognormal\ndist.sigma=40\n",
+        "study=ergodic\ndist.kind=decaying_product\ndist.base.kind=lognormal\ndist.base.sigma=40\n",
     ],
 )
 def test_bad_configs_rejected(text):
@@ -405,7 +409,10 @@ _ERGODIC_D2 = "study=ergodic\nd=2\ndomain=-1,1,-1,1\nhalo=-2,2,-2,2\n"
     ("ergodic", _ERGODIC_D2 + "box_side=2\nradii=200000\n", "divergence probe over "),
     ("gamma_limit", "study=gamma_limit\neps_list=0.5\nhalo=-1,1\nquad_n=1000000000000\n",
      "continuum energy quadrature over 1000000000000 panels"),
-], ids=["moment_box", "probe_radius", "quad_n"])
+    # the quadrature's time grows as quad_n^2: QUAD_N_CAP panels take 1-2 minutes
+    ("gamma_limit", f"study=gamma_limit\neps_list=0.5\nhalo=-1,1\nquad_n={QUAD_N_CAP + 1}\n",
+     f"continuum energy quadrature over {QUAD_N_CAP + 1} panels"),
+], ids=["moment_box", "probe_radius", "quad_n", "quad_n_cap"])
 def test_cli_diagnostic_over_memory(tmp_path, capsys, study, text, what):
     # each is refused before its first allocation, instead of a numpy MemoryError
     cfg_path = tmp_path / "cfg.txt"
