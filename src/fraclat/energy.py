@@ -15,15 +15,18 @@ p=2 system without ever holding K, and `held_block` the FreeBlock on which
 `minimize` evaluates the energy of a u that is 0 off the free sites.
 
 Every sum over a held kernel, a whole one taken as the FreeBlock with no outer
-term, is one pass over its row tiles: the energy and its gradient, the value
-total of `weighted_seminorm` and the p = 2 row sums of `apply_operator`.  On a
-FreeBlock that the caller holds, the value's pass also forms the whole
-gradient on the block's sites and keeps it, keyed by u and the spec; nothing
-else is cached between calls.  All pair sums exclude the diagonal and go
-through the fixed-order row tiles, so values are reproducible to the bit; on
-a held FreeBlock a SmoothedPowerP's E(0) is rounding noise, not 0.  The
-FreeBlock's outer terms, one per free site, go through V.value and
-V.derivative for every potential; only the pair pass has a fused form.
+term, is one pass over its row tiles: the energy and its gradient, and the
+value total of `weighted_seminorm`.  On a FreeBlock that the caller holds, the
+value's pass also forms the whole gradient on the block's sites and keeps it,
+keyed by u and the spec; nothing else is cached between calls.  All pair
+sums exclude the diagonal and go through the fixed-order row tiles, so values
+are reproducible to the bit; on a held FreeBlock a SmoothedPowerP's E(0) is
+rounding noise, not 0.  The FreeBlock's outer terms, one per free site, go
+through V.value and V.derivative for every potential; only the pair pass has
+a fused form.
+
+Every constraint fixes a set of sites at u = 0: dirichlet0 the sites off the
+interior, zero_outside the exterior ones, none no site.
 """
 
 from __future__ import annotations
@@ -41,10 +44,7 @@ from .lattice import LatticeDomain, PairOffsets, pair_offsets, same_lattice
 from .weights import WeightField, pair_weight_matrix
 
 FLAVORS = ("global", "local")
-CONSTRAINTS = ("none", "dirichlet0", "mean0", "zero_outside")
-
-# mean-zero is "exact" up to accumulated rounding of the mean subtraction
-MEAN_ZERO_SLACK = 1e-12
+CONSTRAINTS = ("none", "dirichlet0", "zero_outside")
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +234,10 @@ def check_forcing(spec: EnergySpec, lattice: LatticeDomain) -> None:
 
 
 def _zero_ids(lattice: LatticeDomain, constraint: str) -> Optional[np.ndarray]:
-    """The sites where the constraint fixes u = 0; None for mean0 and none."""
+    """The sites where the constraint fixes u = 0; None for none.  Raises
+    ValueError on a name outside CONSTRAINTS."""
+    if constraint not in CONSTRAINTS:
+        raise ValueError(f"constraint must be one of {CONSTRAINTS}, got {constraint!r}")
     if constraint == "dirichlet0":
         return lattice.dirichlet_ids
     if constraint == "zero_outside":
@@ -243,16 +246,10 @@ def _zero_ids(lattice: LatticeDomain, constraint: str) -> Optional[np.ndarray]:
 
 
 def check_constraint(u: GridFunction, constraint: str) -> None:
-    """Raise unless u lies in the constrained space (exactly, not approximately)."""
-    lat, vals = u.lattice, u.values
-    zero = _zero_ids(lat, constraint)
-    if zero is not None and vals[zero].any():
+    """Raise unless u is exactly 0 on the sites that the constraint fixes."""
+    zero = _zero_ids(u.lattice, constraint)
+    if zero is not None and u.values[zero].any():
         raise ValueError(f"{constraint} constraint violated: nonzero values at sites it fixes to 0")
-    if constraint == "mean0":
-        total = float(vals[lat.q_ids].sum())
-        cap = MEAN_ZERO_SLACK * len(lat.q_ids) * max(1.0, float(np.abs(vals).max()))
-        if abs(total) > cap:
-            raise ValueError(f"mean0 constraint violated: sum over Q sites is {total:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +263,7 @@ def pair_ids(lattice: LatticeDomain, flavor: str) -> np.ndarray:
 
 def free_sites(lattice: LatticeDomain, flavor: str, constraint: str) -> Optional[np.ndarray]:
     """The flavor's sites off which the constraint fixes u = 0, in id order;
-    None for a constraint that fixes no site (mean0, none)."""
+    None for none, which fixes no site."""
     zero = _zero_ids(lattice, constraint)
     if zero is None:
         return None
@@ -377,7 +374,7 @@ def kernel_matrix(
 def held_block(lattice: LatticeDomain, field: WeightField, spec: EnergySpec) -> FreeBlock:
     """The FreeBlock of spec's kernel that a caller holds across calls: K[F, F]
     and the outer row sums, 8 |F|^2 bytes, when the constraint fixes u = 0 off
-    F (dirichlet0, zero_outside); else (mean0, none, and a CustomPotential,
+    F (dirichlet0, zero_outside); else (none, and a CustomPotential,
     whose V(0) need not be 0) the whole kernel over the flavor's sites."""
     free = None if isinstance(spec.V, CustomPotential) else free_sites(lattice, spec.flavor, spec.constraint)
     if free is None:
@@ -486,8 +483,8 @@ def energy_value(spec: EnergySpec, kernel, u: GridFunction) -> float:
 
 
 def energy_gradient(spec: EnergySpec, kernel, u: GridFunction) -> GridFunction:
-    """d/du(x) of energy_value, projected onto the constraint's tangent space;
-    it is 0 off the kernel's sites.
+    """d/du(x) of energy_value, projected onto the constraint's tangent space:
+    +0.0 on the sites that the constraint fixes and off the kernel's sites.
 
     The gradient on the block's sites is scattered into the N-vector, which is
     then projected.  On a FreeBlock with an outer term the sites that the
@@ -506,14 +503,12 @@ def energy_gradient(spec: EnergySpec, kernel, u: GridFunction) -> GridFunction:
 
 
 def project_direction(lattice: LatticeDomain, g: np.ndarray, constraint: str) -> np.ndarray:
-    """Project a gradient/search direction onto the constraint's tangent space."""
+    """A copy of g with +0.0 on the sites that the constraint fixes: its
+    projection onto the constraint's tangent space."""
     g = np.array(g, dtype=float)
     zero = _zero_ids(lattice, constraint)
     if zero is not None:
         g[zero] = 0.0
-    elif constraint == "mean0":
-        q = lattice.q_ids
-        g[q] -= g[q].mean()
     return g
 
 

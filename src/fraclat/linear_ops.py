@@ -1,5 +1,5 @@
-"""Quadratic-case (p=2) pathway: bilinear form assembly, operator application,
-conjugate-gradient solves, and the spectrum of the solution operator.
+"""Quadratic-case (p=2) pathway: bilinear form assembly, conjugate-gradient
+solves, and the spectrum of the solution operator.
 
 The assembled matrix A over the free sites satisfies
 
@@ -13,8 +13,7 @@ holds -2 K[free, free] and, on its diagonal, twice the whole row sums, which
 fold in every interaction with the constrained sites.  `kernel_matrix` fills
 that block and the row sums one tile of rows at a time, and A is the block
 scaled in place, so the N x N kernel is never held and peak memory is the
-8 |free|^2 bytes of A plus one tile.  `apply_operator` sums over a held
-kernel through the energy module's pair pass.
+8 |free|^2 bytes of A plus one tile.
 
 `solve` and `spectrum` run inside `_one_blas_thread`, which sets the OpenBLAS
 that numpy or scipy links to one thread and restores the old count after the
@@ -42,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import FreeBlock, GridFunction, PowerP, _pair_pass, kernel_matrix
+from .energy import GridFunction, kernel_matrix
 from .errors import ConfigError, NumericalError, require_memory
 from .lattice import LatticeDomain
 from .weights import WeightField
@@ -91,19 +90,6 @@ def assemble(
     epsd = lattice.eps**lattice.dim
     rhs = epsd * f.values[free]
     return BilinearSystem(lattice=lattice, free_ids=free, matrix=a, rhs=rhs)
-
-
-def apply_operator(kernel: tuple, u: GridFunction) -> GridFunction:
-    """(L u)(x) = eps^d sum_{y != x} c (u(y)-u(x)) / |x-y|^{d+2s} over all halo
-    sites, from the global kernel of (s, p=2): half the row sums of the p = 2
-    pair pass on -u, whose t = -u(x) + u(y) is u(y) - u(x) to the bit."""
-    lattice = u.lattice
-    ids, k = kernel
-    out = _pair_pass(FreeBlock(ids, k), PowerP(2.0), -u.values[ids], rows=True)[1]
-    # k carries eps^{2d}; the operator carries a single eps^d
-    out *= 0.5
-    out /= lattice.eps**lattice.dim
-    return GridFunction(lattice, out)
 
 
 # the thread count's get/set names in numpy wheels' OpenBLAS, scipy wheels' and a system one

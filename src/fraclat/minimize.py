@@ -1,11 +1,12 @@
 """Minimization of the discrete energies over constrained spaces.
 
-L-BFGS with backtracking line search.  Projected gradient descent, the slow
+L-BFGS with backtracking line search.  Gradient descent, the slow
 cross-check (method "gd"), is the same loop with no memory: the two-loop
 recursion over no pairs returns the gradient itself (Nocedal & Wright,
-Numerical Optimization, 2nd ed., section 7.2).  Constraints are handled by
-projection: every iterate and every search direction is projected, so the
-constraint holds exactly at each accepted step.
+Numerical Optimization, 2nd ed., section 7.2).  Every constraint fixes a set
+of sites at u = 0, and only the starting point is projected onto it: the
+gradient is +0.0 on the fixed sites, so the L-BFGS pairs (s, y) and both
+directions are zero there, and every trial u + step * direction keeps +0.0.
 """
 
 from __future__ import annotations
@@ -135,16 +136,15 @@ def minimize(spec: EnergySpec, field: WeightField, opts: MinimizeOptions = Minim
         gnorm = float(np.abs(g).max())
         if gnorm <= opts.grad_tol:
             break
-        direction = project_direction(lat, -_two_loop(g, pairs), spec.constraint)
+        direction = -_two_loop(g, pairs)
         slope = float(g.dot(direction))
         if slope >= 0:  # quasi-Newton direction lost descent; restart on the gradient
             pairs.clear()
-            direction = project_direction(lat, -g, spec.constraint)
+            direction = -g
             slope = float(g.dot(direction))
         step = 1.0
         while True:
-            # re-project to kill rounding drift in the affine constraints
-            trial = project_direction(lat, u + step * direction, spec.constraint)
+            trial = u + step * direction
             e_trial = value(trial)
             if e_trial <= e + SUFFICIENT_DECREASE * step * slope:
                 break
@@ -165,6 +165,5 @@ def minimize(spec: EnergySpec, field: WeightField, opts: MinimizeOptions = Minim
         it += 1
     else:
         raise NumericalError(f"no convergence in {opts.max_iter} iterations; grad sup {float(np.abs(g).max()):.3g}")
-    out = project_constraint(GridFunction(lat, u), spec.constraint)
-    return out, MinimizeStats(iters=it, final_energy=e, grad_norm=float(np.abs(g).max()),
-                              values=1 + it + backtracks, backtracks=backtracks)
+    return GridFunction(lat, u), MinimizeStats(iters=it, final_energy=e, grad_norm=float(np.abs(g).max()),
+                                               values=1 + it + backtracks, backtracks=backtracks)

@@ -30,7 +30,7 @@ from .energy import (
     kernel_matrix,
     lq_norm,
 )
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .lattice import build_lattice, check_boxes
 from .linear_ops import assemble, solve, spectrum
 from .transfer import ContinuumFunction, continuum_energy, pc_l2_distance, sample
@@ -264,7 +264,7 @@ class StudyReport:
 
     def add(self, eps: float, seed: int, metric: str, value: float, aux: str = "") -> None:
         if not math.isfinite(value):
-            raise ValueError(f"non-finite metric {metric}={value}")
+            raise NumericalError(f"non-finite metric {metric}={value}")
         self.rows.append((float(eps), int(seed), metric, float(value), aux))
 
     def to_csv(self) -> str:

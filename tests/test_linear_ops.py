@@ -9,8 +9,6 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import fraclat
 from fraclat import build_lattice
@@ -27,7 +25,6 @@ from fraclat.linear_ops import (
     _OPENBLAS_THREADS,
     _flapack,
     _one_blas_thread,
-    apply_operator,
     assemble,
     solve,
     spectrum,
@@ -91,31 +88,6 @@ def test_quadratic_form_identity():
         quad = float(x @ system.matrix @ x)
         semi = weighted_seminorm(_kernel(lat, field, "local"), u, 2) ** 2
         assert quad == pytest.approx(semi, rel=1e-12)
-
-
-def test_apply_operator_oracle():
-    lat3 = build_lattice(1, 0.5, [(-0.6, 0.6)], [(-0.6, 0.6)])
-    field = WeightField(Constant(1.0), 0)
-    u = GridFunction(lat3, [0.0, 1.0, 0.0])
-    out = apply_operator(_kernel(lat3, field), u)
-    assert np.allclose(out.values, [2.0, -4.0, 2.0], rtol=1e-12)
-    const = GridFunction(lat3, [4.0] * 3)
-    assert np.all(apply_operator(_kernel(lat3, field), const).values == 0.0)
-
-
-@settings(max_examples=20, deadline=None)
-@given(a=st.floats(-3, 3), b=st.floats(-3, 3))
-def test_operator_linearity(a, b):
-    lat = build_lattice(1, 0.5, [(-1, 1)], [(-1, 1)])
-    field = WeightField(LogNormal(0.5), 2)
-    rng = np.random.default_rng(3)
-    u = rng.normal(size=lat.n_sites)
-    v = rng.normal(size=lat.n_sites)
-    kernel = _kernel(lat, field)
-    lu = apply_operator(kernel, GridFunction(lat, u)).values
-    lv = apply_operator(kernel, GridFunction(lat, v)).values
-    lab = apply_operator(kernel, GridFunction(lat, a * u + b * v)).values
-    assert np.allclose(lab, a * lu + b * lv, rtol=1e-10, atol=1e-10)
 
 
 def test_solve_one_by_one(lat5, const_field):

@@ -1,3 +1,4 @@
+import itertools
 import weakref
 from collections import Counter, deque
 
@@ -14,9 +15,11 @@ from fraclat.energy import (
     PowerK,
     PowerP,
     SmoothedPowerP,
+    check_constraint,
     energy_value,
     kernel_matrix,
     pair_ids,
+    project_direction,
 )
 from fraclat.linear_ops import assemble, solve
 from fraclat.minimize import MinimizeOptions, MinimizeStats, _two_loop, minimize, project_constraint
@@ -168,8 +171,8 @@ def test_minimize_holds_free_block_and_drops_it(monkeypatch, constraint):
 @pytest.mark.parametrize(
     "constraint, flavor, V",
     [
-        ("mean0", "global", PowerP(3)),
-        ("mean0", "local", PowerP(3)),
+        ("none", "global", SmoothedPowerP(3.0, 1e-4)),
+        ("none", "local", PowerP(3)),
         ("none", "global", PowerP(3)),
         # V(0) of a CustomPotential need not be 0, so pairs off the free set count
         ("dirichlet0", "global", HALF_QUADRATIC),
@@ -273,13 +276,21 @@ def test_uniqueness_two_starts():
 
 
 def test_constraint_held_exactly():
-    lat = build_lattice(1, 0.125, [(-1, 1)], [(-1, 1)])
-    field = WeightField(LogNormal(0.5), 6)
+    # only the start is projected; the fixed sites hold +0.0 through every
+    # step, on the free block (PowerP) and on the whole kernel (CustomPotential)
+    lat = build_lattice(1, 0.125, [(-1, 1)], [(-1.5, 1.5)])
+    field = WeightField(LogNormal(0.8), 6)
     f = GridFunction(lat, lat.positions[:, 0])
-    spec = _spec(V=HALF_QUADRATIC, f=f, flavor="local", constraint="mean0")
-    u, _ = minimize(spec, field, MinimizeOptions(grad_tol=1e-9, max_iter=2000), lattice=lat)
-    q = u.values[lat.q_ids]
-    assert abs(q.sum()) <= 1e-12 * len(q) * max(1.0, np.abs(q).max())
+    start = GridFunction(lat, np.random.default_rng(6).normal(size=lat.n_sites))
+    for constraint, fixed in (("dirichlet0", lat.dirichlet_ids), ("zero_outside", lat.exterior_ids)):
+        assert len(fixed) > 0
+        for V, method, initial in itertools.product((PowerP(3), HALF_QUADRATIC), ("lbfgs", "gd"), (None, start)):
+            spec = _spec(p=3, V=V, G=PowerK(0.3, 2.0), f=f, constraint=constraint)
+            opts = MinimizeOptions(grad_tol=1e-8, max_iter=2000, method=method, initial=initial)
+            u, stats = minimize(spec, field, opts, lattice=lat)
+            case = (constraint, V, method, initial is None)
+            assert stats.iters > 1, case
+            assert not u.values[fixed].any() and not np.signbit(u.values[fixed]).any(), case
 
 
 def test_gradient_descent_agrees_with_lbfgs():
@@ -299,17 +310,31 @@ def test_gradient_descent_agrees_with_lbfgs():
 def test_project_examples():
     lat = build_lattice(1, 0.5, [(-1, 1)], [(-1, 1)])
     u = GridFunction(lat, [9.0, 1.0, 2.0, 3.0, 9.0])
-    out = project_constraint(u, "mean0")
-    assert np.allclose(out.values[lat.q_ids], [-1.0, 0.0, 1.0])
     d = project_constraint(u, "dirichlet0")
     assert np.all(d.values[lat.interior_ids] == u.values[lat.interior_ids])
     assert np.all(d.values[lat.boundary_ids] == 0.0)
+    wide = build_lattice(1, 0.5, [(-1, 1)], [(-2, 2)])
+    v = GridFunction(wide, -np.arange(1.0, 10.0))
+    z = project_constraint(v, "zero_outside")
+    assert z.values.tobytes() == np.array([0.0, -2, -3, -4, -5, -6, -7, -8, 0.0]).tobytes()
+    assert project_constraint(v, "none").values.tobytes() == v.values.tobytes()
+
+
+@pytest.mark.parametrize("name", ["dirichlet_0", "Dirichlet0", "mean0", "bogus"])
+def test_unknown_constraint_names_raise(name):
+    # a misspelt name must not pass as none, which fixes no site
+    lat = build_lattice(1, 0.5, [(-1, 1)], [(-1, 1)])
+    u = GridFunction(lat, np.ones(lat.n_sites))
+    for call in (lambda: project_constraint(u, name), lambda: project_direction(lat, u.values, name),
+                 lambda: check_constraint(u, name), lambda: _spec(constraint=name)):
+        with pytest.raises(ValueError, match="constraint must be one of"):
+            call()
 
 
 @settings(max_examples=30, deadline=None)
 @given(
     vals=st.lists(st.floats(-100, 100), min_size=5, max_size=5),
-    constraint=st.sampled_from(["dirichlet0", "mean0", "zero_outside", "none"]),
+    constraint=st.sampled_from(["dirichlet0", "zero_outside", "none"]),
 )
 def test_project_idempotent(vals, constraint):
     lat = build_lattice(1, 0.5, [(-1, 1)], [(-1, 1)])
@@ -342,7 +367,9 @@ def test_options_validation():
 # before its outer terms went through V.value and V.derivative.
 PINNED_RUNS = {
     "dirichlet0": ("dirichlet0", PowerP(3), (23, 27, "-0x1.d3c51a533fa2cp-3")),
-    "mean0": ("mean0", PowerP(3), (30, 36, "-0x1.d7791e0f2b7fcp-2")),
+    # V(0) = 0, but under none no site is fixed: the whole kernel's path
+    "none": ("none", PowerP(3), (29, 36, "-0x1.d7791ed7aae38p-2")),
+    "zero_outside": ("zero_outside", PowerP(3), (30, 33, "-0x1.7f369d9d966d4p-4")),
     "dirichlet0-smoothed": ("dirichlet0", SmoothedPowerP(3.0, 1e-4), (23, 26, "-0x1.d3c50e630316fp-3")),
 }
 

@@ -12,7 +12,7 @@ import pytest
 
 import fraclat.study
 from fraclat.cli import main
-from fraclat.errors import ConfigError
+from fraclat.errors import ConfigError, NumericalError
 from fraclat.linear_ops import assemble
 from fraclat.study import (
     StudyConfig,
@@ -35,6 +35,23 @@ dist.kind=lognormal
 dist.sigma=1.0
 seeds=1,2
 """
+
+# one small instance of every driver; the CI job also runs these to report
+# which fraclat functions no study reaches
+SMOKE_CONFIGS = {
+    "solve": SOLVE_CFG,
+    "homogenize": "study=homogenize\neps_list=0.25,0.125\nhalo=-1,1\n"
+                  "dist.kind=lognormal\ndist.sigma=0.5\nseeds=1,2\n",
+    "gamma_limit": "study=gamma_limit\neps_list=0.125\nhalo=-1,1\nquad_n=32\n",
+    "spectral": "study=spectral\neps_list=0.25\nhalo=-1,1\nk_eigs=2\n"
+                "dist.kind=lognormal\ndist.sigma=0.5\n",
+    "embeddings": "study=embeddings\neps_list=0.25\nhalo=-1,1\nq_list=2\n",
+    "ergodic": "study=ergodic\neps_list=0.0625\nhalo=-2,2\nbox_side=16\n"
+               "radii=10,100\nalpha=0.5\ndist.kind=lognormal\ndist.sigma=0.5\n",
+    "vanish": "study=vanish\neps_list=0.25\nhalo=-1,1\nradii=10,100\n"
+              "dist.kind=decaying_product\ndist.alpha=3.0\n"
+              "dist.base.kind=lognormal\ndist.base.sigma=0.5\n",
+}
 
 
 def test_parse_defaults():
@@ -219,7 +236,7 @@ def test_comments_and_blank_lines_ignored():
 
 def test_report_rejects_nonfinite():
     rep = StudyReport("solve")
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalError, match="non-finite metric energy=nan"):
         rep.add(0.5, 1, "energy", float("nan"))
 
 
@@ -370,6 +387,18 @@ def test_cli_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+# the overflow in the L2 error's sum warns before the report rejects the inf
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_cli_nonfinite_metric(tmp_path, capsys):
+    # the weights' normalizing scale is finite (about 1e-196), but an L2 error overflows
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text("study=homogenize\ndist.kind=lognormal\ndist.sigma=30\n")
+    assert main(["homogenize", "--config", str(cfg_path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: non-finite metric l2_error=inf\n"
+    assert not (tmp_path / "homogenize.csv").exists()
+
+
 def test_cli_capacity_error(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(SOLVE_CFG.replace("eps_list=0.5,0.25", "eps_list=0.000001"))
@@ -496,20 +525,6 @@ print(" ".join(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
 def test_run_study_all_drivers_smoke(tmp_path):
     # every driver runs end to end on a small instance and yields finite rows
-    configs = {
-        "solve": SOLVE_CFG,
-        "homogenize": "study=homogenize\neps_list=0.25,0.125\nhalo=-1,1\n"
-                      "dist.kind=lognormal\ndist.sigma=0.5\nseeds=1,2\n",
-        "gamma_limit": "study=gamma_limit\neps_list=0.125\nhalo=-1,1\nquad_n=32\n",
-        "spectral": "study=spectral\neps_list=0.25\nhalo=-1,1\nk_eigs=2\n"
-                    "dist.kind=lognormal\ndist.sigma=0.5\n",
-        "embeddings": "study=embeddings\neps_list=0.25\nhalo=-1,1\nq_list=2\n",
-        "ergodic": "study=ergodic\neps_list=0.0625\nhalo=-2,2\nbox_side=16\n"
-                   "radii=10,100\nalpha=0.5\ndist.kind=lognormal\ndist.sigma=0.5\n",
-        "vanish": "study=vanish\neps_list=0.25\nhalo=-1,1\nradii=10,100\n"
-                  "dist.kind=decaying_product\ndist.alpha=3.0\n"
-                  "dist.base.kind=lognormal\ndist.base.sigma=0.5\n",
-    }
     # sha256[:16] of each report's CSV, the same at 1 and 2 BLAS threads
     pinned = {
         "solve": "03e732e36dc73c7d",
@@ -520,7 +535,7 @@ def test_run_study_all_drivers_smoke(tmp_path):
         "ergodic": "b7c6f93323a13b1b",
         "vanish": "315a9f2b4fd7beb7",
     }
-    for study, text in configs.items():
+    for study, text in SMOKE_CONFIGS.items():
         rep = run_study(parse_config(text))
         assert rep.study == study
         assert rep.rows, study

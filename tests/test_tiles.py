@@ -24,7 +24,7 @@ from fraclat.energy import (
     pair_ids,
     weighted_seminorm,
 )
-from fraclat.linear_ops import apply_operator, assemble
+from fraclat.linear_ops import assemble
 from fraclat.weights import (
     Constant,
     DecayingProduct,
@@ -298,26 +298,28 @@ def test_free_block_energy_matches_whole_kernel(d, small_tiles):
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_whole_kernel_reads_back_under_mean0(d, small_tiles):
-    # every site is free under mean0, so minimize holds the whole kernel, and
-    # the gradient is projected on the Q sites' mean
+def test_whole_kernel_reads_back_under_none(d, small_tiles):
+    # none fixes no site, so minimize holds the whole kernel, and the
+    # gradient is +0.0 off the flavor's sites
     lat = build_lattice(**LATTICES[d])
     rng = np.random.default_rng(10 + d)
     f = GridFunction(lat, rng.normal(size=lat.n_sites))
     field = WeightField(LogNormal(1.0), 3)
     for flavor in ("global", "local"):
         ids, k = kernel_matrix(lat, field, 0.5, 3.0, flavor)
+        off = np.ones(lat.n_sites, dtype=bool)
+        off[ids] = False
         vals = rng.normal(size=lat.n_sites)
-        vals[lat.q_ids] -= vals[lat.q_ids].mean()
         u = GridFunction(lat, vals)
         moved = vals.copy()
         moved[lat.q_ids[:2]] += (0.5, -0.5)
         for V in FUSED_POTENTIALS + (CUSTOM,):
-            spec = EnergySpec(p=3.0, s=0.5, V=V, G=PowerK(0.5, 2.0), f=f, flavor=flavor, constraint="mean0")
+            spec = EnergySpec(p=3.0, s=0.5, V=V, G=PowerK(0.5, 2.0), f=f, flavor=flavor, constraint="none")
             spec_other = replace(spec, V=SmoothedPowerP(3.0, 0.5))
             case = (d, flavor, V)
             g = energy_gradient(spec, FreeBlock(ids, k), u).values
-            assert abs(g[lat.q_ids].sum()) <= 1e-12 * np.abs(g).sum(), case
+            assert not g[off].any() and not np.signbit(g[off]).any(), case
+            assert g[ids].all(), case
             _assert_reads_back(spec, spec_other, lambda: FreeBlock(ids, k), u, GridFunction(lat, moved), case)
 
 
@@ -328,7 +330,7 @@ def test_seminorm_and_operator_match_their_tiled_sums(d, eps):
     n = lat.n_sites
     assert len(_reduction.row_tiles(n, n)) > 3
     field = WeightField(LogNormal(1.0), 4)
-    # a constant u checks that L u is +0.0, not -0.0
+    # a constant u checks that the p = 2 gradient is +0.0, not -0.0
     us = [GridFunction(lat, np.random.default_rng(d).normal(size=n)), GridFunction(lat, np.full(n, 0.7))]
     for flavor in ("global", "local"):
         for p in (1.5, 2.0, 3.0):
@@ -338,16 +340,19 @@ def test_seminorm_and_operator_match_their_tiled_sums(d, eps):
                 total = _reduction.blocked_total(lambda lo, hi: k[lo:hi] * np.abs(v[lo:hi, None] - v[None, :]) ** p,
                                                  len(ids), len(ids))
                 assert weighted_seminorm((ids, k), u, p) == total ** (1.0 / p), (flavor, p)
+    # the p = 2 energy's gradient is -4 eps^d L u for the operator
+    # (L u)(x) = eps^d sum_y c (u(y) - u(x)) / |x-y|^{d+2s}: 4 row sums of K (u(x) - u(y))
     kernel = kernel_matrix(lat, field, 0.5, 2.0, "global")
     k = kernel[1]
+    spec = EnergySpec(p=2.0, s=0.5, V=PowerP(2.0))
     for u in us:
         vals = u.values
         op = np.empty(n)
         for lo, hi in _reduction.row_tiles(n, n):
-            op[lo:hi] = (k[lo:hi] * (vals[None, :] - vals[lo:hi, None])).sum(axis=1)
-        op /= lat.eps**d
-        assert apply_operator(kernel, u).values.tobytes() == op.tobytes()
-    assert not np.signbit(apply_operator(kernel, us[1]).values).any()
+            op[lo:hi] = (k[lo:hi] * (vals[lo:hi, None] - vals[None, :])).sum(axis=1)
+        op *= 4.0
+        assert energy_gradient(spec, kernel, u).values.tobytes() == op.tobytes()
+    assert not np.signbit(energy_gradient(spec, kernel, us[1]).values).any()
 
 
 def test_tiled_diagnostics_match_whole_matrix_sums(small_tiles):
