@@ -12,6 +12,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from .errors import CapacityError, ConfigError, NumericalError
 from .study import STUDIES, parse_config, run_study, write_report
 
@@ -45,7 +47,10 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        report = run_study(cfg)
+        # a floating-point overflow warns nothing: a non-finite metric is
+        # rejected by the report, and a failed solve raises, each with one line
+        with np.errstate(all="ignore"):
+            report = run_study(cfg)
     except ConfigError as exc:  # a value that only the built lattice rejects
         print(f"config error: {exc}", file=sys.stderr)
         return 2

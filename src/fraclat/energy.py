@@ -362,12 +362,14 @@ def kernel_matrix(
             tile = factors(zr[lo:hi], cr[lo:hi], z, codes)
             sums[lo:hi] = tile.sum(axis=1)
             np.take(tile, cols, axis=1, out=block[lo:hi])
+            del tile  # before the next tile is built
         return sums, block
     k = np.empty((n, n))
     for lo, hi in triangle_tiles(n):
         tile = factors(z[lo:hi], codes[lo:hi], z[lo:], codes[lo:])
         k[lo:hi, lo:] = tile
         k[lo:, lo:hi] = tile.T
+        del tile
     return ids, k
 
 

