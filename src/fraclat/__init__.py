@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .lattice import LatticeDomain, build_lattice, pair_distance
+from .lattice import LatticeDomain, build_lattice
 from .weights import (
     Constant,
     DecayingProduct,
@@ -23,7 +23,6 @@ from .energy import (
     PowerK,
     PowerP,
     SmoothedPowerP,
-    embedding_ratio,
     energy_gradient,
     energy_value,
     gagliardo_seminorm,

@@ -76,9 +76,6 @@ class PowerP:
         q = np.square(t)
         return q, q ** (self.p / 2 - 1)
 
-    # growth envelope alpha |t|^p <= V <= c_v + beta |t|^p
-    growth = property(lambda self: (1.0, 1.0, 0.0))
-
 
 @dataclass(frozen=True)
 class SmoothedPowerP:
@@ -118,17 +115,11 @@ class SmoothedPowerP:
 
     has_derivative = True
 
-    growth = property(lambda self: (0.5, 1.0, 1.0))
-
 
 @dataclass(frozen=True)
 class CustomPotential:
     evaluate: Callable
     deriv: Optional[Callable] = None
-    p: float = 2.0
-    alpha: float = 1.0
-    beta: float = 1.0
-    c_v: float = 0.0
 
     def value(self, t):
         return self.evaluate(t)
@@ -140,19 +131,8 @@ class CustomPotential:
 
     has_derivative = property(lambda self: self.deriv is not None)
 
-    growth = property(lambda self: (self.alpha, self.beta, self.c_v))
-
 
 Potential = Union[PowerP, SmoothedPowerP, CustomPotential]
-
-
-def growth_bounds_hold(v: Potential, p: float) -> bool:
-    """Sample the envelope alpha|t|^p <= V(t) <= c_v + beta|t|^p on a dyadic grid."""
-    alpha, beta, c_v = v.growth
-    t = np.array([math.copysign(2.0**k * 1e-3, sgn) for k in range(21) for sgn in (1, -1)])
-    vals = v.value(t)
-    tp = np.abs(t) ** p
-    return bool(np.all(alpha * tp <= vals + 1e-15) and np.all(vals <= c_v + beta * tp + 1e-15))
 
 
 @dataclass(frozen=True)
@@ -201,9 +181,6 @@ class GridFunction:
             )
         if not np.isfinite(self.values).all():
             raise ValueError("grid function has non-finite entries")
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.lattice, self.values.copy())
 
 
 @dataclass(frozen=True)
@@ -258,6 +235,10 @@ def check_constraint(u: GridFunction, constraint: str) -> None:
 
 
 def pair_ids(lattice: LatticeDomain, flavor: str) -> np.ndarray:
+    """The flavor's sites: every halo site (global) or Q^eps (local).  Raises
+    ValueError on a name outside FLAVORS."""
+    if flavor not in FLAVORS:
+        raise ValueError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
     return np.arange(lattice.n_sites) if flavor == "global" else lattice.q_ids
 
 
@@ -514,17 +495,10 @@ def project_direction(lattice: LatticeDomain, g: np.ndarray, constraint: str) ->
     return g
 
 
-def _range_ids(lattice: LatticeDomain, rng: str) -> np.ndarray:
-    if rng == "global":
-        return np.arange(lattice.n_sites)
-    if rng == "q":
-        return lattice.q_ids
-    raise ValueError(f"range must be 'global' or 'q', got {rng!r}")
-
-
-def gagliardo_seminorm(lattice: LatticeDomain, u: GridFunction, s: float, p: float, rng: str = "q") -> float:
-    """[u]_{s,p,eps}: p-th root of eps^{2d} sum sum |u(x)-u(y)|^p / |x-y|^{d+sp}."""
-    ids = _range_ids(lattice, rng)
+def gagliardo_seminorm(lattice: LatticeDomain, u: GridFunction, s: float, p: float, flavor: str = "local") -> float:
+    """[u]_{s,p,eps}: p-th root of eps^{2d} sum sum |u(x)-u(y)|^p / |x-y|^{d+sp}
+    over the flavor's sites."""
+    ids = pair_ids(lattice, flavor)
     eps, d = lattice.eps, lattice.dim
     offsets = pair_offsets(lattice)
     codes = offsets.codes[ids]
@@ -549,9 +523,9 @@ def weighted_seminorm(kernel: tuple, u: GridFunction, p: float) -> float:
     return float(_pair_pass(FreeBlock(ids, k), PowerP(p), u.values[ids], rows=False)[0] ** (1.0 / p))
 
 
-def lq_norm(lattice: LatticeDomain, u: GridFunction, q: float, rng: str = "q") -> float:
-    """(eps^d sum |u|^q)^{1/q}; q = inf gives max |u|."""
-    ids = _range_ids(lattice, rng)
+def lq_norm(lattice: LatticeDomain, u: GridFunction, q: float, flavor: str = "local") -> float:
+    """(eps^d sum |u|^q)^{1/q} over the flavor's sites; q = inf gives max |u|."""
+    ids = pair_ids(lattice, flavor)
     vals = np.abs(u.values[ids])
     if math.isinf(q):
         return float(vals.max()) if vals.size else 0.0
@@ -568,9 +542,10 @@ def embedding_denominator(
     weighted: Optional[tuple] = None,
 ) -> float:
     """(||u||_p^p + [u]^p)^{1/p}, or [u]_c with a local kernel of (s, p) as
-    `weighted`: the q-independent denominator of `embedding_ratio`."""
+    `weighted`: the q-independent denominator of the embedding ratio
+    ||u||_q / den."""
     if weighted is None:
-        den = (lq_norm(lattice, u, p, "q") ** p + gagliardo_seminorm(lattice, u, s, p, "q") ** p) ** (1.0 / p)
+        den = (lq_norm(lattice, u, p) ** p + gagliardo_seminorm(lattice, u, s, p) ** p) ** (1.0 / p)
     else:
         den = weighted_seminorm(weighted, u, p)
     if den == 0.0:
@@ -578,19 +553,6 @@ def embedding_denominator(
         raise ConfigError(f"embedding ratio undefined at eps={lattice.eps:g}: "
                           "zero denominator (constant function?)")
     return den
-
-
-def embedding_ratio(
-    lattice: LatticeDomain,
-    u: GridFunction,
-    s: float,
-    p: float,
-    q: float,
-    weighted: Optional[tuple] = None,
-) -> float:
-    """||u||_q / (||u||_p^p + [u]^p)^{1/p}, or ||u||_q / [u]_c with a local
-    kernel of (s, p) as `weighted`."""
-    return lq_norm(lattice, u, q, "q") / embedding_denominator(lattice, u, s, p, weighted)
 
 
 def holder_chain_constant(

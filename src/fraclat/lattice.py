@@ -58,10 +58,6 @@ class LatticeDomain:
             raise ValueError("site outside halo box")
         return rel @ self._strides
 
-    def measure_q(self) -> float:
-        """|Q|_eps = eps^d * #(Q intersect Z_eps^d)."""
-        return self.eps**self.dim * len(self.q_ids)
-
 
 def same_lattice(a: LatticeDomain, b: LatticeDomain) -> bool:
     """Whether a and b have the same eps and sites, so a site id means the same site on both."""
@@ -148,12 +144,6 @@ def build_lattice(d: int, eps: float, domain, halo) -> LatticeDomain:
         _zmin=los,
         _strides=_row_major_strides(counts),
     )
-
-
-def pair_distance(z1, z2, eps: float) -> float:
-    """Physical Euclidean distance eps * |z1 - z2| between two integer sites."""
-    diff = np.asarray(z1, dtype=np.int64) - np.asarray(z2, dtype=np.int64)
-    return float(eps * np.sqrt(np.dot(diff, diff)))
 
 
 @dataclass(frozen=True)

@@ -489,7 +489,7 @@ def run_embeddings(cfg: StudyConfig) -> StudyReport:
             # the denominator does not depend on q: one per test function and seed
             dens = {seed: embedding_denominator(lat, u, cfg.s, cfg.p, k) for seed, k in kernels.items()}
             for q in cfg.q_list:
-                num = lq_norm(lat, u, q, "q")
+                num = lq_norm(lat, u, q)
                 for seed in seeds:
                     report.add(eps, seed, f"{prefix}_{name}_q{q:g}", num / dens[seed])
     return report

@@ -1,15 +1,11 @@
 """Bridges between grid functions and continuum functions.
 
 Piecewise-constant embedding (half-open cells x_i + [-eps/2, eps/2)), cell
-averaging by tensor Gauss quadrature, multilinear finite-element interpolation,
-pointwise sampling, mollified recovery, and a bracketed continuum energy for
-limit comparisons.  The near-diagonal part of the continuum double integral is
-never evaluated numerically: it is bracketed between 0 and an explicit
-Lipschitz bound, so quadrature bias cannot masquerade as convergence.
-
-scipy.integrate is imported on first use, inside `mollified_recovery`, its
-only user: with the scipy.optimize and scipy.sparse it pulls in, it would add
-about 0.4 s to the start-up of every run, and no study driver calls it.
+averaging by tensor Gauss quadrature, pointwise sampling, exact L2 distances
+between embeddings, and a bracketed continuum energy for limit comparisons.
+The near-diagonal part of the continuum double integral is never evaluated
+numerically: it is bracketed between 0 and an explicit Lipschitz bound, so
+quadrature bias cannot masquerade as convergence.
 
 The five Gauss-Legendre nodes and weights are fixed literals, the bits of
 `numpy.polynomial.legendre.leggauss(5)`: computing them at import would load
@@ -80,85 +76,9 @@ def average(f: ContinuumFunction, lattice: LatticeDomain) -> GridFunction:
     return GridFunction(lattice, vals)
 
 
-def fe_interpolate(u: GridFunction) -> ContinuumFunction:
-    """Continuous multilinear interpolation: agrees with u at sites, multilinear
-    on each cell eps*z + [0, eps)^d."""
-    lat = u.lattice
-    eps, d = lat.eps, lat.dim
-    zmin = lat.sites.min(axis=0)
-    zmax = lat.sites.max(axis=0)
-
-    def evaluate(pts: np.ndarray) -> np.ndarray:
-        z0 = np.floor(pts / eps).astype(np.int64)
-        z0 = np.clip(z0, zmin, zmax - 1)
-        frac = pts / eps - z0
-        out = np.zeros(pts.shape[0])
-        for corner in range(2**d):
-            kappa = np.array([(corner >> ax) & 1 for ax in range(d)])
-            w = np.ones(pts.shape[0])
-            for ax in range(d):
-                w *= frac[:, ax] if kappa[ax] else 1.0 - frac[:, ax]
-            out += w * u.values[lat.site_ids(z0 + kappa)]
-        return out
-
-    slopes = []
-    for ax in range(d):
-        shift = np.zeros(d, dtype=np.int64)
-        shift[ax] = 1
-        keep = lat.sites[:, ax] < zmax[ax]
-        ids_hi = lat.site_ids(lat.sites[keep] + shift)
-        slopes.append(np.abs(u.values[ids_hi] - u.values[keep]).max() / eps if keep.any() else 0.0)
-    lip = float(np.linalg.norm(slopes))
-    return ContinuumFunction(evaluate=evaluate, dim=d, lipschitz_const=lip)
-
-
 def sample(f: ContinuumFunction, lattice: LatticeDomain) -> GridFunction:
     """Pointwise values of f at the lattice sites."""
     return GridFunction(lattice, f(lattice.positions))
-
-
-# ---------------------------------------------------------------------------
-# mollification
-# ---------------------------------------------------------------------------
-
-
-def _bump(t: float, norm: float) -> float:
-    if abs(t) >= 1.0:
-        return 0.0
-    return norm * math.exp(-1.0 / (1.0 - t * t))
-
-
-def mollified_recovery(f: ContinuumFunction, k: int) -> ContinuumFunction:
-    """Convolution with the unit-mass bump at scale 1/k (d=1): smooth, sup-norm
-    non-increasing, support grown by 1/k.  A non-negative unit-mass kernel keeps
-    f's Lipschitz constant, so the result carries it."""
-    if f.dim != 1:
-        raise NotImplementedError("mollified recovery implemented for d=1")
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    from scipy.integrate import quad
-
-    # normalization of the standard bump exp(-1/(1-t^2)) on (-1, 1)
-    norm = 1.0 / quad(lambda t: math.exp(-1.0 / (1.0 - t * t)), -1.0, 1.0, epsabs=1e-14)[0]
-
-    def evaluate(pts: np.ndarray) -> np.ndarray:
-        out = np.empty(pts.shape[0])
-        for i, x in enumerate(pts[:, 0]):
-            val, _ = quad(
-                lambda y: f(np.array([[x - y]]))[0] * k * _bump(k * y, norm),
-                -1.0 / k,
-                1.0 / k,
-                epsabs=1e-8,
-                epsrel=1e-8,
-                limit=200,
-            )
-            out[i] = val
-        return out
-
-    support = None
-    if f.support_box is not None:
-        support = f.support_box + np.array([-1.0 / k, 1.0 / k])
-    return ContinuumFunction(evaluate=evaluate, dim=1, support_box=support, lipschitz_const=f.lipschitz_const)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +115,8 @@ def continuum_energy(
     delta = xi + 2h.  d=1 only.  Raises CapacityError before any work when
     quad_n exceeds QUAD_N_CAP.
     """
+    if p - p * s <= 0:
+        raise ValueError("near-diagonal bracket needs p(1-s) > 0")
     if f.dim != 1:
         raise NotImplementedError("continuum energy implemented for d=1")
     if f.lipschitz_const is None:
@@ -234,8 +156,6 @@ def continuum_energy(
     with np.errstate(divide="ignore", invalid="ignore"):
         beta = float(np.nanmax(V.value(ts) / ts**p)) if c_l > 0 else 0.0
     near_high = beta * c_l**p * (b - a) * 2.0 * delta ** (p - p * s) / (p - p * s)
-    if p - p * s <= 0:
-        raise ValueError("near-diagonal bracket needs p(1-s) > 0")
     return EnergyBracket(low=far, high=far + near_high)
 
 

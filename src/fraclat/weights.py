@@ -378,7 +378,7 @@ def empirical_moment(
             # rows lo:hi against columns lo:, of which the pairs j > i are kept, row by row
             upper = np.arange(lo, n_pts) > np.arange(lo, hi)[:, None]
             w = weight_pairs(field, z[lo:hi, None], z[None, lo:])[upper]
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", divide="ignore"):
                 w **= exponent
             bad = ~np.isfinite(w)
             if bad.any():

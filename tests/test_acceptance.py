@@ -263,8 +263,8 @@ def test_a8_structural_invariants(verdict):
             ok, _ = False, notes.append(f"idempotence {constraint}")
 
     lam = 1.7
-    base = gagliardo_seminorm(lat, u, 0.5, 2, "q")
-    scaled = gagliardo_seminorm(lat, GridFunction(lat, lam * vals), 0.5, 2, "q")
+    base = gagliardo_seminorm(lat, u, 0.5, 2, "local")
+    scaled = gagliardo_seminorm(lat, GridFunction(lat, lam * vals), 0.5, 2, "local")
     if abs(scaled - lam * base) > 1e-10 * base:
         ok, _ = False, notes.append("homogeneity in u")
     one = weighted_seminorm(kernel_matrix(lat, WeightField(Constant(1.0), 0), 0.5, 2, "local"), u, 2)

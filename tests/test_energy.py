@@ -5,21 +5,20 @@ from hypothesis import strategies as st
 
 from fraclat import build_lattice
 from fraclat.energy import (
-    CustomPotential,
     EnergySpec,
     GridFunction,
     NoneTerm,
     PowerK,
     PowerP,
     SmoothedPowerP,
-    embedding_ratio,
+    embedding_denominator,
     energy_gradient,
     energy_value,
     gagliardo_seminorm,
-    growth_bounds_hold,
     holder_chain_constant,
     kernel_matrix,
     lq_norm,
+    pair_ids,
     weighted_seminorm,
 )
 from fraclat.weights import Constant, LogNormal, UnitPowerLaw, WeightField
@@ -144,8 +143,8 @@ def test_seminorm_homogeneity(lam):
     vals = rng.normal(size=lat.n_sites)
     u = GridFunction(lat, vals)
     v = GridFunction(lat, lam * vals)
-    ref = gagliardo_seminorm(lat, u, 0.5, 2, "q")
-    assert gagliardo_seminorm(lat, v, 0.5, 2, "q") == pytest.approx(abs(lam) * ref, rel=1e-10)
+    ref = gagliardo_seminorm(lat, u, 0.5, 2, "local")
+    assert gagliardo_seminorm(lat, v, 0.5, 2, "local") == pytest.approx(abs(lam) * ref, rel=1e-10)
 
 
 def test_weighted_matches_unweighted_for_unit_c(const_field):
@@ -153,7 +152,7 @@ def test_weighted_matches_unweighted_for_unit_c(const_field):
     rng = np.random.default_rng(3)
     u = GridFunction(lat, rng.normal(size=lat.n_sites))
     a = weighted_seminorm(_local(const_field, lat), u, 2)
-    b = gagliardo_seminorm(lat, u, 0.5, 2, "q")
+    b = gagliardo_seminorm(lat, u, 0.5, 2, "local")
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -191,17 +190,32 @@ def test_lq_norm(lat3):
     assert lq_norm(lat3, u, 2, "global") == pytest.approx(0.5**0.5, rel=1e-12)
     lat = build_lattice(1, 0.5, [(-1, 1)], [(-1, 1)])
     ones = GridFunction(lat, np.ones(lat.n_sites))
-    assert lq_norm(lat, ones, 1, "q") == pytest.approx(lat.measure_q(), rel=1e-12)
+    assert lq_norm(lat, ones, 1, "local") == pytest.approx(lat.eps ** lat.dim * len(lat.q_ids), rel=1e-12)
     assert lq_norm(lat3, GridFunction(lat3, [0.0, -7.0, 2.0]), float("inf"), "global") == 7.0
+
+
+@pytest.mark.parametrize("flavor", ["Global", "q"])
+def test_unknown_flavor_is_refused(flavor, const_field):
+    # a misspelt "global" once gave the local sites: 7 here, where global has 17
+    lat = build_lattice(1, 0.25, [(-1, 1)], [(-2, 2)])
+    u = GridFunction(lat, np.ones(lat.n_sites))
+    with pytest.raises(ValueError, match="flavor"):
+        pair_ids(lat, flavor)
+    with pytest.raises(ValueError, match="flavor"):
+        kernel_matrix(lat, const_field, 0.5, 2.0, flavor)
+    with pytest.raises(ValueError, match="flavor"):
+        gagliardo_seminorm(lat, u, 0.5, 2.0, flavor)
+    with pytest.raises(ValueError, match="flavor"):
+        lq_norm(lat, u, 2.0, flavor)
 
 
 def test_embedding_ratio_examples(lat3):
     with pytest.raises(ValueError):
-        embedding_ratio(lat3, GridFunction(lat3, np.zeros(3)), 0.5, 2, 2)
+        embedding_denominator(lat3, GridFunction(lat3, np.zeros(3)), 0.5, 2)
     lat = build_lattice(1, 0.25, [(-1, 1)], [(-1, 1)])
     rng = np.random.default_rng(6)
     u = GridFunction(lat, rng.normal(size=lat.n_sites))
-    assert embedding_ratio(lat, u, 0.5, 2, 2) <= 1.0
+    assert lq_norm(lat, u, 2) / embedding_denominator(lat, u, 0.5, 2) <= 1.0
 
 
 def test_holder_chain_inequality():
@@ -215,7 +229,7 @@ def test_holder_chain_inequality():
         kernel = _local(field, lat, s, p)
         for _ in range(3):
             u = GridFunction(lat, rng.normal(size=lat.n_sites))
-            lhs = gagliardo_seminorm(lat, u, s_prime, r, "q")
+            lhs = gagliardo_seminorm(lat, u, s_prime, r, "local")
             rhs = c * weighted_seminorm(kernel, u, p)
             assert lhs <= rhs * (1 + 1e-12)
 
@@ -241,11 +255,14 @@ def test_forcing_on_another_lattice_is_refused(const_field):
 
 
 def test_growth_bounds():
-    assert growth_bounds_hold(PowerP(2.0), 2.0)
-    assert growth_bounds_hold(SmoothedPowerP(2.0, 1e-8), 2.0)
-    assert growth_bounds_hold(SmoothedPowerP(1.5, 1e-8), 1.5)
-    bad = CustomPotential(evaluate=lambda t: np.abs(t) ** 4, p=2.0, alpha=1.0, beta=1.0)
-    assert not growth_bounds_hold(bad, 2.0)
+    # the envelope alpha |t|^p <= V(t) <= c_v + beta |t|^p on a dyadic grid
+    t = np.array([sgn * 2.0**k * 1e-3 for k in range(21) for sgn in (1, -1)])
+    for v, alpha, beta, c_v in ((PowerP(2.0), 1.0, 1.0, 0.0), (SmoothedPowerP(2.0, 1e-8), 0.5, 1.0, 1.0),
+                                (SmoothedPowerP(1.5, 1e-8), 0.5, 1.0, 1.0)):
+        vals = v.value(t)
+        tp = np.abs(t) ** v.p
+        assert np.all(alpha * tp <= vals + 1e-15)
+        assert np.all(vals <= c_v + beta * tp + 1e-15)
 
 
 @pytest.mark.parametrize("delta", [1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.7])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraclat import build_lattice, pair_distance
+from fraclat import build_lattice
 from fraclat.errors import CapacityError
 
 
@@ -75,12 +75,6 @@ def test_boundary_layer_d2_brute_force():
     assert q_sites == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
 
-def test_pair_distance():
-    assert pair_distance([0], [1], 0.5) == 0.5
-    assert pair_distance([0, 0], [3, 4], 0.1) == pytest.approx(0.5)
-    assert pair_distance([2], [-1], 0.25) == 0.75
-
-
 def test_errors():
     with pytest.raises(ValueError):
         build_lattice(1, -0.5, [(-1, 1)], [(-1, 1)])
@@ -124,6 +118,6 @@ def test_refinement_and_measure():
         lat = build_lattice(1, eps, q, q)
         counts.append(len(lat.q_ids))
         # |Q|_eps -> |Q| with relative error below 3 * eps * perimeter / |Q|
-        assert abs(lat.measure_q() - 2.0) / 2.0 < 3 * eps * 2 / 2.0
+        assert abs(lat.eps ** lat.dim * len(lat.q_ids) - 2.0) / 2.0 < 3 * eps * 2 / 2.0
     for small, big in zip(counts, counts[1:]):
         assert big >= 2 * small

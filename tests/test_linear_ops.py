@@ -32,9 +32,7 @@ from fraclat.linear_ops import (
 from fraclat.weights import Constant, LogNormal, WeightField
 
 # the p=2 functional whose stationarity is the assembled weak form A u = b
-HALF_QUADRATIC = CustomPotential(
-    evaluate=lambda t: 0.5 * t * t, deriv=lambda t: t, p=2.0, alpha=0.5, beta=0.5
-)
+HALF_QUADRATIC = CustomPotential(evaluate=lambda t: 0.5 * t * t, deriv=lambda t: t)
 
 
 @pytest.fixture

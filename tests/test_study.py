@@ -497,9 +497,9 @@ def test_embeddings_one_seminorm_per_function_and_seed(monkeypatch, dist, semino
 
 
 def test_startup_imports_no_unused_scipy_submodule():
-    # scipy.integrate and scipy.linalg are imported by the one function that
-    # needs each, so a run that never calls it does not pay for the import;
-    # nothing imports scipy.special, and the Gauss-Legendre nodes are literals
+    # scipy.linalg is imported by the one function that needs it, so a run
+    # that never calls it does not pay for the import; nothing imports
+    # scipy.integrate or scipy.special, and the Gauss-Legendre nodes are literals
     heavy = ("numpy.polynomial", "scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse",
              "scipy.special")
     code = ("import sys, fraclat, fraclat.cli, fraclat.minimize; "

@@ -232,7 +232,8 @@ def _assert_reads_back(spec, spec_other, fresh, u, u_moved, case):
     assert energy_gradient(spec, kb, u).values.tobytes() == g.tobytes(), case
     # specs that differ from spec only in G, or only in f (an equal copy is another f)
     lat = u.lattice
-    others = [replace(spec, G=PowerK(0.25, 3.0)), replace(spec, f=spec.f.copy()),
+    others = [replace(spec, G=PowerK(0.25, 3.0)),
+              replace(spec, f=GridFunction(spec.f.lattice, spec.f.values.copy())),
               replace(spec, f=GridFunction(lat, np.linspace(-1.0, 2.0, lat.n_sites)))]
     for other in others:
         energy_value(spec, kb, u)
@@ -370,7 +371,7 @@ def test_tiled_diagnostics_match_whole_matrix_sums(small_tiles):
     vals = u.values[q]
     num = np.abs(vals[:, None] - vals[None, :]) ** 2 / dist ** (d + 0.5 * 2)
     semi = (eps ** (2 * d) * num.sum()) ** 0.5
-    assert gagliardo_seminorm(lat, u, 0.5, 2.0, "q") == pytest.approx(semi, rel=1e-13)
+    assert gagliardo_seminorm(lat, u, 0.5, 2.0, "local") == pytest.approx(semi, rel=1e-13)
 
     p, s, r, s_prime = 2.0, 0.5, 1.5, 1.0 / 3.0
     w = _whole_weights(field, zq, zq)

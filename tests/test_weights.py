@@ -277,6 +277,14 @@ def test_moment_overflow_reported():
         empirical_moment(f, -500.0, 5, 1)
 
 
+def test_moment_of_underflowed_weight_reported():
+    # some c underflows to 0 here, so c^q divides by zero; the suite turns
+    # that warning into an error, which must not come before NumericalError
+    f = WeightField(UnitPowerLaw(0.01, normalize=False), 1)
+    with pytest.raises(NumericalError):
+        empirical_moment(f, -500.0, 5, 1, d=2)
+
+
 def test_stationarity_shift_invariance():
     base = empirical_moment(WeightField(LogNormal(0.7), 21), 1.0, 24, 1)
     for origins in range(2, 7):
