@@ -23,19 +23,16 @@ not, and no BLAS worker thread wakes to spin-wait.  Where no OpenBLAS is found
 (MKL, Accelerate), the count is left alone.  `spectrum` works in A's own
 buffer, so `assemble`'s capacity check covers the whole spectral study.
 
-`spectrum` calls LAPACK's dsyevr through scipy's own extension module
-`scipy.linalg._flapack`, which `_flapack` loads from its file on first use
-without running the scipy.linalg package: after numpy, that package's imports
-take about 0.28 s and 29 MB, the extension alone 4 ms and 2.6 MB.  ctypes is
-imported only when a solve or `spectrum` pins the BLAS thread count.
+`spectrum` calls LAPACKE's dsyevr in the ILP64 OpenBLAS that numpy's wheels
+link and export as `scipy_LAPACKE_dsyevr64_`, through ctypes, so a spectral
+run loads no scipy module and no second BLAS.  Where numpy exports no such
+symbol (an MKL, Accelerate or conda numpy), it calls the same routine through
+scipy's `scipy.linalg._flapack`, which imports the scipy.linalg package.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
-import os
-import sys
+import ctypes
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -102,8 +99,6 @@ def _one_blas_thread(module):
     thread, restoring the count on exit; where no name resolves, run it as is.
     `ctypes.CDLL` of a loaded module returns its handle, and a symbol lookup on
     that handle searches the module's dependencies too."""
-    import ctypes
-
     lib = ctypes.CDLL(module.__file__)
     name = next((n for n in _OPENBLAS_THREADS if hasattr(lib, n.format("get"))), None)
     if name is None:
@@ -164,27 +159,36 @@ def _embed(system: BilinearSystem, x: np.ndarray) -> GridFunction:
     return GridFunction(system.lattice, full)
 
 
-def _flapack():
-    """scipy's LAPACK extension `scipy.linalg._flapack`, loaded from its file
-    under the scipy package directory, which `find_spec` locates without
-    importing scipy.  The module goes into `sys.modules` under its own name, so
-    a later `import scipy.linalg` reuses it; where the file is missing, it is
-    imported the usual way, through the package."""
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
-    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(root, "linalg", "_flapack" + suffix)
-        if os.path.exists(path):
-            loader = importlib.machinery.ExtensionFileLoader(name, path)
-            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
-            loader.exec_module(module)
-            sys.modules[name] = module
-            return module
-    from scipy.linalg import _flapack
+# LAPACKE's dsyevr as the ILP64 OpenBLAS of numpy's wheels exports it, and
+# LAPACKE's code for a column-major (Fortran-order) matrix
+_DSYEVR = "scipy_LAPACKE_dsyevr64_"
+_LAPACK_COL_MAJOR = 102
 
-    return _flapack
+
+def _lapacke_dsyevr(dsyevr, a, k):
+    """The k smallest eigenpairs of the symmetric Fortran-order matrix `a`, from
+    its lower triangle, by the LAPACKE function `dsyevr` with int64 integers
+    on one BLAS thread: (eigenvalues, eigenvectors as columns, number found,
+    info).  Column-major LAPACKE hands `a` to dsyevr without a copy, and
+    dsyevr overwrites it."""
+    n = a.shape[0]
+    vector = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    dsyevr.restype = ctypes.c_int64
+    dsyevr.argtypes = [
+        ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
+        np.ctypeslib.ndpointer(np.float64, 2, (n, n), "F_CONTIGUOUS"), ctypes.c_int64,
+        ctypes.c_double, ctypes.c_double, ctypes.c_int64, ctypes.c_int64, ctypes.c_double,
+        ctypes.POINTER(ctypes.c_int64), vector, vector, ctypes.c_int64,
+        np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS"),
+    ]
+    w = np.empty(n)
+    z = np.empty((k, n))  # the n x k Fortran-order eigenvector block, ldz = n
+    isuppz = np.empty(2 * k, dtype=np.int64)
+    found = ctypes.c_int64()
+    with _one_blas_thread(np.linalg._umath_linalg):
+        info = dsyevr(_LAPACK_COL_MAJOR, b"V", b"I", b"L", n, a, n, 0.0, 0.0, 1, k, 0.0, ctypes.byref(found),
+                      w, z, n, isuppz)
+    return w, z.T, found.value, info
 
 
 def spectrum(system: BilinearSystem, k: int) -> SpectralReport:
@@ -193,11 +197,13 @@ def spectrum(system: BilinearSystem, k: int) -> SpectralReport:
 
     The eigenpairs come from LAPACK's dsyevr over A's lower triangle, the call
     that `scipy.linalg.eigh(A.T, subset_by_index=(0, k - 1), overwrite_a=True)`
-    makes, to the bit.  It consumes `system.matrix`: A is symmetric to the
-    bit, so A.T is A in Fortran order, and dsyevr overwrites that buffer
-    instead of copying 8 m^2 bytes that `assemble`'s capacity check never
-    counted.  It runs on one BLAS thread, so its bits do not depend on the
-    thread count.  A non-finite entry of A raises NumericalError first.
+    makes, to the bit.  It runs in numpy's OpenBLAS through LAPACKE where
+    numpy exports `_DSYEVR`, and through scipy's `_flapack` where it does
+    not.  It consumes `system.matrix`: A is symmetric to the bit, so A.T is A
+    in Fortran order, and dsyevr overwrites that buffer instead of copying
+    8 m^2 bytes that `assemble`'s capacity check never counted.  It runs on
+    one BLAS thread, so its bits do not depend on the thread count.  A
+    non-finite entry of A raises NumericalError first.
     """
     n = system.matrix.shape[0]
     if not 1 <= k <= n:
@@ -205,12 +211,17 @@ def spectrum(system: BilinearSystem, k: int) -> SpectralReport:
     a = system.matrix.T
     if not np.isfinite(a).all():
         raise NumericalError("assembled matrix holds a non-finite entry")
-    lapack = _flapack()
-    with _one_blas_thread(lapack):
-        work, iwork, _ = lapack.dsyevr_lwork(n, lower=1)
-        lam, vecs, found, _, info = lapack.dsyevr(
-            a, compute_v=1, range="I", il=1, iu=k, lower=1, lwork=int(work), liwork=int(iwork), overwrite_a=1
-        )
+    dsyevr = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), _DSYEVR, None)
+    if dsyevr is None:
+        from scipy.linalg import _flapack as lapack
+
+        with _one_blas_thread(lapack):
+            work, iwork, _ = lapack.dsyevr_lwork(n, lower=1)
+            lam, vecs, found, _, info = lapack.dsyevr(
+                a, compute_v=1, range="I", il=1, iu=k, lower=1, lwork=int(work), liwork=int(iwork), overwrite_a=1
+            )
+    else:
+        lam, vecs, found, info = _lapacke_dsyevr(dsyevr, a, k)
     if info != 0 or found < k:
         raise NumericalError(f"dense eigensolver dsyevr failed: info={info}, {found} of {k} eigenpairs")
     lam, vecs = lam[:found], vecs[:, :found]

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg import _flapack
 
 import fraclat
 from fraclat import build_lattice
@@ -22,8 +23,8 @@ from fraclat.energy import (
 )
 from fraclat.errors import NumericalError
 from fraclat.linear_ops import (
+    _DSYEVR,
     _OPENBLAS_THREADS,
-    _flapack,
     _one_blas_thread,
     assemble,
     solve,
@@ -205,7 +206,7 @@ def _thread_count(module):
     pytest.skip(f"{module.__name__} links no OpenBLAS")
 
 
-@pytest.mark.parametrize("module", [np.linalg._umath_linalg, scipy.linalg._flapack], ids=["numpy", "scipy"])
+@pytest.mark.parametrize("module", [np.linalg._umath_linalg, _flapack], ids=["numpy", "scipy"])
 def test_one_blas_thread_restores_the_count(module):
     get, set_ = _thread_count(module)
     before = get()
@@ -242,20 +243,21 @@ def test_one_blas_thread_without_openblas_runs_the_body():
 
 
 def test_spectrum_overwrites_a_instead_of_copying_it():
-    # importing scipy.linalg at the top of this module loaded its _flapack
-    # extension, which `spectrum` reuses, so the traced span holds only the
-    # eigensolve's own allocations
     system = _system_m509()
     m = len(system.free_ids)
     assert m == 509
+    before = system.matrix.copy()
     tracemalloc.start()
     try:
         spectrum(system, 5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # a copy of A for LAPACK would take 8 m^2 bytes, about 2.1 MB
+    # a copy of A for LAPACK would take 8 m^2 bytes, about 2.1 MB; tracemalloc
+    # sees numpy's allocations but not LAPACKE's own malloc, so a changed A is
+    # what shows that dsyevr worked in our buffer
     assert peak < 8 * m * m
+    assert not np.array_equal(system.matrix, before)
 
 
 def _system_m509():
@@ -270,12 +272,22 @@ def _system_d2():
     return assemble(lat, WeightField(Constant(1.0), 0), 0.5, "global", _ones(lat))
 
 
-@pytest.mark.parametrize("make", [_system_m509, _system_d2], ids=["d1_m509", "d2"])
-@pytest.mark.parametrize("k", [1, 5])
-def test_spectrum_matches_scipy_eigh_to_the_bit(make, k):
+# both dsyevr paths: numpy's LAPACKE (the bare ids) and the scipy fallback,
+# forced by a symbol name that does not resolve
+_EIGH_CASES = [
+    pytest.param(make, k, symbol, id=f"{k}-{name}{suffix}")
+    for symbol, suffix in ((_DSYEVR, ""), ("no_such_dsyevr", "-scipy_fallback"))
+    for name, make in (("d1_m509", _system_m509), ("d2", _system_d2))
+    for k in (1, 5)
+]
+
+
+@pytest.mark.parametrize("make, k, symbol", _EIGH_CASES)
+def test_spectrum_matches_scipy_eigh_to_the_bit(make, k, symbol, monkeypatch):
+    monkeypatch.setattr("fraclat.linear_ops._DSYEVR", symbol)
     system, reference = make(), make()
     rep = spectrum(system, k)
-    with _one_blas_thread(_flapack()):
+    with _one_blas_thread(_flapack):
         lam, vecs = scipy.linalg.eigh(reference.matrix.T, subset_by_index=(0, k - 1), overwrite_a=True)
     lat = system.lattice
     assert np.array_equal(rep.eigenvalues, lat.eps**lat.dim / lam)
@@ -293,7 +305,7 @@ def test_spectrum_rejects_a_nonfinite_matrix(lat5, const_field):
         spectrum(system, 1)
 
 
-_SPECTRAL_WITHOUT_SCIPY_LINALG = """
+_SPECTRAL_WITHOUT_SCIPY = """
 import json, sys
 import numpy as np
 from fraclat.linear_ops import _one_blas_thread, assemble, spectrum
@@ -301,29 +313,27 @@ from fraclat.study import _forcing, _lattice, parse_config, run_study
 from fraclat.weights import WeightField
 cfg = parse_config(sys.argv[1])
 run_study(cfg)
-loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
 lat = _lattice(cfg, cfg.eps_list[0])
 system = assemble(lat, WeightField(cfg.dist, 1), cfg.s, cfg.flavor, _forcing(cfg, lat))
 reference = system.matrix.copy()
 mu = spectrum(system, cfg.k_eigs).eigenvalues
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
 import scipy.linalg
-flapack = sys.modules["scipy.linalg._flapack"]
-with _one_blas_thread(flapack):
+with _one_blas_thread(scipy.linalg._flapack):
     lam = scipy.linalg.eigh(reference.T, subset_by_index=(0, cfg.k_eigs - 1), overwrite_a=True)[0]
-json.dump({"loaded": loaded, "reused": scipy.linalg.lapack._flapack is flapack,
-           "same_bits": bool(np.array_equal(mu, lat.eps**lat.dim / lam))}, sys.stdout)
+json.dump({"loaded": loaded, "same_bits": bool(np.array_equal(mu, lat.eps**lat.dim / lam))}, sys.stdout)
 """
 
 
-def test_spectral_study_loads_only_the_lapack_extension():
+def test_spectral_study_loads_no_scipy_module():
     # a fresh interpreter: this module's own `import scipy.linalg` would hide
-    # a fallback to the package import
+    # a fallback to scipy's LAPACK
     text = ("study=spectral\nd=2\neps_list=0.25,0.125\ndomain=-1,1,-1,1\nhalo=-1.5,1.5,-1.5,1.5\n"
             "k_eigs=3\ndist.kind=lognormal\nseeds=1\n")
     src = pathlib.Path(fraclat.__file__).parents[1]
-    out = subprocess.run([sys.executable, "-c", _SPECTRAL_WITHOUT_SCIPY_LINALG, text],
+    out = subprocess.run([sys.executable, "-c", _SPECTRAL_WITHOUT_SCIPY, text],
                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, check=True, text=True)
-    assert json.loads(out.stdout) == {"loaded": ["scipy.linalg._flapack"], "reused": True, "same_bits": True}
+    assert json.loads(out.stdout) == {"loaded": [], "same_bits": True}
 
 
 def test_empty_free_set_rejected(const_field):
