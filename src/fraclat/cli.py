@@ -1,9 +1,11 @@
 """Command-line entry point.
 
-One subcommand per study; the config file carries everything else.  Exit codes:
-0 success, 2 config error, 3 numerical failure, 4 input over capacity (a
-lattice above the site cap, or a dense kernel or assembled p=2 matrix larger
-than physical memory).
+One subcommand per study, with two options: `--config`, the key=value file
+that carries everything else (the seeds included), and `--out`, the directory
+that receives `<study>.csv` and its `.meta.json` sidecar.  Exit codes: 0
+success, 2 config error, 3 numerical failure, 4 input over capacity (a lattice
+above the site cap, or a dense kernel or assembled p=2 matrix larger than
+physical memory).
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name.replace("_", "-"), help=f"run the {name} study")
         p.add_argument("--config", required=True, help="path to a key=value config file")
         p.add_argument("--out", default=".", help="output directory (default: current)")
-        p.add_argument("--seed-override", type=int, default=None, help="replace the config's seed list")
-        p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     return parser
 
 
@@ -38,10 +38,6 @@ def main(argv=None) -> int:
             cfg = parse_config(fh.read())
         if cfg.study != study:
             raise ConfigError(f"config is for study {cfg.study!r} but subcommand is {study!r}")
-        if args.seed_override is not None:
-            from dataclasses import replace
-
-            cfg = replace(cfg, seeds=(args.seed_override,))
     except (OSError, ValueError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -64,8 +60,8 @@ def main(argv=None) -> int:
     for eps, seed, metric, value, aux in report.rows:
         print(f"{study} eps={eps:g} seed={seed} {metric}={value:.6g} {aux}".rstrip(), file=sys.stderr)
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, f"{study}.{args.format}")
-    write_report(report, path, fmt=args.format)
+    path = os.path.join(args.out, f"{study}.csv")
+    write_report(report, path)
     print(f"wrote {path}", file=sys.stderr)
     return 0
 

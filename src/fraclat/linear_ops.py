@@ -33,6 +33,7 @@ scipy's `scipy.linalg._flapack`, which imports the scipy.linalg package.
 from __future__ import annotations
 
 import ctypes
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -118,6 +119,8 @@ def solve(system: BilinearSystem, tol: float = 1e-10, max_iter: int = 10_000):
     Each product a @ p is written into one preallocated vector on one thread
     of the OpenBLAS behind numpy's matmul, which numpy's linalg extension
     links too, so the iterates have the one-thread bits at any thread count.
+    Raises NumericalError at the first non-finite residual or non-positive
+    p^T A p, where A is not numerically positive definite.
     """
     a, b = system.matrix, system.rhs
     bnorm = float(np.linalg.norm(b))
@@ -137,13 +140,18 @@ def solve(system: BilinearSystem, tol: float = 1e-10, max_iter: int = 10_000):
             history.append(res)
             if res <= tol:
                 break
+            if not math.isfinite(res):
+                raise NumericalError(f"conjugate gradients residual is {res} at iteration {it}")
             if it >= max_iter:
                 raise NumericalError(
                     f"conjugate gradients did not reach tol={tol:g} in {max_iter} iterations; "
                     f"residual history tail {history[-5:]}"
                 )
             np.matmul(a, p, out=ap)
-            alpha = rs / float(p @ ap)
+            pap = float(p @ ap)
+            if not pap > 0:
+                raise NumericalError(f"conjugate gradients met p^T A p = {pap:g} at iteration {it}")
+            alpha = rs / pap
             x = x + alpha * p
             r = r - alpha * ap
             rs_new = float(r @ r)

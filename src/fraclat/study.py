@@ -5,8 +5,8 @@ are hard errors.  `StudyConfig` is the one declaration of the format, and
 `parse_config` and `serialize_config` loop over its fields.
 
 Reports are long-format rows (study, eps, seed, metric, value, aux) written as
-CSV or JSON lines, with run metadata (config echo, version, wall time) in a
-``.meta.json`` sidecar so the data file itself is byte-reproducible.
+CSV, with run metadata (config echo, version, wall time) in a ``.meta.json``
+sidecar so the data file itself is byte-reproducible.
 """
 
 from __future__ import annotations
@@ -90,8 +90,7 @@ class StudyConfig:
 _KEYS = {"f_value": "f.value", "solver_tol": "solver.tol", "solver_max_iter": "solver.max_iter",
          "alpha_list": "alpha"}
 
-# dist.kind -> (class, its one parameter, that parameter's default); dist.normalize
-# is read for every kind and passed to the classes that have it
+# dist.kind -> (class, its one parameter, that parameter's default)
 _DISTS = {
     "constant": (Constant, "value", 1.0),
     "lognormal": (LogNormal, "sigma", 1.0),
@@ -99,8 +98,6 @@ _DISTS = {
     "shifted_pareto": (ShiftedPareto, "a", 2.0),
     "decaying_product": (DecayingProduct, "alpha", 3.0),
 }
-
-_BOOL = {"true": True, "false": False}
 
 
 def _parse_value(text: str, default):
@@ -118,15 +115,10 @@ def _parse_dist(kv: dict, prefix: str):
     kind = kv.pop(prefix + "kind", "constant")
     if kind not in _DISTS:
         raise ConfigError(f"unknown {prefix}kind {kind!r}; expected one of {tuple(_DISTS)}")
-    norm = _BOOL.get(kv.pop(prefix + "normalize", "true"))
-    if norm is None:
-        raise ConfigError(f"{prefix}normalize must be true or false")
     cls, param, default = _DISTS[kind]
     args = {param: float(kv.pop(prefix + param, default))}
     if cls is DecayingProduct:
         args["base"] = _parse_dist(kv, prefix + "base.")
-    elif hasattr(cls, "normalize"):
-        args["normalize"] = norm
     return cls(**args)
 
 
@@ -134,8 +126,6 @@ def _serialize_dist(dist, prefix: str) -> list:
     kind = next(k for k, (cls, _, _) in _DISTS.items() if type(dist) is cls)
     param = _DISTS[kind][1]
     lines = [f"{prefix}kind={kind}", f"{prefix}{param}={_text(getattr(dist, param))}"]
-    if hasattr(dist, "normalize"):
-        lines.append(f"{prefix}normalize={'true' if dist.normalize else 'false'}")
     if isinstance(dist, DecayingProduct):
         lines += _serialize_dist(dist.base, prefix + "base.")
     return lines
@@ -273,18 +263,6 @@ class StudyReport:
             out.append(f"{self.study},{eps!r},{seed},{metric},{value!r},{aux}")
         return "\n".join(out) + "\n"
 
-    def to_jsonl(self) -> str:
-        out = []
-        for eps, seed, metric, value, aux in self.rows:
-            out.append(
-                json.dumps(
-                    {"study": self.study, "eps": eps, "seed": seed, "metric": metric,
-                     "value": value, "aux": aux},
-                    sort_keys=True,
-                )
-            )
-        return "\n".join(out) + "\n"
-
     def values(self, metric: str, eps: Optional[float] = None) -> list:
         return [
             v
@@ -293,10 +271,9 @@ class StudyReport:
         ]
 
 
-def write_report(report: StudyReport, path: str, fmt: str = "csv") -> None:
-    data = report.to_csv() if fmt == "csv" else report.to_jsonl()
+def write_report(report: StudyReport, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(data)
+        fh.write(report.to_csv())
     with open(path + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(report.meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

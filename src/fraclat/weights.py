@@ -18,9 +18,10 @@ the lower tail negated.  The uniform is (k + 1/2) 2^-53 for the top 53 hash
 bits k, clamped to 1 - 2^-53 where k = 2^53 - 1 would round it to 1.0 (a
 LogNormal weight of inf).
 
-Distributions are rescaled at construction so the analytic mean is 1 unless
-`normalize=False`; the homogenized limit then matches the constant-weight
-reference directly.
+Every distribution but `Constant` is rescaled by its `scale`, 1 over its
+analytic mean, so its mean is 1; the homogenized limit then matches the
+constant-weight reference directly.  A `Constant` value must be finite and
+positive.
 """
 
 from __future__ import annotations
@@ -119,6 +120,10 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
 class Constant:
     value: float = 1.0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.value) and self.value > 0):
+            raise ValueError(f"Constant needs a finite positive value, got {self.value}")
+
     def q_max(self) -> float:
         return math.inf
 
@@ -131,10 +136,6 @@ class Constant:
 @dataclass(frozen=True)
 class LogNormal:
     sigma: float
-    normalize: bool = True
-
-    def raw_mean(self) -> float:
-        return math.exp(self.sigma**2 / 2)
 
     def q_max(self) -> float:
         return math.inf
@@ -146,18 +147,14 @@ class LogNormal:
 
     @property
     def scale(self) -> float:
-        return 1.0 / self.raw_mean() if self.normalize else 1.0
+        return 1.0 / math.exp(self.sigma**2 / 2)
 
 
 @dataclass(frozen=True)
 class UnitPowerLaw:
-    """c = U^{1/a} with U uniform on (0,1); E(c^{-q}) < infinity iff q < a."""
+    """c = U^{1/a} (a + 1) / a with U uniform on (0,1), so E(c) = 1; E(c^{-q}) < infinity iff q < a."""
 
     a: float
-    normalize: bool = True
-
-    def raw_mean(self) -> float:
-        return self.a / (self.a + 1)
 
     def q_max(self) -> float:
         return self.a
@@ -167,22 +164,19 @@ class UnitPowerLaw:
 
     @property
     def scale(self) -> float:
-        return 1.0 / self.raw_mean() if self.normalize else 1.0
+        return 1.0 / (self.a / (self.a + 1))
 
 
 @dataclass(frozen=True)
 class ShiftedPareto:
-    """c = 1 + Pareto(a) (scale 1), so c >= 2 and all negative moments exist."""
+    """c = (1 + Pareto(a)) (a - 1) / (2a - 1), Pareto of scale 1, so E(c) = 1 and c is bounded
+    below by 2 (a - 1) / (2a - 1): all negative moments exist."""
 
     a: float
-    normalize: bool = True
 
     def __post_init__(self):
         if self.a <= 1:
             raise ValueError("ShiftedPareto needs a > 1 for a finite mean")
-
-    def raw_mean(self) -> float:
-        return 1.0 + self.a / (self.a - 1)
 
     def q_max(self) -> float:
         return math.inf
@@ -192,7 +186,7 @@ class ShiftedPareto:
 
     @property
     def scale(self) -> float:
-        return 1.0 / self.raw_mean() if self.normalize else 1.0
+        return 1.0 / (1.0 + self.a / (self.a - 1))
 
 
 @dataclass(frozen=True)
@@ -207,6 +201,10 @@ class DecayingProduct:
 
     base: Union[Constant, LogNormal, UnitPowerLaw, ShiftedPareto]
     alpha: float
+
+    def __post_init__(self):
+        if isinstance(self.base, DecayingProduct):
+            raise ValueError("a DecayingProduct's base cannot be another DecayingProduct")
 
     def q_max(self) -> float:
         return self.base.q_max()

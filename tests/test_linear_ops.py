@@ -122,6 +122,25 @@ def test_solve_nonconvergence_raises(const_field):
         solve(system, tol=1e-30, max_iter=1)
 
 
+@pytest.mark.parametrize("sign", [-1.0, 0.0], ids=["negative_definite", "zero"])
+def test_solve_rejects_a_form_that_is_not_positive(const_field, sign):
+    # the first step meets p^T A p <= 0, where CG used to divide by it
+    lat = build_lattice(1, 0.25, [(-1, 1)], [(-1, 1)])
+    system = assemble(lat, const_field, 0.5, "global", _ones(lat))
+    system.matrix[...] *= sign
+    with pytest.raises(NumericalError, match="at iteration 0"):
+        solve(system)
+
+
+def test_solve_stops_at_the_first_nonfinite_residual():
+    # a valid constant weight so small that p^T A p = 1.4e-321: the first
+    # step size overflows to inf, and CG used to run all 10,000 iterations on NaN
+    lat = build_lattice(1, 0.125, [(-1, 1)], [(-1, 1)])
+    system = assemble(lat, WeightField(Constant(1e-320), 0), 0.5, "global", _ones(lat))
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="residual is inf at iteration 1$"):
+        solve(system)
+
+
 def test_spectrum_one_by_one(lat5, const_field):
     system = assemble(lat5, const_field, 0.5, "global", _ones(lat5))
     rep = spectrum(system, 1)

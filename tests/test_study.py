@@ -68,7 +68,7 @@ def test_parse_defaults():
     [
         "dist.kind=constant\ndist.value=2.5\n",
         "dist.kind=lognormal\ndist.sigma=1.0\n",
-        "dist.kind=unit_power_law\ndist.a=6.0\ndist.normalize=false\n",
+        "dist.kind=unit_power_law\ndist.a=6.0\n",
         "dist.kind=shifted_pareto\ndist.a=3.0\n",
         "dist.kind=decaying_product\ndist.alpha=2.0\ndist.base.kind=shifted_pareto\n",
     ],
@@ -103,10 +103,8 @@ domain=-1,1,-0.5,0.5
 halo=-3,3,-2,2
 dist.kind=decaying_product
 dist.alpha=2.5
-dist.normalize=false
 dist.base.kind=unit_power_law
 dist.base.a=6.0
-dist.base.normalize=false
 seeds=3,5,8
 f.value=-2.5
 flavor=local
@@ -122,7 +120,6 @@ box_side=32
 
 
 def test_serialize_config_golden():
-    # the outer decaying_product writes no normalize line: it is never rescaled
     assert serialize_config(parse_config(GOLDEN_CFG)) == """\
 study=ergodic
 d=2
@@ -135,7 +132,6 @@ dist.kind=decaying_product
 dist.alpha=2.5
 dist.base.kind=unit_power_law
 dist.base.a=6.0
-dist.base.normalize=false
 seeds=3,5,8
 f.value=-2.5
 flavor=local
@@ -183,6 +179,16 @@ box_side=32
         "study=spectral\nG.kind=power\n",
         "study=gamma_limit\nG.kind=none\n",
         "study=ergodic\nG.alpha=0.5\n",
+        # removed keys: every distribution but Constant is mean-one
+        "study=solve\ndist.kind=lognormal\ndist.normalize=false\n",
+        "study=vanish\ndist.kind=decaying_product\ndist.base.kind=lognormal\ndist.base.normalize=true\n",
+        # a conductance is finite and positive: value 0 made A = 0, and -1 a negative form
+        "study=solve\neps_list=0.25,0.125\ndist.value=0\n",
+        "study=solve\neps_list=0.25,0.125\ndist.value=-1\n",
+        "study=homogenize\neps_list=0.25,0.125\ndist.value=0\n",
+        "study=homogenize\ndist.kind=decaying_product\ndist.base.kind=constant\ndist.base.value=0\n",
+        # a decaying product's base is one of the four mean-one laws, not another product
+        "study=solve\ndist.kind=decaying_product\ndist.base.kind=decaying_product\n",
         # moment assumption: unit_power_law a=0.5 has q_max=0.5 < p/(p-1)... too weak
         "study=homogenize\ndist.kind=unit_power_law\ndist.a=0.5\n",
         "study=solve\nflavor=bogus\n",
@@ -249,15 +255,6 @@ def test_report_values_filter():
     assert rep.values("a", eps=0.25) == [2.0]
 
 
-def test_report_jsonl_parses():
-    rep = StudyReport("solve")
-    rep.add(0.5, 1, "a", 1.5, aux="note")
-    (line,) = rep.to_jsonl().strip().splitlines()
-    row = json.loads(line)
-    assert row == {"study": "solve", "eps": 0.5, "seed": 1, "metric": "a",
-                   "value": 1.5, "aux": "note"}
-
-
 def test_golden_solve_csv():
     rep = run_study(parse_config(SOLVE_CFG))
     assert rep.to_csv() == (DATA / "golden_solve.csv").read_text()
@@ -275,25 +272,16 @@ def test_cli_solve_writes_report(tmp_path, capsys):
     assert "solve eps=0.5 seed=1" in capsys.readouterr().err
 
 
-def test_cli_jsonl_format(tmp_path):
+@pytest.mark.parametrize("option", [["--format", "jsonl"], ["--seed-override", "7"]], ids=["format", "seed_override"])
+def test_cli_removed_options_exit_2(tmp_path, capsys, option):
+    # the report is always CSV, and the config's seeds key is the one seed list
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(SOLVE_CFG)
-    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path),
-                 "--format", "jsonl"]) == 0
-    lines = (tmp_path / "solve.jsonl").read_text().strip().splitlines()
-    assert all(json.loads(ln)["study"] == "solve" for ln in lines)
-
-
-def test_cli_seed_override(tmp_path):
-    cfg_path = tmp_path / "cfg.txt"
-    cfg_path.write_text(SOLVE_CFG)
-    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path),
-                 "--seed-override", "7"]) == 0
-    body = (tmp_path / "solve.csv").read_text()
-    assert ",7," in body and ",1," not in body.replace("0.5,1,", "KEEP")
-    # only seed 7 appears in the seed column
-    seeds = {ln.split(",")[2] for ln in body.strip().splitlines()[1:]}
-    assert seeds == {"7"}
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--config", str(cfg_path), "--out", str(tmp_path), *option])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + option[0] in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg_path]
 
 
 def test_cli_config_errors(tmp_path, capsys):

@@ -165,7 +165,7 @@ def test_top_hash_gives_finite_weight(monkeypatch):
 _PIN_DISTS = {
     "constant": Constant(2.0),
     "lognormal": LogNormal(1.0),
-    "lognormal_raw": LogNormal(0.5, normalize=False),
+    "lognormal_half": LogNormal(0.5),
     "unit_power_law": UnitPowerLaw(4.0),
     "shifted_pareto": ShiftedPareto(2.5),
     "decaying_lognormal": DecayingProduct(LogNormal(1.0), 3.0),
@@ -179,7 +179,7 @@ PINNED_TILES = {
     1: {
         "constant": "6f0c36ecdd87fe59",
         "lognormal": "0ed9d984dfda336d",
-        "lognormal_raw": "92811d981dc02fe0",
+        "lognormal_half": "e7bb240317c1d456",
         "unit_power_law": "f700d4670c794343",
         "shifted_pareto": "637aa3d8397ae32c",
         "decaying_lognormal": "8eb99d9590b8cbec",
@@ -188,7 +188,7 @@ PINNED_TILES = {
     2: {
         "constant": "fd990ba3358aea1d",
         "lognormal": "833d2adf386e031f",
-        "lognormal_raw": "557af32387fd7f10",
+        "lognormal_half": "0878b4837c1cb2a7",
         "unit_power_law": "2a5e53ad2baac7be",
         "shifted_pareto": "fef89528305d465a",
         "decaying_lognormal": "11e651ccbc615f6d",
@@ -256,13 +256,15 @@ def test_moment_constant():
 
 
 def test_moment_lognormal_raw_mean():
-    est = empirical_moment(WeightField(LogNormal(1.0, normalize=False), 7), 1.0, 40, 5)
-    assert abs(est.mean - math.e**0.5) < 3 * est.stderr
+    # E c^2 = e^{sigma^2} of the mean-one LogNormal: the square of its raw mean e^{sigma^2 / 2}
+    est = empirical_moment(WeightField(LogNormal(1.0), 7), 2.0, 40, 5)
+    assert abs(est.mean - math.e) < 3 * est.stderr
 
 
 def test_moment_unit_power_law():
-    est = empirical_moment(WeightField(UnitPowerLaw(3.0, normalize=False), 3), -2.0, 40, 5)
-    assert abs(est.mean - 3.0) < 3 * est.stderr
+    # c = (4/3) U^{1/3}, so E c^{-2} = (9/16) E U^{-2/3} = 27/16
+    est = empirical_moment(WeightField(UnitPowerLaw(3.0), 3), -2.0, 40, 5)
+    assert abs(est.mean - 27 / 16) < 3 * est.stderr
 
 
 def test_normalization_gives_unit_mean():
@@ -272,7 +274,7 @@ def test_normalization_gives_unit_mean():
 
 
 def test_moment_overflow_reported():
-    f = WeightField(UnitPowerLaw(0.01, normalize=False), 1)
+    f = WeightField(UnitPowerLaw(0.01), 1)
     with pytest.raises(NumericalError):
         empirical_moment(f, -500.0, 5, 1)
 
@@ -280,7 +282,7 @@ def test_moment_overflow_reported():
 def test_moment_of_underflowed_weight_reported():
     # some c underflows to 0 here, so c^q divides by zero; the suite turns
     # that warning into an error, which must not come before NumericalError
-    f = WeightField(UnitPowerLaw(0.01, normalize=False), 1)
+    f = WeightField(UnitPowerLaw(0.01), 1)
     with pytest.raises(NumericalError):
         empirical_moment(f, -500.0, 5, 1, d=2)
 
