@@ -1,5 +1,5 @@
-"""Quadratic-case (p=2) pathway: bilinear form assembly, conjugate-gradient
-solves, and the spectrum of the solution operator.
+"""Quadratic-case (p=2) pathway: bilinear form assembly, Cholesky and
+conjugate-gradient solves, and the spectrum of the solution operator.
 
 The assembled matrix A over the free sites satisfies
 
@@ -15,19 +15,27 @@ that block and the row sums one tile of rows at a time, and A is the block
 scaled in place, so the N x N kernel is never held and peak memory is the
 8 |free|^2 bytes of A plus one tile.
 
-`solve` and `spectrum` run inside `_one_blas_thread`, which sets the OpenBLAS
-that numpy or scipy links to one thread and restores the old count after the
-call.  A threaded product or factorization sums in another order, so a
-report's bits would depend on the BLAS thread count; on one thread they do
-not, and no BLAS worker thread wakes to spin-wait.  Where no OpenBLAS is found
-(MKL, Accelerate), the count is left alone.  `spectrum` works in A's own
-buffer, so `assemble`'s capacity check covers the whole spectral study.
+`solve` factors A by LAPACK's unblocked Cholesky, dpotf2, in A's own buffer,
+solves with two CBLAS dtrsv calls, and restores A; `cg` then checks the
+residual from that start and takes no step where it already meets `tol`.
+Where the factor fails, `cg` runs from 0.  `cg` from 0 alone serves the
+`solve` study, whose report reads its iteration count.
 
-`spectrum` calls LAPACKE's dsyevr in the ILP64 OpenBLAS that numpy's wheels
-link and export as `scipy_LAPACKE_dsyevr64_`, through ctypes, so a spectral
-run loads no scipy module and no second BLAS.  Where numpy exports no such
-symbol (an MKL, Accelerate or conda numpy), it calls the same routine through
-scipy's `scipy.linalg._flapack`, which imports the scipy.linalg package.
+`solve`, `cg` and `spectrum` run inside `_one_blas_thread`, which sets the
+OpenBLAS that numpy or scipy links to one thread and restores the old count
+after the call.  A threaded product or factorization sums in another order,
+so a report's bits would depend on the BLAS thread count; on one thread they
+do not, and no BLAS worker thread wakes to spin-wait.  Where no OpenBLAS is
+found (MKL, Accelerate), the count is left alone.  `solve` and `spectrum`
+work in A's own buffer, so `assemble`'s capacity check covers the whole p=2
+pathway.
+
+dpotf2, dtrsv and LAPACKE's dsyevr come from the ILP64 OpenBLAS that numpy's
+wheels link and export under `scipy_`-prefixed names (`_numpy_blas`), called
+through ctypes, so no p=2 run loads a scipy module or a second BLAS.  Where
+numpy exports no such symbol (an MKL, Accelerate or conda numpy), `solve` is
+CG from 0, and `spectrum` calls dsyevr through scipy's `scipy.linalg._flapack`,
+which imports the scipy.linalg package.
 """
 
 from __future__ import annotations
@@ -113,8 +121,75 @@ def _one_blas_thread(module):
         getattr(lib, name.format("set"))(old)
 
 
+# routines of the ILP64 OpenBLAS that numpy's wheels link and export under
+# these names: LAPACKE's dsyevr, LAPACK's unblocked Cholesky dpotf2 and CBLAS's
+# triangular solve dtrsv
+_DSYEVR = "scipy_LAPACKE_dsyevr64_"
+_DPOTF2 = "scipy_dpotf2_64_"
+_DTRSV = "scipy_cblas_dtrsv64_"
+# LAPACKE's and CBLAS's codes for a column-major (Fortran-order) matrix, and
+# CBLAS's for its lower triangle, no transpose or a transpose, and a non-unit diagonal
+_COL_MAJOR, _LOWER, _NO_TRANS, _TRANS, _NON_UNIT = 102, 122, 111, 112, 131
+
+
+def _numpy_blas(name: str):
+    """The function `name` of the OpenBLAS that numpy's linalg extension links,
+    or None where it exports no such symbol (an MKL, Accelerate or conda numpy)."""
+    return getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), name, None)
+
+
 def solve(system: BilinearSystem, tol: float = 1e-10, max_iter: int = 10_000):
-    """Conjugate gradients on the free set; returns (full GridFunction, SolveStats).
+    """The p=2 solution on the free set; returns (full GridFunction, SolveStats).
+
+    A Cholesky factor gives the start (`_cholesky_start`), and `cg` from
+    there tests `tol`: on a factored system it takes no step, and it raises
+    as `cg` raises.  Where numpy's OpenBLAS exports no `_DPOTF2`, where A is
+    not numerically positive definite, or where the start is not finite, CG
+    runs from 0, as `cg(system, tol, max_iter)` does.
+    """
+    return cg(system, tol, max_iter, x=_cholesky_start(system))
+
+
+def _cholesky_start(system: BilinearSystem):
+    """x with L L^T x = b for the Cholesky factor L of A, or None where there is none.
+
+    LAPACK's unblocked dpotf2 factors A in its own buffer, in numpy's ILP64
+    OpenBLAS on one thread; the blocked dpotrf would pack panels into
+    OpenBLAS's Level-3 buffer and raise peak memory.  A is symmetric to the
+    bit, so its C-order buffer is A in Fortran order: dpotf2 writes L over the
+    Fortran lower (C-order upper) triangle and leaves the other one intact.
+    Two CBLAS dtrsv calls solve with L and L^T.  Then the intact triangle and
+    the saved diagonal are copied back, so `system.matrix` leaves as it came in.
+    """
+    dpotf2, dtrsv = _numpy_blas(_DPOTF2), _numpy_blas(_DTRSV)
+    if dpotf2 is None or dtrsv is None:
+        return None
+    a = system.matrix
+    m = a.shape[0]
+    fortran = np.ctypeslib.ndpointer(np.float64, 2, (m, m), "F_CONTIGUOUS")
+    int64p = ctypes.POINTER(ctypes.c_int64)
+    dpotf2.restype = None
+    dpotf2.argtypes = [ctypes.c_char_p, int64p, fortran, int64p, int64p]
+    dtrsv.restype = None
+    dtrsv.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_int64, fortran,
+                      ctypes.c_int64, np.ctypeslib.ndpointer(np.float64, 1, (m,), "C_CONTIGUOUS"), ctypes.c_int64]
+    diagonal = a.diagonal().copy()
+    x = system.rhs.copy()
+    n, info = ctypes.c_int64(m), ctypes.c_int64()
+    with _one_blas_thread(np.linalg._umath_linalg):
+        dpotf2(b"L", ctypes.byref(n), a.T, ctypes.byref(n), ctypes.byref(info))
+        if info.value == 0:
+            for trans in (_NO_TRANS, _TRANS):
+                dtrsv(_COL_MAJOR, _LOWER, trans, _NON_UNIT, m, a.T, m, x, 1)
+    for i in range(m - 1):
+        a[i, i + 1:] = a[i + 1:, i]
+    np.fill_diagonal(a, diagonal)
+    return x if info.value == 0 and np.isfinite(x).all() else None
+
+
+def cg(system: BilinearSystem, tol: float = 1e-10, max_iter: int = 10_000, x=None):
+    """Conjugate gradients on the free set from x (from 0 where x is None);
+    returns (full GridFunction, SolveStats).
 
     Each product a @ p is written into one preallocated vector on one thread
     of the OpenBLAS behind numpy's matmul, which numpy's linalg extension
@@ -125,15 +200,18 @@ def solve(system: BilinearSystem, tol: float = 1e-10, max_iter: int = 10_000):
     a, b = system.matrix, system.rhs
     bnorm = float(np.linalg.norm(b))
     history = []
-    x = np.zeros_like(b)
     if bnorm == 0.0:
-        return _embed(system, x), SolveStats(iters=0, residual=0.0)
+        return _embed(system, np.zeros_like(b)), SolveStats(iters=0, residual=0.0)
     ap = np.empty_like(b)
-    r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
     it = 0
     with _one_blas_thread(np.linalg._umath_linalg):
+        if x is None:
+            x, r = np.zeros_like(b), b.copy()
+        else:
+            np.matmul(a, x, out=ap)
+            r = b - ap
+        p = r.copy()
+        rs = float(r @ r)
         while True:
             # the residual after the last allowed step is tested too
             res = float(np.sqrt(rs)) / bnorm
@@ -167,12 +245,6 @@ def _embed(system: BilinearSystem, x: np.ndarray) -> GridFunction:
     return GridFunction(system.lattice, full)
 
 
-# LAPACKE's dsyevr as the ILP64 OpenBLAS of numpy's wheels exports it, and
-# LAPACKE's code for a column-major (Fortran-order) matrix
-_DSYEVR = "scipy_LAPACKE_dsyevr64_"
-_LAPACK_COL_MAJOR = 102
-
-
 def _lapacke_dsyevr(dsyevr, a, k):
     """The k smallest eigenpairs of the symmetric Fortran-order matrix `a`, from
     its lower triangle, by the LAPACKE function `dsyevr` with int64 integers
@@ -194,7 +266,7 @@ def _lapacke_dsyevr(dsyevr, a, k):
     isuppz = np.empty(2 * k, dtype=np.int64)
     found = ctypes.c_int64()
     with _one_blas_thread(np.linalg._umath_linalg):
-        info = dsyevr(_LAPACK_COL_MAJOR, b"V", b"I", b"L", n, a, n, 0.0, 0.0, 1, k, 0.0, ctypes.byref(found),
+        info = dsyevr(_COL_MAJOR, b"V", b"I", b"L", n, a, n, 0.0, 0.0, 1, k, 0.0, ctypes.byref(found),
                       w, z, n, isuppz)
     return w, z.T, found.value, info
 
@@ -219,7 +291,7 @@ def spectrum(system: BilinearSystem, k: int) -> SpectralReport:
     a = system.matrix.T
     if not np.isfinite(a).all():
         raise NumericalError("assembled matrix holds a non-finite entry")
-    dsyevr = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), _DSYEVR, None)
+    dsyevr = _numpy_blas(_DSYEVR)
     if dsyevr is None:
         from scipy.linalg import _flapack as lapack
 

@@ -27,9 +27,11 @@ from fraclat.linear_ops import (
     _OPENBLAS_THREADS,
     _one_blas_thread,
     assemble,
+    cg,
     solve,
     spectrum,
 )
+from fraclat.study import _lattice, _system, parse_config
 from fraclat.weights import Constant, LogNormal, WeightField
 
 # the p=2 functional whose stationarity is the assembled weak form A u = b
@@ -139,6 +141,62 @@ def test_solve_stops_at_the_first_nonfinite_residual():
     system = assemble(lat, WeightField(Constant(1e-320), 0), 0.5, "global", _ones(lat))
     with np.errstate(all="ignore"), pytest.raises(NumericalError, match="residual is inf at iteration 1$"):
         solve(system)
+
+
+# the systems of the seed-0 homogenize-d1 benchmark workload (LogNormal(1)
+# fields 1-3 and the constant field, halo [-2, 2]) at eps 1/16 .. 1/256
+_HOMOGENIZE_D1 = parse_config("study=homogenize\neps_list=0.0625,0.03125,0.015625,0.0078125,0.00390625\n"
+                              "halo=-2,2\ndist.kind=lognormal\ndist.sigma=1.0\nseeds=1,2,3\n")
+
+
+def _homogenize_d1_systems():
+    cfg = _HOMOGENIZE_D1
+    for eps in cfg.eps_list:
+        lat = _lattice(cfg, eps)
+        for field in [WeightField(Constant(1.0), 0)] + [WeightField(cfg.dist, seed) for seed in cfg.seeds]:
+            yield _system(cfg, lat, field)
+
+
+def test_solve_agrees_with_cg_within_cond_times_tol():
+    # both solutions have a relative residual of at most tol, so each lies
+    # within cond(A) tol of the exact one
+    tol = 1e-10
+    sizes = []
+    for system in _homogenize_d1_systems():
+        lam = np.linalg.eigvalsh(system.matrix)
+        u, stats = solve(system, tol=tol)
+        u_cg, stats_cg = cg(system, tol=tol)
+        x, x_cg = u.values[system.free_ids], u_cg.values[system.free_ids]
+        assert stats.iters == 0 and stats.residual <= tol and stats_cg.residual <= tol
+        assert np.linalg.norm(x - x_cg) <= 2 * (lam[-1] / lam[0]) * tol * np.linalg.norm(x_cg)
+        sizes.append(len(system.free_ids))
+    assert max(sizes) == 509 and len(sizes) == 20
+
+
+@pytest.mark.parametrize("positive", [True, False], ids=["factored", "last_pivot_negative"])
+def test_solve_leaves_the_matrix_as_it_came_in(positive):
+    # dpotf2 overwrites one triangle and the diagonal of A with the factor;
+    # with the last diagonal entry negated, it writes all but the last column
+    # before it finds A not positive definite, and CG from 0 then raises
+    system = _system_m509()
+    if not positive:
+        system.matrix[-1, -1] *= -1
+    before = system.matrix.tobytes()
+    if positive:
+        solve(system)
+    else:
+        with pytest.raises(NumericalError, match="p\\^T A p = -"):
+            solve(system)
+    assert system.matrix.tobytes() == before
+
+
+def test_solve_without_dpotf2_is_cg_from_zero(monkeypatch):
+    monkeypatch.setattr("fraclat.linear_ops._DPOTF2", "no_such_dpotf2")
+    system = _system_m509()
+    u, stats = solve(system)
+    u_cg, stats_cg = cg(system)
+    assert stats.iters == stats_cg.iters > 0 and stats.residual == stats_cg.residual
+    assert u.values.tobytes() == u_cg.values.tobytes()
 
 
 def test_spectrum_one_by_one(lat5, const_field):
