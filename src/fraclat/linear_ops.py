@@ -142,10 +142,11 @@ def solve(system: BilinearSystem, tol: float = 1e-10, max_iter: int = 10_000):
     """The p=2 solution on the free set; returns (full GridFunction, SolveStats).
 
     A Cholesky factor gives the start (`_cholesky_start`), and `cg` from
-    there tests `tol`: on a factored system it takes no step, and it raises
-    as `cg` raises.  Where numpy's OpenBLAS exports no `_DPOTF2`, where A is
-    not numerically positive definite, or where the start is not finite, CG
-    runs from 0, as `cg(system, tol, max_iter)` does.
+    there tests `tol`: where the start meets it, as on every seed-0
+    `homogenize-d1` system, it takes no step, and it raises as `cg` raises.
+    Where numpy's OpenBLAS exports no `_DPOTF2`, where A is not numerically
+    positive definite, or where the start is not finite, CG runs from 0, as
+    `cg(system, tol, max_iter)` does.
     """
     return cg(system, tol, max_iter, x=_cholesky_start(system))
 
