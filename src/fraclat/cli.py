@@ -3,9 +3,10 @@
 One subcommand per study, with two options: `--config`, the key=value file
 that carries everything else (the seeds included), and `--out`, the directory
 that receives `<study>.csv` and its `.meta.json` sidecar.  Exit codes: 0
-success, 2 config error, 3 numerical failure, 4 input over capacity (a lattice
-above the site cap, or a dense kernel or assembled p=2 matrix larger than
-physical memory).
+success, 2 config error (or an `--out` that cannot be created or written: one
+`output error:` line, and the study does not run when `--out` cannot be
+created), 3 numerical failure, 4 input over capacity (a lattice above the site
+cap, or a dense kernel or assembled p=2 matrix larger than physical memory).
 """
 
 from __future__ import annotations
@@ -41,6 +42,11 @@ def main(argv=None) -> int:
     except (OSError, ValueError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
 
     try:
         # a floating-point overflow warns nothing: a non-finite metric is
@@ -59,9 +65,12 @@ def main(argv=None) -> int:
 
     for eps, seed, metric, value, aux in report.rows:
         print(f"{study} eps={eps:g} seed={seed} {metric}={value:.6g} {aux}".rstrip(), file=sys.stderr)
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{study}.csv")
-    write_report(report, path)
+    try:
+        write_report(report, path)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {path}", file=sys.stderr)
     return 0
 
