@@ -135,7 +135,8 @@ _DSYRK = "scipy_dsyrk_64_"
 _DTRSV = "scipy_cblas_dtrsv64_"
 # the panel width of `_cholesky_start`'s blocked factor: at m = 1021 it
 # factors about 4x faster than one dpotf2, and wider panels gain little time
-# for more of OpenBLAS's Level-3 buffer (0.85 MB of peak RSS at 64, 0.55 at 32)
+# for more of OpenBLAS's Level-3 buffer (about 0.5 MB of peak RSS at 32,
+# 0.7-0.85 MB at 64)
 _NB = 32
 # LAPACKE's and CBLAS's codes for a column-major (Fortran-order) matrix, and
 # CBLAS's for its lower triangle, no transpose or a transpose, and a non-unit diagonal

@@ -14,6 +14,7 @@ import io
 import itertools
 import tempfile
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fraclat.cli import main
@@ -106,3 +107,42 @@ def test_every_config_exits_with_a_documented_code_and_one_line(case):
     assert code in _PREFIX, (code, err.getvalue())
     others = [line for line in err.getvalue().splitlines() if not line.startswith(f"{study} eps=")]
     assert len(others) == 1 and others[0].startswith(_PREFIX[code]), (code, err.getvalue())
+
+
+def _never_run(cfg):
+    raise AssertionError("the study ran")
+
+
+@pytest.mark.parametrize(
+    "argv, out, last_line",
+    [
+        pytest.param(["homogenize"], "out",
+                     "config error: config is for study 'solve' but subcommand is 'homogenize'", id="other_subcommand"),
+        pytest.param(["solve", "--threads", "2"], "out",
+                     "fraclat: error: unrecognized arguments: --threads 2", id="unknown_option"),
+        pytest.param(["solve"], "file/out", "output error: ", id="out_under_a_file"),
+    ],
+)
+def test_a_bad_command_line_exits_2_before_the_study_runs(tmp_path, monkeypatch, capsys, argv, out, last_line):
+    monkeypatch.setattr("fraclat.cli.run_study", _never_run)
+    (tmp_path / "cfg.txt").write_text("study=solve\neps_list=0.25\n")
+    (tmp_path / "file").write_text("")
+    argv = [*argv, "--config", str(tmp_path / "cfg.txt"), "--out", str(tmp_path / out)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own exit, after its usage lines
+        code = exc.code
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and err[-1].startswith(last_line), err
+    # argparse prints its usage first; each of the others is one line
+    assert len(err) == 1 or err[0].startswith("usage: fraclat"), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_report_that_cannot_be_written_exits_2_with_one_line(tmp_path, capsys):
+    # the report's own path is taken by a directory, so opening it fails
+    (tmp_path / "cfg.txt").write_text("study=solve\neps_list=0.25\n")
+    (tmp_path / "out" / "solve.csv").mkdir(parents=True)
+    code = main(["solve", "--config", str(tmp_path / "cfg.txt"), "--out", str(tmp_path / "out")])
+    others = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("solve eps=")]
+    assert code == 2 and len(others) == 1 and others[0].startswith("output error: "), others

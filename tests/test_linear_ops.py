@@ -24,7 +24,10 @@ from fraclat.energy import (
 from fraclat.errors import NumericalError
 from fraclat.linear_ops import (
     _DSYEVR,
+    _NB,
     _OPENBLAS_THREADS,
+    BilinearSystem,
+    _cholesky_start,
     _one_blas_thread,
     assemble,
     cg,
@@ -173,25 +176,67 @@ def test_solve_agrees_with_cg_within_cond_times_tol():
     assert max(sizes) == 509 and len(sizes) == 20
 
 
-@pytest.mark.parametrize("positive", [True, False], ids=["factored", "last_pivot_negative"])
-def test_solve_leaves_the_matrix_as_it_came_in(positive):
-    # dpotf2 overwrites one triangle and the diagonal of A with the factor;
-    # with the last diagonal entry negated, it writes all but the last column
-    # before it finds A not positive definite, and CG from 0 then raises
+# one dpotf2 call (1, nb - 1, nb), a full panel and a one-column last one,
+# two full panels and a one-column third, and 16 panels, the last 29 wide
+_START_SIZES = [1, _NB - 1, _NB, _NB + 1, 2 * _NB + 1, 509]
+
+
+def _leading_system(m):
+    """The system of A's leading m x m block, which is positive definite as A is."""
     system = _system_m509()
-    if not positive:
-        system.matrix[-1, -1] *= -1
+    return BilinearSystem(system.lattice, system.free_ids[:m], system.matrix[:m, :m].copy(), system.rhs[:m].copy())
+
+
+@pytest.mark.parametrize("m", _START_SIZES)
+def test_cholesky_start_agrees_with_a_dense_solve(m):
+    # both are backward stable, so each lies within cond(A) times a rounding
+    # error of the exact solution; tol is `solve`'s default
+    tol = 1e-10
+    system = _leading_system(m)
+    lam = np.linalg.eigvalsh(system.matrix)
+    direct = np.linalg.solve(system.matrix, system.rhs)
+    x = _cholesky_start(system)
+    assert np.linalg.norm(x - direct) <= 2 * (lam[-1] / lam[0]) * tol * np.linalg.norm(direct)
+
+
+@pytest.mark.parametrize("m", [m for m in _START_SIZES if m <= _NB])
+def test_cholesky_start_within_one_panel_is_one_dpotf2_call(m, monkeypatch):
+    blocked = _cholesky_start(_leading_system(m))
+    monkeypatch.setattr("fraclat.linear_ops._NB", 10**9)
+    assert blocked.tobytes() == _cholesky_start(_leading_system(m)).tobytes()
+
+
+def _outcome(run, system):
+    """("raises", message) or ("solves", bits of u, stats) of `run(system)`."""
+    try:
+        u, stats = run(system)
+    except NumericalError as exc:
+        return "raises", str(exc)
+    return "solves", u.values.tobytes(), stats
+
+
+@pytest.mark.parametrize("pivot", [None, -1, _NB + 5], ids=["factored", "last_pivot_negative", "middle_pivot_negative"])
+def test_solve_leaves_the_matrix_as_it_came_in(pivot):
+    # the factor overwrites one triangle and the diagonal of A; with a diagonal
+    # entry negated it writes every panel before that entry's, with their
+    # dtrsm and dsyrk updates, and then finds A not positive definite, so
+    # `solve` is CG from 0, which meets p^T A p < 0 here
+    system = _system_m509()
+    if pivot is not None:
+        system.matrix[pivot, pivot] *= -1
     before = system.matrix.tobytes()
-    if positive:
-        solve(system)
-    else:
-        with pytest.raises(NumericalError, match="p\\^T A p = -"):
-            solve(system)
+    outcome = _outcome(solve, system)
     assert system.matrix.tobytes() == before
+    if pivot is None:
+        assert outcome[0] == "solves"
+    else:
+        assert outcome[0] == "raises" and "p^T A p = -" in outcome[1]
+        assert outcome == _outcome(cg, system)
 
 
-def test_solve_without_dpotf2_is_cg_from_zero(monkeypatch):
-    monkeypatch.setattr("fraclat.linear_ops._DPOTF2", "no_such_dpotf2")
+@pytest.mark.parametrize("symbol", ["_DPOTF2", "_DTRSM", "_DSYRK", "_DTRSV"])
+def test_solve_without_a_cholesky_routine_is_cg_from_zero(symbol, monkeypatch):
+    monkeypatch.setattr(f"fraclat.linear_ops.{symbol}", "no_such_routine")
     system = _system_m509()
     u, stats = solve(system)
     u_cg, stats_cg = cg(system)

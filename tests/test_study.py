@@ -343,9 +343,10 @@ def test_cli_values_the_lattice_rejects_are_config_errors(tmp_path, capsys, stud
         # 2-vCPU machine), so CG products left to two threads would sum in
         # another order than on one, and the report's bits would move
         ("solve", "eps_list=0.001953125\nhalo=-1.25,1.25\n", 1021),
-        # the same 1021 free sites, solved by dpotf2, two dtrsv and a CG check:
-        # each runs on one thread, so no routine that OpenBLAS threads at this
-        # size sums in another order
+        # the same 1021 free sites, solved by the panel-blocked Cholesky (dpotf2,
+        # dtrsm and dsyrk on 32-wide panels), two dtrsv and a CG check: each
+        # runs on one thread, so no routine that OpenBLAS threads at this size
+        # sums in another order
         ("homogenize", "eps_list=0.001953125\nhalo=-1.25,1.25\n", 1021),
         # 169 free sites: with eigh left to two threads, 15 of this
         # report's 20 data rows had other bytes than on one
