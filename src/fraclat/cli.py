@@ -15,6 +15,14 @@ import argparse
 import os
 import sys
 
+# OpenBLAS reads its thread count once, when numpy loads it.  Every BLAS call
+# that fraclat makes runs on one thread (`linear_ops._one_blas_thread`), so a
+# CLI process starts numpy's OpenBLAS on one thread and never pays for a pool
+# of worker threads; an explicit value, or a numpy that a caller loaded
+# first, is left as it is.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from .errors import CapacityError, ConfigError, NumericalError

@@ -29,7 +29,11 @@ OpenBLAS that numpy or scipy links to one thread and restores the old count
 after the call.  A threaded product or factorization sums in another order,
 so a report's bits would depend on the BLAS thread count; on one thread they
 do not, and no BLAS worker thread wakes to spin-wait.  Where no OpenBLAS is
-found (MKL, Accelerate), the count is left alone.  `solve` and `spectrum`
+found (MKL, Accelerate), the count is left alone.  A CLI process also starts
+numpy's OpenBLAS on one thread (`fraclat.cli` sets `OPENBLAS_NUM_THREADS=1`
+where it is unset and numpy is not yet loaded), so it builds no thread pool;
+`_one_blas_thread` keeps the bits where a caller loaded numpy first or set
+more threads.  `solve` and `spectrum`
 work in A's own buffer, so `assemble`'s capacity check covers the whole p=2
 pathway.
 

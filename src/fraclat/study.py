@@ -5,7 +5,8 @@ are hard errors.  `StudyConfig` is the one declaration of the format, and
 `parse_config` and `serialize_config` loop over its fields.
 
 Reports are long-format rows (study, eps, seed, metric, value, aux) written as
-CSV, with run metadata (config echo, version, wall time) in a ``.meta.json``
+CSV, with run metadata (config echo, version, wall time, and the Python and
+numpy versions and `OPENBLAS_NUM_THREADS` the run saw) in a ``.meta.json``
 sidecar so the data file itself is byte-reproducible.
 """
 
@@ -13,6 +14,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import platform
 import time
 from dataclasses import dataclass, field as dc_field, fields, is_dataclass
 from typing import Optional
@@ -521,4 +524,6 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     t0 = time.monotonic()
     report = _DRIVERS[cfg.study](cfg)
     report.meta["wall_time"] = time.monotonic() - t0
+    report.meta["env"] = {"python": platform.python_version(), "numpy": np.__version__,
+                          "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
     return report
