@@ -3,11 +3,13 @@ import json
 import math
 import os
 import pathlib
+import platform
 import subprocess
 import sys
 from collections import Counter
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 import fraclat.study
@@ -269,6 +271,9 @@ def test_cli_solve_writes_report(tmp_path, capsys):
     assert out.read_text() == (DATA / "golden_solve.csv").read_text()
     meta = json.loads((tmp_path / "solve.csv.meta.json").read_text())
     assert "config" in meta and meta["wall_time"] >= 0
+    # the versions and the BLAS thread variable this process ran with
+    assert meta["env"] == {"python": platform.python_version(), "numpy": np.__version__,
+                           "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
     assert "solve eps=0.5 seed=1" in capsys.readouterr().err
 
 
