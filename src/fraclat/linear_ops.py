@@ -29,7 +29,10 @@ OpenBLAS that numpy or scipy links to one thread and restores the old count
 after the call.  A threaded product or factorization sums in another order,
 so a report's bits would depend on the BLAS thread count; on one thread they
 do not, and no BLAS worker thread wakes to spin-wait.  Where no OpenBLAS is
-found (MKL, Accelerate), the count is left alone.  A CLI process also starts
+found (MKL, Accelerate), the count is left alone.  `_openblas` is the one
+lookup of OpenBLAS's own functions (its thread count and build string):
+`_one_blas_thread` calls it, and so does `blas_env`, whose record of what
+a run ran on goes into the report's `env`.  A CLI process also starts
 numpy's OpenBLAS on one thread (`fraclat.cli` sets `OPENBLAS_NUM_THREADS=1`
 where it is unset and numpy is not yet loaded), so it builds no thread pool;
 `_one_blas_thread` keeps the bits where a caller loaded numpy first or set
@@ -105,27 +108,39 @@ def assemble(
     return BilinearSystem(lattice=lattice, free_ids=free, matrix=a, rhs=rhs)
 
 
-# the thread count's get/set names in numpy wheels' OpenBLAS, scipy wheels' and a system one
-_OPENBLAS_THREADS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads", "openblas_{}_num_threads")
+# OpenBLAS's own function names in numpy wheels' ILP64 build, scipy wheels' build and a system one
+_OPENBLAS = ("scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}")
+
+
+def _openblas(module):
+    """(get_num_threads, set_num_threads, get_config) of the OpenBLAS that the
+    extension `module` links, or None where no name resolves (MKL, Accelerate).
+    `ctypes.CDLL` of a loaded module returns its handle, and a symbol lookup on
+    that handle searches the module's dependencies too."""
+    lib = ctypes.CDLL(module.__file__)
+    name = next((n for n in _OPENBLAS if hasattr(lib, n.format("get_num_threads"))), None)
+    if name is None:
+        return None
+    get_config = getattr(lib, name.format("get_config"))
+    get_config.restype = ctypes.c_char_p
+    return getattr(lib, name.format("get_num_threads")), getattr(lib, name.format("set_num_threads")), get_config
 
 
 @contextmanager
 def _one_blas_thread(module):
     """Run the body with the OpenBLAS that the extension `module` links on one
-    thread, restoring the count on exit; where no name resolves, run it as is.
-    `ctypes.CDLL` of a loaded module returns its handle, and a symbol lookup on
-    that handle searches the module's dependencies too."""
-    lib = ctypes.CDLL(module.__file__)
-    name = next((n for n in _OPENBLAS_THREADS if hasattr(lib, n.format("get"))), None)
-    if name is None:
+    thread, restoring the count on exit; where it links none, run it as is."""
+    blas = _openblas(module)
+    if blas is None:
         yield
         return
-    old = getattr(lib, name.format("get"))()
-    getattr(lib, name.format("set"))(1)
+    get, set_, _ = blas
+    old = get()
+    set_(1)
     try:
         yield
     finally:
-        getattr(lib, name.format("set"))(old)
+        set_(old)
 
 
 # routines of the ILP64 OpenBLAS that numpy's wheels link and export under
@@ -151,6 +166,23 @@ def _numpy_blas(name: str):
     """The function `name` of the OpenBLAS that numpy's linalg extension links,
     or None where it exports no such symbol (an MKL, Accelerate or conda numpy)."""
     return getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), name, None)
+
+
+def blas_env() -> dict:
+    """What the p=2 pathway of this process runs on, for a run's `env` record.
+
+    `openblas` is the build string of numpy's OpenBLAS and `blas_threads` the
+    thread count it runs with outside `_one_blas_thread` (both None where
+    numpy links no OpenBLAS); `spectrum` is "dsyevr" where it calls numpy's
+    LAPACKE and "scipy" where it falls back to scipy's `_flapack`, and
+    `solve` is "cholesky" where it starts from `_cholesky_start` and "cg"
+    where a routine is missing and CG runs from 0.
+    """
+    blas = _openblas(np.linalg._umath_linalg)
+    cholesky = None not in [_numpy_blas(name) for name in (_DPOTF2, _DTRSM, _DSYRK, _DTRSV)]
+    return {"openblas": blas and blas[2]().decode(), "blas_threads": blas and blas[0](),
+            "spectrum": "scipy" if _numpy_blas(_DSYEVR) is None else "dsyevr",
+            "solve": "cholesky" if cholesky else "cg"}
 
 
 def solve(system: BilinearSystem, tol: float = 1e-10, max_iter: int = 10_000):

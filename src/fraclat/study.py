@@ -5,9 +5,10 @@ are hard errors.  `StudyConfig` is the one declaration of the format, and
 `parse_config` and `serialize_config` loop over its fields.
 
 Reports are long-format rows (study, eps, seed, metric, value, aux) written as
-CSV, with run metadata (config echo, version, wall time, and the Python and
-numpy versions and `OPENBLAS_NUM_THREADS` the run saw) in a ``.meta.json``
-sidecar so the data file itself is byte-reproducible.
+CSV, with run metadata (config echo, version, wall time, and under `env` the
+Python and numpy versions, the `OPENBLAS_NUM_THREADS` the run saw, the CPU
+count and `linear_ops.blas_env`'s record of the BLAS it ran on) in a
+``.meta.json`` sidecar so the data file itself is byte-reproducible.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .energy import (
 )
 from .errors import ConfigError, NumericalError
 from .lattice import build_lattice, check_boxes
-from .linear_ops import assemble, cg, solve, spectrum
+from .linear_ops import assemble, blas_env, cg, solve, spectrum
 from .transfer import ContinuumFunction, continuum_energy, pc_l2_distance, sample
 from .weights import (
     Constant,
@@ -525,5 +526,6 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     report = _DRIVERS[cfg.study](cfg)
     report.meta["wall_time"] = time.monotonic() - t0
     report.meta["env"] = {"python": platform.python_version(), "numpy": np.__version__,
-                          "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
+                          "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+                          "nproc": os.cpu_count(), **blas_env()}
     return report

@@ -1,9 +1,3 @@
-import ctypes
-import json
-import os
-import pathlib
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -11,7 +5,6 @@ import pytest
 import scipy.linalg
 from scipy.linalg import _flapack
 
-import fraclat
 from fraclat import build_lattice
 from fraclat.energy import (
     CustomPotential,
@@ -25,10 +18,10 @@ from fraclat.errors import NumericalError
 from fraclat.linear_ops import (
     _DSYEVR,
     _NB,
-    _OPENBLAS_THREADS,
     BilinearSystem,
     _cholesky_start,
     _one_blas_thread,
+    _openblas,
     assemble,
     cg,
     solve,
@@ -321,11 +314,10 @@ def test_assemble_never_holds_the_kernel():
 
 def _thread_count(module):
     """The (get, set) pair of the OpenBLAS that `module` links; skips where there is none."""
-    lib = ctypes.CDLL(module.__file__)
-    for name in _OPENBLAS_THREADS:
-        if hasattr(lib, name.format("get")):
-            return getattr(lib, name.format("get")), getattr(lib, name.format("set"))
-    pytest.skip(f"{module.__name__} links no OpenBLAS")
+    blas = _openblas(module)
+    if blas is None:
+        pytest.skip(f"{module.__name__} links no OpenBLAS")
+    return blas[:2]
 
 
 @pytest.mark.parametrize("module", [np.linalg._umath_linalg, _flapack], ids=["numpy", "scipy"])
@@ -350,8 +342,7 @@ def test_one_blas_thread_without_openblas_runs_the_body():
     # the JSON accelerator is an extension module that links no BLAS
     import _json
 
-    lib = ctypes.CDLL(_json.__file__)
-    assert not any(hasattr(lib, name.format(verb)) for name in _OPENBLAS_THREADS for verb in ("get", "set"))
+    assert _openblas(_json) is None
     get, set_ = _thread_count(np.linalg._umath_linalg)
     before = get()
     set_(2)
@@ -425,37 +416,6 @@ def test_spectrum_rejects_a_nonfinite_matrix(lat5, const_field):
     system.matrix[0, 0] = np.nan
     with pytest.raises(NumericalError, match="non-finite"):
         spectrum(system, 1)
-
-
-_SPECTRAL_WITHOUT_SCIPY = """
-import json, sys
-import numpy as np
-from fraclat.linear_ops import _one_blas_thread, assemble, spectrum
-from fraclat.study import _forcing, _lattice, parse_config, run_study
-from fraclat.weights import WeightField
-cfg = parse_config(sys.argv[1])
-run_study(cfg)
-lat = _lattice(cfg, cfg.eps_list[0])
-system = assemble(lat, WeightField(cfg.dist, 1), cfg.s, cfg.flavor, _forcing(cfg, lat))
-reference = system.matrix.copy()
-mu = spectrum(system, cfg.k_eigs).eigenvalues
-loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
-import scipy.linalg
-with _one_blas_thread(scipy.linalg._flapack):
-    lam = scipy.linalg.eigh(reference.T, subset_by_index=(0, cfg.k_eigs - 1), overwrite_a=True)[0]
-json.dump({"loaded": loaded, "same_bits": bool(np.array_equal(mu, lat.eps**lat.dim / lam))}, sys.stdout)
-"""
-
-
-def test_spectral_study_loads_no_scipy_module():
-    # a fresh interpreter: this module's own `import scipy.linalg` would hide
-    # a fallback to scipy's LAPACK
-    text = ("study=spectral\nd=2\neps_list=0.25,0.125\ndomain=-1,1,-1,1\nhalo=-1.5,1.5,-1.5,1.5\n"
-            "k_eigs=3\ndist.kind=lognormal\nseeds=1\n")
-    src = pathlib.Path(fraclat.__file__).parents[1]
-    out = subprocess.run([sys.executable, "-c", _SPECTRAL_WITHOUT_SCIPY, text],
-                         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, check=True, text=True)
-    assert json.loads(out.stdout) == {"loaded": [], "same_bits": True}
 
 
 def test_empty_free_set_rejected(const_field):

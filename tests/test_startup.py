@@ -27,16 +27,14 @@ EXPORTS = {
 # prints numpy's OpenBLAS thread count (or "none" where numpy links no
 # OpenBLAS) and OPENBLAS_NUM_THREADS, after `fraclat.cli` was imported
 THREADS = """
-import ctypes, os, sys
+import os, sys
 {before}
 env = dict(os.environ)
 import fraclat.cli
 import numpy as np
-from fraclat import linear_ops
-lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-name = next((n for n in linear_ops._OPENBLAS_THREADS if hasattr(lib, n.format("get"))), None)
-print(getattr(lib, name.format("get"))() if name else "none", os.environ.get("OPENBLAS_NUM_THREADS"),
-      os.environ == env)
+from fraclat.linear_ops import _openblas
+blas = _openblas(np.linalg._umath_linalg)
+print(blas[0]() if blas else "none", os.environ.get("OPENBLAS_NUM_THREADS"), os.environ == env)
 """
 
 

@@ -15,7 +15,7 @@ import pytest
 import fraclat.study
 from fraclat.cli import main
 from fraclat.errors import ConfigError, NumericalError
-from fraclat.linear_ops import assemble
+from fraclat.linear_ops import _openblas, assemble
 from fraclat.study import (
     StudyConfig,
     StudyReport,
@@ -54,6 +54,21 @@ SMOKE_CONFIGS = {
               "dist.kind=decaying_product\ndist.alpha=3.0\n"
               "dist.base.kind=lognormal\ndist.base.sigma=0.5\n",
 }
+
+# sha256[:16] of each smoke report's CSV, the same at 1 and 2 BLAS threads
+SMOKE_PINS = {
+    "solve": "03e732e36dc73c7d",
+    "homogenize": "7c2217c3be956a81",
+    "gamma_limit": "64e7828784eae8b9",
+    "spectral": "842669c493d071e8",
+    "embeddings": "a79eb1ef2a9710ab",
+    "ergodic": "b7c6f93323a13b1b",
+    "vanish": "315a9f2b4fd7beb7",
+}
+
+
+def _csv_hash(report):
+    return hashlib.sha256(report.to_csv().encode()).hexdigest()[:16]
 
 
 def test_parse_defaults():
@@ -271,10 +286,27 @@ def test_cli_solve_writes_report(tmp_path, capsys):
     assert out.read_text() == (DATA / "golden_solve.csv").read_text()
     meta = json.loads((tmp_path / "solve.csv.meta.json").read_text())
     assert "config" in meta and meta["wall_time"] >= 0
-    # the versions and the BLAS thread variable this process ran with
+    # the versions, the BLAS thread variable, the CPU count and numpy's
+    # OpenBLAS build and thread count this process ran with, and the routines
+    # that `spectrum` and `solve` resolve in it
+    get_threads, _, get_config = _openblas(np.linalg._umath_linalg)
     assert meta["env"] == {"python": platform.python_version(), "numpy": np.__version__,
-                           "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
+                           "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+                           "nproc": os.cpu_count(), "openblas": get_config().decode(),
+                           "blas_threads": get_threads(), "spectrum": "dsyevr", "solve": "cholesky"}
+    assert meta["env"]["openblas"].startswith("OpenBLAS")
     assert "solve eps=0.5 seed=1" in capsys.readouterr().err
+
+
+def test_env_names_both_fallbacks(monkeypatch):
+    # where numpy's OpenBLAS exports no LAPACKE dsyevr and no dpotf2, the
+    # record says that `spectrum` runs scipy's dsyevr and `solve` CG from 0;
+    # the fallback writes the same bytes
+    monkeypatch.setattr("fraclat.linear_ops._DSYEVR", "no_such_dsyevr")
+    monkeypatch.setattr("fraclat.linear_ops._DPOTF2", "no_such_dpotf2")
+    rep = run_study(parse_config(SMOKE_CONFIGS["spectral"]))
+    assert (rep.meta["env"]["spectrum"], rep.meta["env"]["solve"]) == ("scipy", "cg")
+    assert _csv_hash(rep) == SMOKE_PINS["spectral"]
 
 
 @pytest.mark.parametrize("option", [["--format", "jsonl"], ["--seed-override", "7"]], ids=["format", "seed_override"])
@@ -494,58 +526,58 @@ def test_embeddings_one_seminorm_per_function_and_seed(monkeypatch, dist, semino
     assert len(rep.rows) == 2 * functions * per_function * 2
 
 
-def test_startup_imports_no_unused_scipy_submodule():
-    # scipy.linalg is imported by the one function that needs it, so a run
-    # that never calls it does not pay for the import; nothing imports
-    # scipy.integrate or scipy.special, and the Gauss-Legendre nodes are literals
-    heavy = ("numpy.polynomial", "scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse",
-             "scipy.special")
-    code = ("import sys, fraclat, fraclat.cli, fraclat.minimize; "
-            f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
-    src = pathlib.Path(fraclat.study.__file__).parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == []
-
-
-def test_lognormal_runs_import_no_scipy():
-    # LogNormal's inverse normal CDF is computed in numpy, so a LogNormal
-    # homogenize study and a p=3 minimize load no scipy module at all
-    code = """
-import sys
+_NO_SCIPY = """
+import hashlib, json, sys
 import numpy as np
+import fraclat, fraclat.cli, fraclat.minimize
 from fraclat import EnergySpec, GridFunction, LogNormal, PowerK, SmoothedPowerP, WeightField, build_lattice
+from fraclat.linear_ops import _one_blas_thread, assemble, spectrum
 from fraclat.minimize import MinimizeOptions, minimize
-from fraclat.study import parse_config, run_study
-run_study(parse_config("study=homogenize\\neps_list=0.25,0.125\\nhalo=-1,1\\n"
-                       "dist.kind=lognormal\\ndist.sigma=1.0\\nseeds=1\\n"))
+from fraclat.study import _forcing, _lattice, parse_config, run_study
+
+configs, cfg = json.loads(sys.argv[1]), parse_config(sys.argv[2])
+hashes = {study: hashlib.sha256(run_study(parse_config(text)).to_csv().encode()).hexdigest()[:16]
+          for study, text in configs.items()}
 lat = build_lattice(1, 0.125, [[-1.0, 1.0]], [[-1.5, 1.5]])
 spec = EnergySpec(p=3.0, s=0.5, V=SmoothedPowerP(3.0, 1e-4), G=PowerK(0.5, 2.0),
                   f=GridFunction(lat, np.ones(lat.n_sites)), constraint="dirichlet0")
 minimize(spec, WeightField(LogNormal(1.0), 3), MinimizeOptions(grad_tol=1e-6))
-print(" ".join(m for m in sys.modules if m.split(".")[0] == "scipy"))
+run_study(cfg)
+lat = _lattice(cfg, cfg.eps_list[0])
+system = assemble(lat, WeightField(cfg.dist, 1), cfg.s, cfg.flavor, _forcing(cfg, lat))
+reference = system.matrix.copy()
+mu = spectrum(system, cfg.k_eigs).eigenvalues
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.startswith("numpy.polynomial"))
+import scipy.linalg
+with _one_blas_thread(scipy.linalg._flapack):
+    lam = scipy.linalg.eigh(reference.T, subset_by_index=(0, cfg.k_eigs - 1), overwrite_a=True)[0]
+same_bits = bool(np.array_equal(mu, lat.eps**lat.dim / lam))
+json.dump({"loaded": loaded, "hashes": hashes, "same_bits": same_bits}, sys.stdout)
 """
+
+
+def test_runs_load_no_scipy_and_keep_their_pins():
+    # A fresh interpreter, because this module's own imports would hide a
+    # scipy load.  It runs the seven smoke configs, a LogNormal p=3 minimize
+    # and a d=2 spectral study.  None of them loads a scipy module: the
+    # inverse normal CDF is computed in numpy, `spectrum` and `solve` call
+    # numpy's OpenBLAS, and scipy.linalg is imported only by `spectrum`'s
+    # fallback.  No numpy.polynomial either: the Gauss-Legendre nodes are
+    # literals.  The smoke reports keep their pins, and the d=2 eigenvalues
+    # are those of scipy.linalg.eigh to the bit.
+    spectral = ("study=spectral\nd=2\neps_list=0.25,0.125\ndomain=-1,1,-1,1\nhalo=-1.5,1.5,-1.5,1.5\n"
+                "k_eigs=3\ndist.kind=lognormal\nseeds=1\n")
     src = pathlib.Path(fraclat.study.__file__).parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == []
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY, json.dumps(SMOKE_CONFIGS), spectral],
+                         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == {"loaded": [], "hashes": SMOKE_PINS, "same_bits": True}
 
 
 def test_run_study_all_drivers_smoke(tmp_path):
     # every driver runs end to end on a small instance and yields finite rows
-    # sha256[:16] of each report's CSV, the same at 1 and 2 BLAS threads
-    pinned = {
-        "solve": "03e732e36dc73c7d",
-        "homogenize": "7c2217c3be956a81",
-        "gamma_limit": "64e7828784eae8b9",
-        "spectral": "842669c493d071e8",
-        "embeddings": "a79eb1ef2a9710ab",
-        "ergodic": "b7c6f93323a13b1b",
-        "vanish": "315a9f2b4fd7beb7",
-    }
     for study, text in SMOKE_CONFIGS.items():
         rep = run_study(parse_config(text))
         assert rep.study == study
         assert rep.rows, study
         assert rep.meta["wall_time"] >= 0
-        assert hashlib.sha256(rep.to_csv().encode()).hexdigest()[:16] == pinned[study], study
+        assert _csv_hash(rep) == SMOKE_PINS[study], study
