@@ -418,6 +418,14 @@ def test_spectrum_rejects_a_nonfinite_matrix(lat5, const_field):
         spectrum(system, 1)
 
 
+def test_spectral_study_loads_no_scipy_module(fresh_run):
+    # `spectrum` calls numpy's OpenBLAS, so the d=2 spectral study and a
+    # direct `spectrum` call (after the smoke runs of the same fresh
+    # interpreter) load no scipy module, and the eigenvalues equal those of
+    # scipy.linalg.eigh, imported afterwards, to the bit
+    assert (fresh_run["spectral"], fresh_run["same_bits"]) == ([], True)
+
+
 def test_empty_free_set_rejected(const_field):
     lat = build_lattice(1, 1.0, [(-1, 1)], [(-1, 1)])  # every site is boundary layer
     assert len(lat.interior_ids) == 0

@@ -526,51 +526,24 @@ def test_embeddings_one_seminorm_per_function_and_seed(monkeypatch, dist, semino
     assert len(rep.rows) == 2 * functions * per_function * 2
 
 
-_NO_SCIPY = """
-import hashlib, json, sys
-import numpy as np
-import fraclat, fraclat.cli, fraclat.minimize
-from fraclat import EnergySpec, GridFunction, LogNormal, PowerK, SmoothedPowerP, WeightField, build_lattice
-from fraclat.linear_ops import _one_blas_thread, assemble, spectrum
-from fraclat.minimize import MinimizeOptions, minimize
-from fraclat.study import _forcing, _lattice, parse_config, run_study
-
-configs, cfg = json.loads(sys.argv[1]), parse_config(sys.argv[2])
-hashes = {study: hashlib.sha256(run_study(parse_config(text)).to_csv().encode()).hexdigest()[:16]
-          for study, text in configs.items()}
-lat = build_lattice(1, 0.125, [[-1.0, 1.0]], [[-1.5, 1.5]])
-spec = EnergySpec(p=3.0, s=0.5, V=SmoothedPowerP(3.0, 1e-4), G=PowerK(0.5, 2.0),
-                  f=GridFunction(lat, np.ones(lat.n_sites)), constraint="dirichlet0")
-minimize(spec, WeightField(LogNormal(1.0), 3), MinimizeOptions(grad_tol=1e-6))
-run_study(cfg)
-lat = _lattice(cfg, cfg.eps_list[0])
-system = assemble(lat, WeightField(cfg.dist, 1), cfg.s, cfg.flavor, _forcing(cfg, lat))
-reference = system.matrix.copy()
-mu = spectrum(system, cfg.k_eigs).eigenvalues
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.startswith("numpy.polynomial"))
-import scipy.linalg
-with _one_blas_thread(scipy.linalg._flapack):
-    lam = scipy.linalg.eigh(reference.T, subset_by_index=(0, cfg.k_eigs - 1), overwrite_a=True)[0]
-same_bits = bool(np.array_equal(mu, lat.eps**lat.dim / lam))
-json.dump({"loaded": loaded, "hashes": hashes, "same_bits": same_bits}, sys.stdout)
-"""
+def test_startup_imports_no_unused_scipy_submodule(fresh_run):
+    # scipy.linalg is imported by the one function that needs it, so a run
+    # that never calls it does not pay for the import; nothing imports
+    # scipy.integrate or scipy.special, and the Gauss-Legendre nodes are
+    # literals, so `import fraclat, fraclat.cli, fraclat.minimize` loads no
+    # scipy* and no numpy.polynomial* module
+    assert fresh_run["imported"] == []
 
 
-def test_runs_load_no_scipy_and_keep_their_pins():
-    # A fresh interpreter, because this module's own imports would hide a
-    # scipy load.  It runs the seven smoke configs, a LogNormal p=3 minimize
-    # and a d=2 spectral study.  None of them loads a scipy module: the
-    # inverse normal CDF is computed in numpy, `spectrum` and `solve` call
-    # numpy's OpenBLAS, and scipy.linalg is imported only by `spectrum`'s
-    # fallback.  No numpy.polynomial either: the Gauss-Legendre nodes are
-    # literals.  The smoke reports keep their pins, and the d=2 eigenvalues
-    # are those of scipy.linalg.eigh to the bit.
-    spectral = ("study=spectral\nd=2\neps_list=0.25,0.125\ndomain=-1,1,-1,1\nhalo=-1.5,1.5,-1.5,1.5\n"
-                "k_eigs=3\ndist.kind=lognormal\nseeds=1\n")
-    src = pathlib.Path(fraclat.study.__file__).parents[1]
-    out = subprocess.run([sys.executable, "-c", _NO_SCIPY, json.dumps(SMOKE_CONFIGS), spectral],
-                         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, check=True)
-    assert json.loads(out.stdout) == {"loaded": [], "hashes": SMOKE_PINS, "same_bits": True}
+def test_lognormal_runs_import_no_scipy(fresh_run):
+    # LogNormal's inverse normal CDF is computed in numpy, so the seven smoke
+    # configs (a LogNormal homogenize among them) and a LogNormal p=3
+    # minimize load no scipy module at all
+    assert fresh_run["runs"] == []
+
+
+def test_smoke_pins_hold_in_a_fresh_interpreter(fresh_run):
+    assert fresh_run["hashes"] == SMOKE_PINS
 
 
 def test_run_study_all_drivers_smoke(tmp_path):
