@@ -19,7 +19,9 @@ import sys
 # that fraclat makes runs on one thread (`linear_ops._one_blas_thread`), so a
 # CLI process starts numpy's OpenBLAS on one thread and never pays for a pool
 # of worker threads; an explicit value, or a numpy that a caller loaded
-# first, is left as it is.
+# first, is left as it is.  The report's env records the value the user set
+# (None where unset), not this default.
+_USER_THREADS = os.environ.get("OPENBLAS_NUM_THREADS")
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -70,6 +72,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 4
+    report.meta["env"]["OPENBLAS_NUM_THREADS"] = _USER_THREADS
 
     for eps, seed, metric, value, aux in report.rows:
         print(f"{study} eps={eps:g} seed={seed} {metric}={value:.6g} {aux}".rstrip(), file=sys.stderr)

@@ -26,7 +26,7 @@ through V.value and V.derivative for every potential; only the pair pass has
 a fused form.
 
 Every constraint fixes a set of sites at u = 0: dirichlet0 the sites off the
-interior, zero_outside the exterior ones, none no site.
+interior, none no site.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .lattice import LatticeDomain, PairOffsets, pair_offsets, same_lattice
 from .weights import WeightField, pair_weight_matrix
 
 FLAVORS = ("global", "local")
-CONSTRAINTS = ("none", "dirichlet0", "zero_outside")
+CONSTRAINTS = ("none", "dirichlet0")
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +215,7 @@ def _zero_ids(lattice: LatticeDomain, constraint: str) -> Optional[np.ndarray]:
     ValueError on a name outside CONSTRAINTS."""
     if constraint not in CONSTRAINTS:
         raise ValueError(f"constraint must be one of {CONSTRAINTS}, got {constraint!r}")
-    if constraint == "dirichlet0":
-        return lattice.dirichlet_ids
-    if constraint == "zero_outside":
-        return lattice.exterior_ids
-    return None
+    return lattice.dirichlet_ids if constraint == "dirichlet0" else None
 
 
 def check_constraint(u: GridFunction, constraint: str) -> None:
@@ -240,18 +236,6 @@ def pair_ids(lattice: LatticeDomain, flavor: str) -> np.ndarray:
     if flavor not in FLAVORS:
         raise ValueError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
     return np.arange(lattice.n_sites) if flavor == "global" else lattice.q_ids
-
-
-def free_sites(lattice: LatticeDomain, flavor: str, constraint: str) -> Optional[np.ndarray]:
-    """The flavor's sites off which the constraint fixes u = 0, in id order;
-    None for none, which fixes no site."""
-    zero = _zero_ids(lattice, constraint)
-    if zero is None:
-        return None
-    free = np.ones(lattice.n_sites, dtype=bool)
-    free[zero] = False
-    ids = pair_ids(lattice, flavor)
-    return ids[free[ids]]
 
 
 @dataclass
@@ -357,11 +341,12 @@ def kernel_matrix(
 def held_block(lattice: LatticeDomain, field: WeightField, spec: EnergySpec) -> FreeBlock:
     """The FreeBlock of spec's kernel that a caller holds across calls: K[F, F]
     and the outer row sums, 8 |F|^2 bytes, when the constraint fixes u = 0 off
-    F (dirichlet0, zero_outside); else (none, and a CustomPotential,
-    whose V(0) need not be 0) the whole kernel over the flavor's sites."""
-    free = None if isinstance(spec.V, CustomPotential) else free_sites(lattice, spec.flavor, spec.constraint)
-    if free is None:
+    F (dirichlet0); else (none, and a CustomPotential, whose V(0) need not
+    be 0) the whole kernel over the flavor's sites."""
+    if isinstance(spec.V, CustomPotential) or spec.constraint == "none":
         return FreeBlock(*kernel_matrix(lattice, field, spec.s, spec.p, spec.flavor))
+    # the interior sites, which dirichlet0 leaves free, lie among both flavors' sites
+    free = lattice.interior_ids
     sums, block = kernel_matrix(lattice, field, spec.s, spec.p, spec.flavor, free)
     return FreeBlock(free, block, sums - block.sum(axis=1))
 
@@ -495,10 +480,10 @@ def project_direction(lattice: LatticeDomain, g: np.ndarray, constraint: str) ->
     return g
 
 
-def gagliardo_seminorm(lattice: LatticeDomain, u: GridFunction, s: float, p: float, flavor: str = "local") -> float:
+def gagliardo_seminorm(lattice: LatticeDomain, u: GridFunction, s: float, p: float) -> float:
     """[u]_{s,p,eps}: p-th root of eps^{2d} sum sum |u(x)-u(y)|^p / |x-y|^{d+sp}
-    over the flavor's sites."""
-    ids = pair_ids(lattice, flavor)
+    over Q^eps."""
+    ids = lattice.q_ids
     eps, d = lattice.eps, lattice.dim
     offsets = pair_offsets(lattice)
     codes = offsets.codes[ids]
@@ -523,10 +508,9 @@ def weighted_seminorm(kernel: tuple, u: GridFunction, p: float) -> float:
     return float(_pair_pass(FreeBlock(ids, k), PowerP(p), u.values[ids], rows=False)[0] ** (1.0 / p))
 
 
-def lq_norm(lattice: LatticeDomain, u: GridFunction, q: float, flavor: str = "local") -> float:
-    """(eps^d sum |u|^q)^{1/q} over the flavor's sites; q = inf gives max |u|."""
-    ids = pair_ids(lattice, flavor)
-    vals = np.abs(u.values[ids])
+def lq_norm(lattice: LatticeDomain, u: GridFunction, q: float) -> float:
+    """(eps^d sum |u|^q)^{1/q} over Q^eps; q = inf gives max |u|."""
+    vals = np.abs(u.values[lattice.q_ids])
     if math.isinf(q):
         return float(vals.max()) if vals.size else 0.0
     if q < 1:

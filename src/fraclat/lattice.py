@@ -9,7 +9,9 @@ a closed halo box B containing the open domain box Q, partitioned into
   * exterior:  eps*z outside Q and the cube misses the boundary.
 
 Boundary sites may lie inside or outside Q; sites of Q itself ("Q^eps") are the
-interior sites plus the boundary sites inside Q.
+interior sites plus the boundary sites inside Q.  A lattice keeps the ids of
+the interior, of Q^eps and of the rest (boundary and exterior), which the
+Dirichlet constraint fixes.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ class LatticeDomain:
     eps: float
     sites: np.ndarray  # shape (N, d) integer coordinates, lexicographic
     interior_ids: np.ndarray
-    boundary_ids: np.ndarray
-    exterior_ids: np.ndarray
     q_ids: np.ndarray  # sites with eps*z in Q (interior + boundary-inside-Q)
     dirichlet_ids: np.ndarray  # the sites that dirichlet0 fixes: boundary + exterior, in id order
     _zmin: np.ndarray = field(repr=False, default=None)
@@ -105,7 +105,7 @@ def _box_points(los, his) -> np.ndarray:
 
 def build_lattice(d: int, eps: float, domain, halo) -> LatticeDomain:
     """Construct the lattice of all z with eps*z in the closed halo box, with the
-    interior/boundary/exterior partition of the Dirichlet boundary layer."""
+    interior that the Dirichlet boundary layer leaves, Q^eps and the rest."""
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     q, b = check_boxes(d, domain, halo)
@@ -130,15 +130,12 @@ def build_lattice(d: int, eps: float, domain, halo) -> LatticeDomain:
     boundary = meets & ~contained
     in_q = np.all((pos > q[:, 0] + tol) & (pos < q[:, 1] - tol), axis=1)
     interior = in_q & ~boundary
-    exterior = ~in_q & ~boundary
 
     return LatticeDomain(
         dim=d,
         eps=float(eps),
         sites=sites,
         interior_ids=np.flatnonzero(interior),
-        boundary_ids=np.flatnonzero(boundary),
-        exterior_ids=np.flatnonzero(exterior),
         q_ids=np.flatnonzero(in_q),
         dirichlet_ids=np.flatnonzero(~interior),
         _zmin=los,

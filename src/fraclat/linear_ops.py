@@ -269,12 +269,11 @@ def cg(system: BilinearSystem, tol: float = 1e-10, max_iter: int = 10_000, x=Non
         return _embed(system, np.zeros_like(b)), SolveStats(iters=0, residual=0.0)
     ap = np.empty_like(b)
     it = 0
+    x = np.zeros_like(b) if x is None else x
     with _one_blas_thread(np.linalg._umath_linalg):
-        if x is None:
-            x, r = np.zeros_like(b), b.copy()
-        else:
-            np.matmul(a, x, out=ap)
-            r = b - ap
+        # from x = 0, A x is 0 and r is b
+        np.matmul(a, x, out=ap)
+        r = b - ap
         p = r.copy()
         rs = float(r @ r)
         while True:

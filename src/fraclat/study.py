@@ -6,9 +6,10 @@ are hard errors.  `StudyConfig` is the one declaration of the format, and
 
 Reports are long-format rows (study, eps, seed, metric, value, aux) written as
 CSV, with run metadata (config echo, version, wall time, and under `env` the
-Python and numpy versions, the `OPENBLAS_NUM_THREADS` the run saw, the CPU
-count and `linear_ops.blas_env`'s record of the BLAS it ran on) in a
-``.meta.json`` sidecar so the data file itself is byte-reproducible.
+Python and numpy versions, the `OPENBLAS_NUM_THREADS` the run saw, which
+`fraclat.cli` replaces with the value the user set, the CPU count, numpy's
+enabled SIMD targets and `linear_ops.blas_env`'s record of the BLAS it ran
+on) in a ``.meta.json`` sidecar so the data file itself is byte-reproducible.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ class StudyConfig:
     halo: tuple = (-2.0, 2.0)
     dist: object = Constant(1.0)
     seeds: tuple = (1,)
-    f_value: float = 1.0
     flavor: str = "global"
     solver_tol: float = 1e-10
     solver_max_iter: int = 10_000
@@ -91,8 +91,7 @@ class StudyConfig:
 
 
 # config keys that differ from their field's name
-_KEYS = {"f_value": "f.value", "solver_tol": "solver.tol", "solver_max_iter": "solver.max_iter",
-         "alpha_list": "alpha"}
+_KEYS = {"solver_tol": "solver.tol", "solver_max_iter": "solver.max_iter", "alpha_list": "alpha"}
 
 # dist.kind -> (class, its one parameter, that parameter's default)
 _DISTS = {
@@ -189,13 +188,6 @@ def _validate(cfg: StudyConfig) -> None:
     numbers = [x for f in fields(cfg) if f.name != "q_list" for x in _floats(getattr(cfg, f.name))]
     if not all(math.isfinite(x) for x in numbers):
         raise ConfigError("every number in the config must be finite (q_list may hold inf)")
-    base = cfg.dist.base if isinstance(cfg.dist, DecayingProduct) else cfg.dist
-    try:
-        scale = base.scale
-    except (OverflowError, ZeroDivisionError):
-        scale = math.nan
-    if not (math.isfinite(scale) and scale > 0):
-        raise ConfigError(f"{base} has no finite positive normalizing scale (1 / its mean)")
     if not all(q >= 1 for q in cfg.q_list):
         raise ConfigError(f"q_list entries must be at least 1 or inf, got {cfg.q_list}")
     if not all(eps > 0 for eps in cfg.eps_list):
@@ -297,8 +289,9 @@ def _lattice(cfg: StudyConfig, eps: float):
     return build_lattice(cfg.d, eps, dom, halo)
 
 
-def _forcing(cfg: StudyConfig, lat) -> GridFunction:
-    return GridFunction(lat, np.full(lat.n_sites, cfg.f_value))
+def _forcing(lat) -> GridFunction:
+    """f = 1, the forcing of every p=2 study."""
+    return GridFunction(lat, np.ones(lat.n_sites))
 
 
 def tent_function(domain) -> ContinuumFunction:
@@ -318,7 +311,7 @@ def tent_function(domain) -> ContinuumFunction:
 
 
 def _system(cfg: StudyConfig, lat, field: WeightField):
-    return assemble(lat, field, cfg.s, cfg.flavor, _forcing(cfg, lat))
+    return assemble(lat, field, cfg.s, cfg.flavor, _forcing(lat))
 
 
 def _solve_p2(cfg: StudyConfig, lat, field: WeightField):
@@ -343,7 +336,7 @@ def run_solve(cfg: StudyConfig) -> StudyReport:
     report = _new_report(cfg)
     for eps in cfg.eps_list:
         lat = _lattice(cfg, eps)
-        spec = EnergySpec(p=cfg.p, s=cfg.s, V=PowerP(cfg.p), f=_forcing(cfg, lat), flavor=cfg.flavor,
+        spec = EnergySpec(p=cfg.p, s=cfg.s, V=PowerP(cfg.p), f=_forcing(lat), flavor=cfg.flavor,
                           constraint="dirichlet0")
         for seed in cfg.seeds:
             field = WeightField(cfg.dist, seed)
@@ -521,11 +514,21 @@ _DRIVERS = {
 }
 
 
+def _simd() -> list:
+    """numpy's dispatched SIMD targets that it enables on this CPU; its ufuncs'
+    bits, `exp` and `log` among them, can depend on them."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+
+
 def run_study(cfg: StudyConfig) -> StudyReport:
     t0 = time.monotonic()
     report = _DRIVERS[cfg.study](cfg)
     report.meta["wall_time"] = time.monotonic() - t0
     report.meta["env"] = {"python": platform.python_version(), "numpy": np.__version__,
                           "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
-                          "nproc": os.cpu_count(), **blas_env()}
+                          "nproc": os.cpu_count(), "simd": _simd(), **blas_env()}
     return report

@@ -105,15 +105,14 @@ def continuum_energy(
     V,
     domain,
     quad_n: int = 128,
-    xi: Optional[float] = None,
 ) -> EnergyBracket:
     """Bracket of the double integral over Q x Q of V(f(x)-f(y)) / |x-y|^{1+ps}.
 
-    Tile pairs separated by at least xi are integrated with tensor Gauss
-    quadrature; the remaining near-diagonal strip |x-y| < xi + 2h is bracketed
-    between 0 and the Lipschitz bound  beta * C_L^p * |Q| * 2 delta^{p-ps}/(p-ps),
-    delta = xi + 2h.  d=1 only.  Raises CapacityError before any work when
-    quad_n exceeds QUAD_N_CAP.
+    Q is cut into quad_n panels of width h.  Panel pairs at least two panels
+    apart are integrated with tensor Gauss quadrature; the remaining
+    near-diagonal strip |x-y| < delta = 3h is bracketed between 0 and the
+    Lipschitz bound  beta * C_L^p * |Q| * 2 delta^{p-ps}/(p-ps).  d=1 only.
+    Raises CapacityError before any work when quad_n exceeds QUAD_N_CAP.
     """
     if p - p * s <= 0:
         raise ValueError("near-diagonal bracket needs p(1-s) > 0")
@@ -128,15 +127,13 @@ def continuum_energy(
         )
     a, b = np.asarray(domain, dtype=float).reshape(2)
     h = (b - a) / quad_n
-    if xi is None:
-        xi = 2.0 * h
     # panel Gauss nodes/values
     centers = a + h * (np.arange(quad_n) + 0.5)
     nodes = (centers[:, None] + (h / 2.0) * _GAUSS_X[None, :]).ravel()
     wts = np.tile((h / 2.0) * _GAUSS_W, quad_n)
     fv = f(nodes.reshape(-1, 1))
-    # include tile pairs whose minimal separation reaches xi
-    min_gap = int(math.ceil(xi / h)) + 1
+    # panel pairs whose indices differ by min_gap or more are integrated
+    min_gap = 3
     far = 0.0
     for i in range(quad_n):
         js = np.concatenate(

@@ -20,8 +20,8 @@ LogNormal weight of inf).
 
 Every distribution but `Constant` is rescaled by its `scale`, 1 over its
 analytic mean, so its mean is 1; the homogenized limit then matches the
-constant-weight reference directly.  A `Constant` value must be finite and
-positive.
+constant-weight reference directly.  A `Constant` value, and every other
+law's scale, must be finite and positive.
 """
 
 from __future__ import annotations
@@ -133,8 +133,21 @@ class Constant:
     scale = 1.0  # never rescaled
 
 
+class _MeanOne:
+    """A law rescaled by its `scale`, 1 over its analytic mean, which must be
+    finite and positive: a raising or non-finite one raises ValueError."""
+
+    def __post_init__(self):
+        try:
+            scale = self.scale
+        except (OverflowError, ZeroDivisionError):
+            scale = math.nan
+        if not (math.isfinite(scale) and scale > 0):
+            raise ValueError(f"{self} has no finite positive normalizing scale (1 / its mean)")
+
+
 @dataclass(frozen=True)
-class LogNormal:
+class LogNormal(_MeanOne):
     sigma: float
 
     def q_max(self) -> float:
@@ -151,7 +164,7 @@ class LogNormal:
 
 
 @dataclass(frozen=True)
-class UnitPowerLaw:
+class UnitPowerLaw(_MeanOne):
     """c = U^{1/a} (a + 1) / a with U uniform on (0,1), so E(c) = 1; E(c^{-q}) < infinity iff q < a."""
 
     a: float
@@ -168,7 +181,7 @@ class UnitPowerLaw:
 
 
 @dataclass(frozen=True)
-class ShiftedPareto:
+class ShiftedPareto(_MeanOne):
     """c = (1 + Pareto(a)) (a - 1) / (2a - 1), Pareto of scale 1, so E(c) = 1 and c is bounded
     below by 2 (a - 1) / (2a - 1): all negative moments exist."""
 
@@ -177,6 +190,7 @@ class ShiftedPareto:
     def __post_init__(self):
         if self.a <= 1:
             raise ValueError("ShiftedPareto needs a > 1 for a finite mean")
+        super().__post_init__()
 
     def q_max(self) -> float:
         return math.inf

@@ -21,9 +21,9 @@ import numpy as np
 import fraclat, fraclat.cli, fraclat.minimize
 imported = loaded()
 from fraclat import EnergySpec, GridFunction, LogNormal, PowerK, SmoothedPowerP, WeightField, build_lattice
-from fraclat.linear_ops import _one_blas_thread, assemble, spectrum
+from fraclat.linear_ops import _one_blas_thread, spectrum
 from fraclat.minimize import MinimizeOptions, minimize
-from fraclat.study import _forcing, _lattice, parse_config, run_study
+from fraclat.study import _lattice, _system, parse_config, run_study
 
 configs, cfg = json.loads(sys.argv[1]), parse_config(sys.argv[2])
 hashes = {study: hashlib.sha256(run_study(parse_config(text)).to_csv().encode()).hexdigest()[:16]
@@ -35,7 +35,7 @@ minimize(spec, WeightField(LogNormal(1.0), 3), MinimizeOptions(grad_tol=1e-6))
 runs = loaded()
 run_study(cfg)
 lat = _lattice(cfg, cfg.eps_list[0])
-system = assemble(lat, WeightField(cfg.dist, 1), cfg.s, cfg.flavor, _forcing(cfg, lat))
+system = _system(cfg, lat, WeightField(cfg.dist, 1))
 reference = system.matrix.copy()
 mu = spectrum(system, cfg.k_eigs).eigenvalues
 spectral = loaded()

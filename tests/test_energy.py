@@ -130,9 +130,11 @@ def test_constraint_enforced(lat3, const_field):
 
 
 def test_gagliardo_examples(lat3):
+    # the three sites lie in Q, so Q^eps holds them all
+    assert np.array_equal(lat3.q_ids, [0, 1, 2])
     u = GridFunction(lat3, [0.0, 1.0, 0.0])
-    assert gagliardo_seminorm(lat3, u, 0.5, 2, "global") == pytest.approx(2.0, rel=1e-12)
-    assert gagliardo_seminorm(lat3, GridFunction(lat3, [5.0] * 3), 0.5, 2, "global") == 0.0
+    assert gagliardo_seminorm(lat3, u, 0.5, 2) == pytest.approx(2.0, rel=1e-12)
+    assert gagliardo_seminorm(lat3, GridFunction(lat3, [5.0] * 3), 0.5, 2) == 0.0
 
 
 @settings(max_examples=25, deadline=None)
@@ -143,8 +145,8 @@ def test_seminorm_homogeneity(lam):
     vals = rng.normal(size=lat.n_sites)
     u = GridFunction(lat, vals)
     v = GridFunction(lat, lam * vals)
-    ref = gagliardo_seminorm(lat, u, 0.5, 2, "local")
-    assert gagliardo_seminorm(lat, v, 0.5, 2, "local") == pytest.approx(abs(lam) * ref, rel=1e-10)
+    ref = gagliardo_seminorm(lat, u, 0.5, 2)
+    assert gagliardo_seminorm(lat, v, 0.5, 2) == pytest.approx(abs(lam) * ref, rel=1e-10)
 
 
 def test_weighted_matches_unweighted_for_unit_c(const_field):
@@ -152,7 +154,7 @@ def test_weighted_matches_unweighted_for_unit_c(const_field):
     rng = np.random.default_rng(3)
     u = GridFunction(lat, rng.normal(size=lat.n_sites))
     a = weighted_seminorm(_local(const_field, lat), u, 2)
-    b = gagliardo_seminorm(lat, u, 0.5, 2, "local")
+    b = gagliardo_seminorm(lat, u, 0.5, 2)
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -186,27 +188,25 @@ def test_weighted_seminorm_brute_force():
 
 
 def test_lq_norm(lat3):
+    # Q^eps holds the three sites of lat3
     u = GridFunction(lat3, [0.0, 1.0, 0.0])
-    assert lq_norm(lat3, u, 2, "global") == pytest.approx(0.5**0.5, rel=1e-12)
+    assert lq_norm(lat3, u, 2) == pytest.approx(0.5**0.5, rel=1e-12)
     lat = build_lattice(1, 0.5, [(-1, 1)], [(-1, 1)])
     ones = GridFunction(lat, np.ones(lat.n_sites))
-    assert lq_norm(lat, ones, 1, "local") == pytest.approx(lat.eps ** lat.dim * len(lat.q_ids), rel=1e-12)
-    assert lq_norm(lat3, GridFunction(lat3, [0.0, -7.0, 2.0]), float("inf"), "global") == 7.0
+    assert lq_norm(lat, ones, 1) == pytest.approx(lat.eps ** lat.dim * len(lat.q_ids), rel=1e-12)
+    assert lq_norm(lat3, GridFunction(lat3, [0.0, -7.0, 2.0]), float("inf")) == 7.0
+    # the sites of the boundary points -1 and 1 lie outside Q^eps
+    assert lq_norm(lat, GridFunction(lat, [9.0, 0.0, 1.0, 0.0, 9.0]), float("inf")) == 1.0
 
 
 @pytest.mark.parametrize("flavor", ["Global", "q"])
 def test_unknown_flavor_is_refused(flavor, const_field):
     # a misspelt "global" once gave the local sites: 7 here, where global has 17
     lat = build_lattice(1, 0.25, [(-1, 1)], [(-2, 2)])
-    u = GridFunction(lat, np.ones(lat.n_sites))
     with pytest.raises(ValueError, match="flavor"):
         pair_ids(lat, flavor)
     with pytest.raises(ValueError, match="flavor"):
         kernel_matrix(lat, const_field, 0.5, 2.0, flavor)
-    with pytest.raises(ValueError, match="flavor"):
-        gagliardo_seminorm(lat, u, 0.5, 2.0, flavor)
-    with pytest.raises(ValueError, match="flavor"):
-        lq_norm(lat, u, 2.0, flavor)
 
 
 def test_embedding_ratio_examples(lat3):
@@ -229,7 +229,7 @@ def test_holder_chain_inequality():
         kernel = _local(field, lat, s, p)
         for _ in range(3):
             u = GridFunction(lat, rng.normal(size=lat.n_sites))
-            lhs = gagliardo_seminorm(lat, u, s_prime, r, "local")
+            lhs = gagliardo_seminorm(lat, u, s_prime, r)
             rhs = c * weighted_seminorm(kernel, u, p)
             assert lhs <= rhs * (1 + 1e-12)
 

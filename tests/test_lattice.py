@@ -37,15 +37,15 @@ def test_sites_match_product_reference(d, eps, halo):
 def test_boundary_layer_d1():
     # cube (-0.5) + [-0.5, 0.5] = [-1, 0] touches the boundary point -1
     lat = build_lattice(1, 0.5, [(-1, 1)], [(-1, 1)])
-    assert np.array_equal(np.sort(lat.positions[lat.boundary_ids].ravel()), [-1, -0.5, 0.5, 1])
+    assert np.array_equal(lat.positions[lat.dirichlet_ids].ravel(), [-1, -0.5, 0.5, 1])
     assert np.array_equal(lat.positions[lat.interior_ids].ravel(), [0])
 
 
 def _brute_force_classify(d, eps, q, sites):
     """Independent classification: boundary iff the closed cube eps*z + [-eps, eps]^d
-    meets the boundary of the box q."""
+    meets the boundary of the box q; and the sites inside the open box q."""
     q = np.asarray(q, dtype=float).reshape(d, 2)
-    boundary, interior, exterior = [], [], []
+    boundary, interior, exterior, in_qs = [], [], [], []
     for i, z in enumerate(sites):
         pos = eps * np.asarray(z, dtype=float)
         lo, hi = pos - eps, pos + eps
@@ -53,26 +53,41 @@ def _brute_force_classify(d, eps, q, sites):
         meets = np.all((lo <= q[:, 1]) & (hi >= q[:, 0]))
         inside = np.all((lo > q[:, 0]) & (hi < q[:, 1]))
         in_q = np.all((pos > q[:, 0]) & (pos < q[:, 1]))
+        if in_q:
+            in_qs.append(i)
         if meets and not inside:
             boundary.append(i)
         elif in_q:
             interior.append(i)
         else:
             exterior.append(i)
-    return boundary, interior, exterior
+    return boundary, interior, exterior, in_qs
+
+
+def _assert_brute_force(eps, q, halo):
+    """Check interior_ids, dirichlet_ids and q_ids against _brute_force_classify;
+    returns the lattice and the brute-force exterior sites."""
+    lat = build_lattice(2, eps, q, halo)
+    boundary, interior, exterior, in_q = _brute_force_classify(2, eps, q, lat.sites)
+    assert list(lat.interior_ids) == interior
+    assert list(lat.dirichlet_ids) == sorted(boundary + exterior)
+    assert list(lat.q_ids) == in_q
+    return lat, exterior
 
 
 def test_boundary_layer_d2_brute_force():
-    lat = build_lattice(2, 1.0, [(0, 3), (0, 3)], [(0, 3), (0, 3)])
-    assert lat.n_sites == 16
-    boundary, interior, exterior = _brute_force_classify(2, 1.0, [(0, 3), (0, 3)], lat.sites)
-    assert sorted(lat.boundary_ids) == boundary
-    assert sorted(lat.interior_ids) == interior
-    assert sorted(lat.exterior_ids) == exterior
+    lat, exterior = _assert_brute_force(1.0, [(0, 3), (0, 3)], [(0, 3), (0, 3)])
+    assert lat.n_sites == 16 and not exterior
     # the four strictly inner grid points belong to Q even though their unit
     # cubes reach the boundary of the 3x3 box
     q_sites = {tuple(z) for z in lat.sites[lat.q_ids]}
     assert q_sites == {(1, 1), (1, 2), (2, 1), (2, 2)}
+
+
+def test_exterior_d2_brute_force():
+    # a halo wider than Q on both axes and off center holds exterior sites
+    _, exterior = _assert_brute_force(0.5, [(0, 3), (-1, 1)], [(-1, 4), (-2, 2)])
+    assert exterior
 
 
 def test_errors():
@@ -103,11 +118,15 @@ def test_site_ids_bijection():
 def test_partition_and_neighborhood(k, a, b):
     eps = 2.0**-k
     lat = build_lattice(1, eps, [(a, b)], [(a - 1, b + 1)])
-    all_ids = np.sort(np.concatenate([lat.interior_ids, lat.boundary_ids, lat.exterior_ids]))
+    all_ids = np.sort(np.concatenate([lat.interior_ids, lat.dirichlet_ids]))
     assert np.array_equal(all_ids, np.arange(lat.n_sites))
-    # boundary sites sit within sqrt(d)*eps of the boundary of Q
-    for pos in lat.positions[lat.boundary_ids].ravel():
+    assert np.array_equal(np.intersect1d(lat.q_ids, lat.interior_ids), lat.interior_ids)
+    # the sites of Q that dirichlet0 fixes, the boundary layer, sit within
+    # sqrt(d)*eps of the boundary of Q; the interior ones sit farther
+    for pos in lat.positions[np.intersect1d(lat.q_ids, lat.dirichlet_ids)].ravel():
         assert min(abs(pos - a), abs(pos - b)) <= eps * (1 + 1e-12)
+    for pos in lat.positions[lat.interior_ids].ravel():
+        assert min(abs(pos - a), abs(pos - b)) >= eps * (1 - 1e-12)
 
 
 def test_refinement_and_measure():

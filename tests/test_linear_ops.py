@@ -418,6 +418,16 @@ def test_spectrum_rejects_a_nonfinite_matrix(lat5, const_field):
         spectrum(system, 1)
 
 
+@pytest.mark.parametrize("sign", [-1.0, 0.0], ids=["negative_definite", "zero"])
+def test_spectrum_rejects_a_form_that_is_not_positive(const_field, sign):
+    # mu = eps^d / lambda needs lambda_1 > 0
+    lat = build_lattice(1, 0.25, [(-1, 1)], [(-1, 1)])
+    system = assemble(lat, const_field, 0.5, "global", _ones(lat))
+    system.matrix[...] *= sign
+    with pytest.raises(NumericalError, match="form eigenvalue .* is not positive"):
+        spectrum(system, 2)
+
+
 def test_spectral_study_loads_no_scipy_module(fresh_run):
     # `spectrum` calls numpy's OpenBLAS, so the d=2 spectral study and a
     # direct `spectrum` call (after the smoke runs of the same fresh

@@ -149,7 +149,7 @@ def _recording_kernels(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("constraint", ["dirichlet0", "zero_outside"])
+@pytest.mark.parametrize("constraint", ["dirichlet0"])
 def test_minimize_holds_free_block_and_drops_it(monkeypatch, constraint):
     lat = build_lattice(1, 0.125, [(-1, 1)], [(-1.5, 1.5)])
     field = WeightField(LogNormal(0.8), 2)
@@ -157,10 +157,7 @@ def test_minimize_holds_free_block_and_drops_it(monkeypatch, constraint):
     calls = _recording_kernels(monkeypatch)
     _, stats = minimize(spec, field, MinimizeOptions(grad_tol=1e-8, max_iter=500), lattice=lat)
     assert stats.iters > 1
-    if constraint == "dirichlet0":
-        free = lat.interior_ids
-    else:
-        free = np.setdiff1d(np.arange(lat.n_sites), lat.exterior_ids)
+    free = lat.interior_ids
     # the one kernel held is the |F| x |F| free block, not the N x N kernel
     ((args, shape, ref),) = calls
     assert np.array_equal(args[5], free)
@@ -282,15 +279,14 @@ def test_constraint_held_exactly():
     field = WeightField(LogNormal(0.8), 6)
     f = GridFunction(lat, lat.positions[:, 0])
     start = GridFunction(lat, np.random.default_rng(6).normal(size=lat.n_sites))
-    for constraint, fixed in (("dirichlet0", lat.dirichlet_ids), ("zero_outside", lat.exterior_ids)):
-        assert len(fixed) > 0
-        for V, method, initial in itertools.product((PowerP(3), HALF_QUADRATIC), ("lbfgs", "gd"), (None, start)):
-            spec = _spec(p=3, V=V, G=PowerK(0.3, 2.0), f=f, constraint=constraint)
-            opts = MinimizeOptions(grad_tol=1e-8, max_iter=2000, method=method, initial=initial)
-            u, stats = minimize(spec, field, opts, lattice=lat)
-            case = (constraint, V, method, initial is None)
-            assert stats.iters > 1, case
-            assert not u.values[fixed].any() and not np.signbit(u.values[fixed]).any(), case
+    fixed = lat.dirichlet_ids
+    for V, method, initial in itertools.product((PowerP(3), HALF_QUADRATIC), ("lbfgs", "gd"), (None, start)):
+        spec = _spec(p=3, V=V, G=PowerK(0.3, 2.0), f=f, constraint="dirichlet0")
+        opts = MinimizeOptions(grad_tol=1e-8, max_iter=2000, method=method, initial=initial)
+        u, stats = minimize(spec, field, opts, lattice=lat)
+        case = (V, method, initial is None)
+        assert stats.iters > 1, case
+        assert not u.values[fixed].any() and not np.signbit(u.values[fixed]).any(), case
 
 
 def test_gradient_descent_agrees_with_lbfgs():
@@ -312,11 +308,13 @@ def test_project_examples():
     u = GridFunction(lat, [9.0, 1.0, 2.0, 3.0, 9.0])
     d = project_constraint(u, "dirichlet0")
     assert np.all(d.values[lat.interior_ids] == u.values[lat.interior_ids])
-    assert np.all(d.values[lat.boundary_ids] == 0.0)
+    assert np.all(d.values[lat.dirichlet_ids] == 0.0)
+    # on a wider halo the exterior is fixed too; the sites at -0.5 and 0.5
+    # are boundary ones, whose cubes reach the boundary points -1 and 1
     wide = build_lattice(1, 0.5, [(-1, 1)], [(-2, 2)])
     v = GridFunction(wide, -np.arange(1.0, 10.0))
-    z = project_constraint(v, "zero_outside")
-    assert z.values.tobytes() == np.array([0.0, -2, -3, -4, -5, -6, -7, -8, 0.0]).tobytes()
+    z = project_constraint(v, "dirichlet0")
+    assert z.values.tobytes() == np.array([0.0, 0.0, 0.0, 0.0, -5, 0.0, 0.0, 0.0, 0.0]).tobytes()
     assert project_constraint(v, "none").values.tobytes() == v.values.tobytes()
 
 
@@ -334,7 +332,7 @@ def test_unknown_constraint_names_raise(name):
 @settings(max_examples=30, deadline=None)
 @given(
     vals=st.lists(st.floats(-100, 100), min_size=5, max_size=5),
-    constraint=st.sampled_from(["dirichlet0", "zero_outside", "none"]),
+    constraint=st.sampled_from(["dirichlet0", "none"]),
 )
 def test_project_idempotent(vals, constraint):
     lat = build_lattice(1, 0.5, [(-1, 1)], [(-1, 1)])
@@ -369,7 +367,6 @@ PINNED_RUNS = {
     "dirichlet0": ("dirichlet0", PowerP(3), (23, 27, "-0x1.d3c51a533fa2cp-3")),
     # V(0) = 0, but under none no site is fixed: the whole kernel's path
     "none": ("none", PowerP(3), (29, 36, "-0x1.d7791ed7aae38p-2")),
-    "zero_outside": ("zero_outside", PowerP(3), (30, 33, "-0x1.7f369d9d966d4p-4")),
     "dirichlet0-smoothed": ("dirichlet0", SmoothedPowerP(3.0, 1e-4), (23, 26, "-0x1.d3c50e630316fp-3")),
 }
 
@@ -397,6 +394,18 @@ def _pinned_run(monkeypatch, case, max_iter):
 @pytest.mark.parametrize("case", sorted(PINNED_RUNS))
 def test_minimize_pinned_bits(monkeypatch, case):
     _pinned_run(monkeypatch, case, 500)
+
+
+def test_minimize_takes_the_lattice_of_f():
+    # what the minimize-d1-p3 benchmark runs: neither a lattice nor an initial
+    # point, so minimize runs on spec.f's lattice, with the bits of lattice=
+    lat = build_lattice(1, 0.125, [(-1, 1)], [(-1.5, 1.5)])
+    spec = _spec(p=3, V=SmoothedPowerP(3.0, 1e-4), G=PowerK(0.5, 2.0), f=GridFunction(lat, np.ones(lat.n_sites)))
+    field, opts = WeightField(LogNormal(1.0), 3), MinimizeOptions(grad_tol=1e-6)
+    u, stats = minimize(spec, field, opts)
+    u_lat, stats_lat = minimize(spec, field, opts, lattice=lat)
+    assert u.lattice is lat and stats.iters > 1
+    assert u.values.tobytes() == u_lat.values.tobytes() and stats == stats_lat
 
 
 def test_minimize_converges_on_its_last_allowed_step(monkeypatch):

@@ -1,7 +1,9 @@
 """What importing fraclat costs: the package's exports load lazily, and a CLI
-process starts numpy's OpenBLAS on one thread unless told otherwise."""
+process starts numpy's OpenBLAS on one thread unless told otherwise, while its
+report records what the user set and what the process ran on."""
 
 import importlib
+import json
 import os
 import pathlib
 import subprocess
@@ -38,10 +40,10 @@ print(blas[0]() if blas else "none", os.environ.get("OPENBLAS_NUM_THREADS"), os.
 """
 
 
-def _run(code, **env_vars):
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+def _run(code, *args, **env_vars):
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "NPY_DISABLE_CPU_FEATURES")}
     env.update(env_vars, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
     return out.stdout.split()
 
 
@@ -69,6 +71,36 @@ def test_cli_keeps_an_explicit_thread_count():
 def test_cli_leaves_the_environment_alone_when_numpy_loaded_first():
     _, variable, untouched = _threads(before="import numpy")
     assert variable == "None" and untouched
+
+
+def _cli_env(tmp_path, **env_vars):
+    """The sidecar `env` of a small `solve` CLI run in a fresh process."""
+    (tmp_path / "cfg.txt").write_text("study=solve\neps_list=0.5\n")
+    out = tmp_path / f"out{len(list(tmp_path.iterdir()))}"
+    _run("import sys, fraclat.cli; sys.exit(fraclat.cli.main(sys.argv[1:]))", "solve",
+         "--config", str(tmp_path / "cfg.txt"), "--out", str(out), **env_vars)
+    return json.loads((out / "solve.csv.meta.json").read_text())["env"]
+
+
+@pytest.mark.parametrize("variable, threads", [(None, 1), ("2", 2)], ids=["unset", "two"])
+def test_cli_report_records_the_thread_count_the_user_set(tmp_path, variable, threads):
+    # unset, the process runs on the one thread that fraclat.cli chose, and
+    # the record says that the user set nothing
+    if threads > (os.cpu_count() or 1):
+        pytest.skip("OpenBLAS caps its thread count at the number of CPUs")
+    env = _cli_env(tmp_path, **({} if variable is None else {"OPENBLAS_NUM_THREADS": variable}))
+    if env["openblas"] is None:
+        pytest.skip("numpy links no OpenBLAS")
+    assert (env["OPENBLAS_NUM_THREADS"], env["blas_threads"]) == (variable, threads)
+
+
+def test_cli_report_records_numpy_simd_targets(tmp_path):
+    simd = _cli_env(tmp_path)["simd"]
+    if not simd:
+        pytest.skip("numpy enables no dispatched SIMD target on this CPU")
+    # numpy drops a disabled target, and only that one, from its enabled set
+    less = _cli_env(tmp_path, NPY_DISABLE_CPU_FEATURES=simd[-1])["simd"]
+    assert less == simd[:-1]
 
 
 @pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTS.items() for n in names])

@@ -123,7 +123,6 @@ dist.alpha=2.5
 dist.base.kind=unit_power_law
 dist.base.a=6.0
 seeds=3,5,8
-f.value=-2.5
 flavor=local
 solver.tol=1e-08
 solver.max_iter=500
@@ -150,7 +149,6 @@ dist.alpha=2.5
 dist.base.kind=unit_power_law
 dist.base.a=6.0
 seeds=3,5,8
-f.value=-2.5
 flavor=local
 solver.tol=1e-08
 solver.max_iter=500
@@ -180,10 +178,12 @@ box_side=32
         "study=solve\nseeds=\n",
         "study=solve\nd=two\n",
         "study=solve\nu.kind=sine\n",
-        # removed keys: the forcing is always constant (f.kind), and the p=2
-        # studies always solve dirichlet0 with G = 0 (constraint, G.*), which
-        # no other study read
+        # removed keys: the forcing is always f = 1 (f.kind, f.value), and the
+        # p=2 studies always solve dirichlet0 with G = 0 (constraint, G.*),
+        # which no other study read
         "study=solve\nf.kind=constant\n",
+        "study=solve\nf.value=1\n",
+        "study=solve\nf.value=nan\n",
         "study=gamma_limit\nconstraint=bogus\n",
         "study=solve\nconstraint=none\n",
         "study=solve\nconstraint=mean0\n",
@@ -232,13 +232,15 @@ box_side=32
         "study=solve\nsolver.max_iter=0\n",
         "study=solve\ndist.kind=lognormal\ndist.sigma=nan\n",
         "study=solve\ndist.kind=decaying_product\ndist.base.kind=lognormal\ndist.base.sigma=inf\n",
-        "study=solve\nf.value=nan\n",
         "study=gamma_limit\np=0.5\n",
         "study=embeddings\nq_list=2.0,nan\n",
         "study=embeddings\nq_list=0.5\n",
         "study=solve\nsolver.tol=inf\n",
         # exp(sigma^2 / 2), the mean that normalizes the weights, overflows
         "study=homogenize\ndist.kind=lognormal\ndist.sigma=40\n",
+        # a negative mean (a in (-1, 0)) or none (a = 0)
+        "study=solve\ndist.kind=unit_power_law\ndist.a=-0.5\n",
+        "study=ergodic\ndist.kind=unit_power_law\ndist.a=0\n",
         "study=ergodic\ndist.kind=decaying_product\ndist.base.kind=lognormal\ndist.base.sigma=40\n",
     ],
 )
@@ -286,13 +288,15 @@ def test_cli_solve_writes_report(tmp_path, capsys):
     assert out.read_text() == (DATA / "golden_solve.csv").read_text()
     meta = json.loads((tmp_path / "solve.csv.meta.json").read_text())
     assert "config" in meta and meta["wall_time"] >= 0
-    # the versions, the BLAS thread variable, the CPU count and numpy's
-    # OpenBLAS build and thread count this process ran with, and the routines
-    # that `spectrum` and `solve` resolve in it
+    # the versions, the BLAS thread variable, the CPU count, numpy's enabled
+    # SIMD targets, numpy's OpenBLAS build and thread count this process ran
+    # with, and the routines that `spectrum` and `solve` resolve in it
     get_threads, _, get_config = _openblas(np.linalg._umath_linalg)
+    umath = np._core._multiarray_umath if hasattr(np, "_core") else np.core._multiarray_umath
+    simd = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__[t]]
     assert meta["env"] == {"python": platform.python_version(), "numpy": np.__version__,
                            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
-                           "nproc": os.cpu_count(), "openblas": get_config().decode(),
+                           "nproc": os.cpu_count(), "simd": simd, "openblas": get_config().decode(),
                            "blas_threads": get_threads(), "spectrum": "dsyevr", "solve": "cholesky"}
     assert meta["env"]["openblas"].startswith("OpenBLAS")
     assert "solve eps=0.5 seed=1" in capsys.readouterr().err
@@ -330,6 +334,17 @@ def test_cli_config_errors(tmp_path, capsys):
     mismatched.write_text(SOLVE_CFG)
     assert main(["spectral", "--config", str(mismatched)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("dist", ["unit_power_law\ndist.a=-0.5", "lognormal\ndist.sigma=40"],
+                         ids=["unit_power_law", "lognormal"])
+def test_cli_law_without_a_mean_exits_2(tmp_path, capsys, dist):
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(f"study=solve\neps_list=0.5\ndist.kind={dist}\n")
+    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and "normalizing scale" in err[0], err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_nan_solver_tol_is_a_config_error(tmp_path, capsys):

@@ -16,7 +16,6 @@ from fraclat.energy import (
     SmoothedPowerP,
     energy_gradient,
     energy_value,
-    free_sites,
     gagliardo_seminorm,
     held_block,
     holder_chain_constant,
@@ -252,53 +251,52 @@ def test_free_block_energy_matches_whole_kernel(d, small_tiles):
         field = WeightField(dist, 7)
         for flavor in ("global", "local"):
             ids = pair_ids(lat, flavor)
-            for constraint in ("dirichlet0", "zero_outside"):
-                free = free_sites(lat, flavor, constraint)
-                if flavor == "local" and constraint == "zero_outside":
-                    # the boundary sites outside Q are free but not among the flavor's sites
-                    assert len(free) < lat.n_sites - len(lat.exterior_ids)
-                # the free block spans several row tiles
-                assert len(_reduction.row_tiles(len(free), len(free), 8 * d)) > 1
-                kernel = kernel_matrix(lat, field, 0.5, 3.0, flavor)
-                fb = held_block(lat, field, EnergySpec(p=3.0, s=0.5, V=PowerP(3.0), flavor=flavor,
-                                                       constraint=constraint))
-                assert np.array_equal(fb.free, free), (dist, flavor, constraint)
-                block, outer = fb.block, fb.outer
-                vals = np.zeros(lat.n_sites)
-                vals[free] = rng.normal(size=len(free))
-                u = GridFunction(lat, vals)
-                # u moved at one free site
-                moved = vals.copy()
-                moved[free[len(free) // 2]] += 0.5
-                _, k = kernel
-                v = vals[ids]
-                diffs = v[:, None] - v[None, :]
-                for V in FUSED_POTENTIALS + VALUE_ONLY_POTENTIALS:
-                    spec = EnergySpec(p=3.0, s=0.5, V=V, G=PowerK(0.5, 2.0), f=f,
-                                      flavor=flavor, constraint=constraint)
-                    case = (dist, flavor, constraint, V)
-                    scale = (np.abs(k * V.value(diffs)).sum() + 2 * np.abs(k.sum(axis=1) * V.value(v)).sum()
-                             + eps_d * (np.abs(spec.G.value(v)) + np.abs(v * f.values[ids])).sum())
-                    assert abs(energy_value(spec, fb, u) - energy_value(spec, kernel, u)) <= PAIR_SUM_TOL * scale, case
-                    if V in VALUE_ONLY_POTENTIALS:
-                        with pytest.raises(ValueError, match="SmoothedPowerP"):
-                            energy_gradient(spec, fb, u)
-                        continue
-                    g_scale = np.zeros(lat.n_sites)
-                    g_scale[ids] = (2 * np.abs(k * V.derivative(diffs)).sum(axis=1)
-                                    + 2 * k.sum(axis=1) * np.abs(V.derivative(v))
-                                    + eps_d * (np.abs(spec.G.derivative(v)) + np.abs(f.values[ids])))
-                    # read back from the value's pass at the same u
-                    g_block = energy_gradient(spec, fb, u).values
-                    g_whole = energy_gradient(spec, kernel, u).values
-                    assert np.all(np.abs(g_block - g_whole) <= PAIR_SUM_TOL * g_scale), case
-                    outside = np.ones(lat.n_sites, dtype=bool)
-                    outside[free] = False
-                    assert np.all(g_block[outside] == 0.0) and np.all(g_whole[outside] == 0.0), case
-                    other = SmoothedPowerP(V.p, 0.5) if isinstance(V, PowerP) else PowerP(V.p + 1.0)
-                    spec_other = EnergySpec(p=3.0, s=0.5, V=other, flavor=flavor, constraint=constraint)
-                    for fresh in (lambda: FreeBlock(free, block, outer), lambda: FreeBlock(ids, k)):
-                        _assert_reads_back(spec, spec_other, fresh, u, GridFunction(lat, moved), case)
+            constraint = "dirichlet0"
+            # the flavor's sites that dirichlet0 leaves free: the interior ones
+            free = np.setdiff1d(ids, lat.dirichlet_ids)
+            assert np.array_equal(free, lat.interior_ids)
+            # the free block spans several row tiles
+            assert len(_reduction.row_tiles(len(free), len(free), 8 * d)) > 1
+            kernel = kernel_matrix(lat, field, 0.5, 3.0, flavor)
+            fb = held_block(lat, field, EnergySpec(p=3.0, s=0.5, V=PowerP(3.0), flavor=flavor,
+                                                   constraint=constraint))
+            assert np.array_equal(fb.free, free), (dist, flavor, constraint)
+            block, outer = fb.block, fb.outer
+            vals = np.zeros(lat.n_sites)
+            vals[free] = rng.normal(size=len(free))
+            u = GridFunction(lat, vals)
+            # u moved at one free site
+            moved = vals.copy()
+            moved[free[len(free) // 2]] += 0.5
+            _, k = kernel
+            v = vals[ids]
+            diffs = v[:, None] - v[None, :]
+            for V in FUSED_POTENTIALS + VALUE_ONLY_POTENTIALS:
+                spec = EnergySpec(p=3.0, s=0.5, V=V, G=PowerK(0.5, 2.0), f=f,
+                                  flavor=flavor, constraint=constraint)
+                case = (dist, flavor, constraint, V)
+                scale = (np.abs(k * V.value(diffs)).sum() + 2 * np.abs(k.sum(axis=1) * V.value(v)).sum()
+                         + eps_d * (np.abs(spec.G.value(v)) + np.abs(v * f.values[ids])).sum())
+                assert abs(energy_value(spec, fb, u) - energy_value(spec, kernel, u)) <= PAIR_SUM_TOL * scale, case
+                if V in VALUE_ONLY_POTENTIALS:
+                    with pytest.raises(ValueError, match="SmoothedPowerP"):
+                        energy_gradient(spec, fb, u)
+                    continue
+                g_scale = np.zeros(lat.n_sites)
+                g_scale[ids] = (2 * np.abs(k * V.derivative(diffs)).sum(axis=1)
+                                + 2 * k.sum(axis=1) * np.abs(V.derivative(v))
+                                + eps_d * (np.abs(spec.G.derivative(v)) + np.abs(f.values[ids])))
+                # read back from the value's pass at the same u
+                g_block = energy_gradient(spec, fb, u).values
+                g_whole = energy_gradient(spec, kernel, u).values
+                assert np.all(np.abs(g_block - g_whole) <= PAIR_SUM_TOL * g_scale), case
+                outside = np.ones(lat.n_sites, dtype=bool)
+                outside[free] = False
+                assert np.all(g_block[outside] == 0.0) and np.all(g_whole[outside] == 0.0), case
+                other = SmoothedPowerP(V.p, 0.5) if isinstance(V, PowerP) else PowerP(V.p + 1.0)
+                spec_other = EnergySpec(p=3.0, s=0.5, V=other, flavor=flavor, constraint=constraint)
+                for fresh in (lambda: FreeBlock(free, block, outer), lambda: FreeBlock(ids, k)):
+                    _assert_reads_back(spec, spec_other, fresh, u, GridFunction(lat, moved), case)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -371,7 +369,7 @@ def test_tiled_diagnostics_match_whole_matrix_sums(small_tiles):
     vals = u.values[q]
     num = np.abs(vals[:, None] - vals[None, :]) ** 2 / dist ** (d + 0.5 * 2)
     semi = (eps ** (2 * d) * num.sum()) ** 0.5
-    assert gagliardo_seminorm(lat, u, 0.5, 2.0, "local") == pytest.approx(semi, rel=1e-13)
+    assert gagliardo_seminorm(lat, u, 0.5, 2.0) == pytest.approx(semi, rel=1e-13)
 
     p, s, r, s_prime = 2.0, 0.5, 1.5, 1.0 / 3.0
     w = _whole_weights(field, zq, zq)

@@ -38,12 +38,12 @@ def test_embed_constant_and_norm_preservation():
     rng = np.random.default_rng(0)
     u = GridFunction(lat, rng.normal(size=lat.n_sites))
     f = embed(u)
-    # exact: cells have volume eps, so the L^q norms agree
+    # exact: cells have volume eps, so the L^q norms over the cells of Q^eps agree
     for q in (1.0, 2.0, 3.0):
-        cell_mids = lat.positions[:, 0].reshape(-1, 1)
+        cell_mids = lat.positions[lat.q_ids, 0].reshape(-1, 1)
         vals = f(cell_mids)
         norm = (lat.eps * np.sum(np.abs(vals) ** q)) ** (1 / q)
-        assert norm == pytest.approx(lq_norm(lat, u, q, "global"), rel=1e-14)
+        assert norm == pytest.approx(lq_norm(lat, u, q), rel=1e-14)
     const = embed(GridFunction(lat, np.full(lat.n_sites, 3.3)))
     assert np.all(const(rng.uniform(-1, 1, size=(20, 1))) == 3.3)
 
@@ -93,13 +93,14 @@ def test_continuum_energy_constant_zero():
 
 def test_continuum_energy_interval_and_width_scaling():
     tent = tent_function((-2.0, 2.0))
-    widths, xis = [], (0.4, 0.2, 0.1, 0.05)
-    for xi in xis:
-        br = continuum_energy(tent, 0.5, 2.0, PowerP(2), (-2, 2), quad_n=512, xi=xi)
+    widths, hs = [], []
+    for quad_n in (40, 80, 160, 320):
+        br = continuum_energy(tent, 0.5, 2.0, PowerP(2), (-2, 2), quad_n=quad_n)
         assert br.low <= br.high
         widths.append(br.high - br.low)
-    fit = np.polyfit(np.log(xis), np.log(widths), 1)[0]
-    assert fit == pytest.approx(2.0 - 1.0, rel=0.2)  # width ~ xi^{p - ps}
+        hs.append(4.0 / quad_n)
+    fit = np.polyfit(np.log(hs), np.log(widths), 1)[0]
+    assert fit == pytest.approx(2.0 - 1.0, rel=0.2)  # width ~ h^{p - ps}, the strip being 3h wide
 
 
 def test_continuum_energy_quadrature_refinement():

@@ -12,6 +12,7 @@ import fraclat.weights
 from fraclat.errors import NumericalError
 from fraclat.lattice import _box_points
 from fraclat.weights import (
+    AssumptionReport,
     Constant,
     DecayingProduct,
     LogNormal,
@@ -303,6 +304,8 @@ def test_check_assumption_examples():
     assert not check_assumption(2, 0.5, 2, 1.9).satisfied  # d/(ps) = 2 > 1.9
     rep_inf = check_assumption(2, 0.5, 1, math.inf)
     assert rep_inf.satisfied and 1 < rep_inf.witness_r < 2
+    # q_max = 1 > d/(ps) = 0.74, but r/(p-r) > 1/(p-1) = 2 for every r in (1, p)
+    assert check_assumption(1.5, 0.9, 1, 1.0) == AssumptionReport(False, None)
 
 
 def test_critical_exponent_values():
@@ -360,6 +363,18 @@ def test_divergence_probe_summable_regime():
 def test_shifted_pareto_needs_heavy_tail_guard():
     with pytest.raises(ValueError):
         ShiftedPareto(0.9)
+
+
+@pytest.mark.parametrize(
+    "law, param",
+    [(UnitPowerLaw, -0.5), (UnitPowerLaw, 0.0), (UnitPowerLaw, math.inf), (LogNormal, 40.0), (LogNormal, math.inf),
+     (LogNormal, math.nan), (ShiftedPareto, math.inf)],
+)
+def test_law_without_a_finite_positive_scale_is_refused(law, param):
+    # UnitPowerLaw(-0.5) has mean -1, so its weights and kernel entries were
+    # negative; exp(40^2 / 2) overflows
+    with pytest.raises(ValueError, match="normalizing scale"):
+        WeightField(law(param), 1)
 
 
 def _traced_peak(fn, *args):
