@@ -21,8 +21,7 @@ solves with two CBLAS dtrsv calls, and restores A; `cg` then checks the
 residual from that start and takes no step where it already meets `tol`.
 The narrow panel keeps OpenBLAS's Level-3 buffer to about 0.5 MB of peak RSS,
 where LAPACK's blocked dpotrf pages in about 3.5 MB at m = 1021.
-Where the factor fails, `cg` runs from 0.  `cg` from 0 alone serves the
-`solve` study, whose report reads its iteration count.
+Where the factor fails, `cg` runs from 0.
 
 `solve`, `cg` and `spectrum` run inside `_one_blas_thread`, which sets the
 OpenBLAS that numpy or scipy links to one thread and restores the old count

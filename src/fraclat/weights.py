@@ -165,9 +165,18 @@ class LogNormal(_MeanOne):
 
 @dataclass(frozen=True)
 class UnitPowerLaw(_MeanOne):
-    """c = U^{1/a} (a + 1) / a with U uniform on (0,1), so E(c) = 1; E(c^{-q}) < infinity iff q < a."""
+    """c = U^{1/a} (a + 1) / a with U uniform on (0,1), so E(c) = 1; E(c^{-q}) < infinity iff q < a.
+
+    a must be positive: a < -1 gives a positive mean too, but a c bounded
+    below, with every negative moment finite, so the claim fails there.
+    """
 
     a: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.a > 0:
+            raise ValueError(f"{self} needs a > 0")
 
     def q_max(self) -> float:
         return self.a

@@ -36,11 +36,11 @@ _VALUES = {
     "solver.max_iter": ("1", "3", "100"),
     "quad_n": ("1", "16", "256"),
     "k_eigs": ("1", "5", "50"),
-    "alpha": ("0.5", "1.0,2.0", "-1"),
-    "q_list": ("2", "1.5,inf", "0.5"),
+    "alpha": ("0.5", "1.0,2.0", "-1", ""),
+    "q_list": ("2", "1.5,inf", "0.5", ""),
 }
 # always set: their defaults (radii up to 1000, box_side 64) lie outside the pool
-_BOUNDED = {"radii": ("1", "10,100", "100,10"), "box_side": ("2", "8", "16")}
+_BOUNDED = {"radii": ("1", "10,100", "100,10", ""), "box_side": ("2", "8", "16")}
 # dist.kind -> its parameter and the values drawn for it
 _DISTS = {
     "constant": ("value", ("0", "-1", "1e-320", "1e-300", "1", "1e300", "inf", "nan")),
@@ -84,7 +84,8 @@ def _configs(draw):
 
 
 # regression cases: configs that exited 1 (the zero constants, a product of products), exited 0
-# with a negative conductance, or ran CG for 10,000 iterations on NaN (1e-320), and two removed keys
+# with a negative conductance, or ran CG for 10,000 iterations on NaN (1e-320), two removed keys,
+# and the empty lists that exited 1 with an IndexError
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @example(case=("solve", "study=solve\neps_list=0.25,0.125\ndist.value=0\n"))
 @example(case=("homogenize", "study=homogenize\neps_list=0.25,0.125\ndist.value=0\n"))
@@ -95,6 +96,9 @@ def _configs(draw):
 @example(case=("solve", "study=solve\ndist.kind=lognormal\ndist.normalize=false\n"))
 @example(case=("solve", "study=solve\nf.value=1\n"))
 @example(case=("solve", "study=solve\ndist.kind=decaying_product\ndist.base.kind=decaying_product\n"))
+@example(case=("homogenize", "study=homogenize\neps_list=\n"))
+@example(case=("ergodic", "study=ergodic\nradii=\n"))
+@example(case=("vanish", "study=vanish\nradii=\n"))
 @given(case=_configs())
 def test_every_config_exits_with_a_documented_code_and_one_line(case):
     study, text = case

@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -5,6 +9,7 @@ import pytest
 import scipy.linalg
 from scipy.linalg import _flapack
 
+import fraclat
 from fraclat import build_lattice
 from fraclat.energy import (
     CustomPotential,
@@ -19,6 +24,7 @@ from fraclat.linear_ops import (
     _DSYEVR,
     _NB,
     BilinearSystem,
+    SolveStats,
     _cholesky_start,
     _one_blas_thread,
     _openblas,
@@ -118,6 +124,46 @@ def test_solve_nonconvergence_raises(const_field):
     system = assemble(lat, const_field, 0.5, "global", _ones(lat))
     with pytest.raises(NumericalError, match="in 1 iterations"):
         solve(system, tol=1e-30, max_iter=1)
+
+
+def test_cg_converges_on_its_last_allowed_step():
+    # one free site: CG from 0 reaches a residual of 1.1e-16 in one step,
+    # which max_iter=1 allows
+    cfg = parse_config("study=solve\neps_list=0.5\nhalo=-1.5,1.5\n")
+    system = _system(cfg, _lattice(cfg, 0.5), WeightField(cfg.dist, 1))
+    assert len(system.free_ids) == 1
+    assert cg(system, cfg.solver_tol, max_iter=1)[1] == SolveStats(iters=1, residual=1.1102230246251565e-16)
+
+
+# prints the iteration count and the bits of CG's x from 0 on the first
+# system of the config argv[1]
+_CG_FROM_ZERO = """
+import sys
+from fraclat.linear_ops import cg
+from fraclat.study import _lattice, _system, parse_config
+from fraclat.weights import WeightField
+cfg = parse_config(sys.argv[1])
+u, stats = cg(_system(cfg, _lattice(cfg, cfg.eps_list[0]), WeightField(cfg.dist, cfg.seeds[0])))
+print(stats.iters, u.values.tobytes().hex())
+"""
+
+
+def test_cg_from_zero_bytes_do_not_depend_on_the_blas_thread_count():
+    # 1021 free sites: A has more entries than the 460,800 from which
+    # OpenBLAS 0.3.31 threads a matrix-vector product (measured on a 2-vCPU
+    # machine), so CG products left to two threads would sum in another order
+    # than on one, and x's bits would move; each run is a fresh interpreter,
+    # whose OpenBLAS starts at that thread count
+    text = "study=solve\neps_list=0.001953125\nhalo=-1.25,1.25\ndist.kind=lognormal\ndist.sigma=1.0\n"
+    cfg = parse_config(text)
+    m = len(_lattice(cfg, cfg.eps_list[0]).interior_ids)
+    assert m == 1021 and m * m > 460_800
+    src = pathlib.Path(fraclat.__file__).parents[1]
+    outs = [subprocess.run([sys.executable, "-c", _CG_FROM_ZERO, text], capture_output=True, text=True, check=True,
+                           env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)).stdout
+            for threads in ("1", "2")]
+    assert int(outs[0].split()[0]) > 0
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("sign", [-1.0, 0.0], ids=["negative_definite", "zero"])

@@ -12,6 +12,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import fraclat.linear_ops
 import fraclat.study
 from fraclat.cli import main
 from fraclat.errors import ConfigError, NumericalError
@@ -57,7 +58,7 @@ SMOKE_CONFIGS = {
 
 # sha256[:16] of each smoke report's CSV, the same at 1 and 2 BLAS threads
 SMOKE_PINS = {
-    "solve": "03e732e36dc73c7d",
+    "solve": "909ca7ffa3899510",
     "homogenize": "7c2217c3be956a81",
     "gamma_limit": "64e7828784eae8b9",
     "spectral": "842669c493d071e8",
@@ -175,7 +176,18 @@ box_side=32
         "study=solve\neps_list=0.5,0.5\n",  # not strictly decreasing
         "study=solve\ndist.kind=cauchy\n",
         "study=solve\nnot a kv line\n",
+        # every list key holds at least one value: an empty eps_list or radii
+        # made homogenize, ergodic and vanish exit 1, and the others write an empty report
         "study=solve\nseeds=\n",
+        "study=solve\neps_list=\n",
+        "study=homogenize\neps_list=\n",
+        "study=spectral\neps_list=\n",
+        "study=embeddings\neps_list=\n",
+        "study=embeddings\nq_list=\n",
+        "study=ergodic\nradii=\n",
+        "study=vanish\nradii=\n",
+        "study=ergodic\nalpha=\n",
+        "study=solve\ndomain=\n",
         "study=solve\nd=two\n",
         "study=solve\nu.kind=sine\n",
         # removed keys: the forcing is always f = 1 (f.kind, f.value), and the
@@ -241,6 +253,9 @@ box_side=32
         # a negative mean (a in (-1, 0)) or none (a = 0)
         "study=solve\ndist.kind=unit_power_law\ndist.a=-0.5\n",
         "study=ergodic\ndist.kind=unit_power_law\ndist.a=0\n",
+        # a positive mean (a < -1), but not the law of the docstring's moments
+        "study=solve\ndist.kind=unit_power_law\ndist.a=-2\n",
+        "study=homogenize\ndist.kind=unit_power_law\ndist.a=-2\n",
         "study=ergodic\ndist.kind=decaying_product\ndist.base.kind=lognormal\ndist.base.sigma=40\n",
     ],
 )
@@ -390,21 +405,16 @@ def test_cli_values_the_lattice_rejects_are_config_errors(tmp_path, capsys, stud
 @pytest.mark.parametrize(
     "study, text, free_sites",
     [
-        # 1021 free sites: A has more entries than the 460,800 from which
-        # OpenBLAS 0.3.31 threads a matrix-vector product (measured on a
-        # 2-vCPU machine), so CG products left to two threads would sum in
-        # another order than on one, and the report's bits would move
-        ("solve", "eps_list=0.001953125\nhalo=-1.25,1.25\n", 1021),
-        # the same 1021 free sites, solved by the panel-blocked Cholesky (dpotf2,
-        # dtrsm and dsyrk on 32-wide panels), two dtrsv and a CG check: each
-        # runs on one thread, so no routine that OpenBLAS threads at this size
-        # sums in another order
+        # 1021 free sites, solved by the panel-blocked Cholesky (dpotf2, dtrsm
+        # and dsyrk on 32-wide panels), two dtrsv and a CG check: each runs on
+        # one thread, so no routine that OpenBLAS threads at this size sums in
+        # another order (CG from 0 is checked in test_linear_ops)
         ("homogenize", "eps_list=0.001953125\nhalo=-1.25,1.25\n", 1021),
         # 169 free sites: with eigh left to two threads, 15 of this
         # report's 20 data rows had other bytes than on one
         ("spectral", "d=2\neps_list=0.125\ndomain=-1,1,-1,1\nhalo=-1.5,1.5,-1.5,1.5\nk_eigs=5\n", 169),
     ],
-    ids=["solve", "homogenize", "spectral"],
+    ids=["homogenize", "spectral"],
 )
 def test_blas_thread_count_does_not_change_bytes(tmp_path, study, text, free_sites):
     text = f"study={study}\n{text}dist.kind=lognormal\ndist.sigma=1.0\nseeds=1\n"
@@ -432,17 +442,6 @@ def test_cli_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_cli_solve_converges_on_its_last_allowed_step(tmp_path, capsys):
-    # one free site: CG reaches a residual of 1.1e-16 in one step, which
-    # solver.max_iter=1 allows
-    cfg_path = tmp_path / "cfg.txt"
-    cfg_path.write_text("study=solve\neps_list=0.5\nhalo=-1.5,1.5\nsolver.max_iter=1\n")
-    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
-    rows = (tmp_path / "solve.csv").read_text().splitlines()
-    assert "solve,0.5,1,iters,1.0," in rows
-    assert "solve,0.5,1,residual,1.1102230246251565e-16," in rows
-
-
 def test_cli_nonfinite_metric(tmp_path, capsys):
     # the weights' normalizing scale is finite (about 1e-196), but an L2 error overflows
     cfg_path = tmp_path / "cfg.txt"
@@ -463,13 +462,20 @@ def test_cli_capacity_error(tmp_path, capsys):
 
 
 def test_cli_kernel_over_memory(tmp_path, capsys):
-    # 641,601 sites pass the site cap, but their dense kernel would need 3.3 TB
-    cfg_path = tmp_path / "cfg.txt"
-    cfg_path.write_text("study=solve\nd=2\neps_list=0.0025\ndomain=-1,1,-1,1\nhalo=-1,1,-1,1\n")
-    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path)]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("capacity error: dense kernel over 641601 sites") and err.count("\n") == 1
-    assert not (tmp_path / "solve.csv").exists()
+    for study, text, what in [
+        # 524,289 sites pass the site cap, but gamma-limit's dense kernel over the
+        # 524,287 of Q^eps would need 2.2 TB
+        ("gamma_limit", "eps_list=0.000003814697265625\nhalo=-1,1\n", "dense kernel over 524287 sites"),
+        # 641,601 sites: solve holds no kernel, and its A alone would need 3.2 TB
+        ("solve", "d=2\neps_list=0.0025\ndomain=-1,1,-1,1\nhalo=-1,1,-1,1\n",
+         "assembled matrix over 635209 free sites"),
+    ]:
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(f"study={study}\n{text}")
+        assert main([study.replace("_", "-"), "--config", str(cfg_path), "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("capacity error: " + what) and err.count("\n") == 1, err
+        assert not (tmp_path / f"{study}.csv").exists()
 
 
 def test_cli_assembled_matrix_over_memory(tmp_path, capsys):
@@ -517,6 +523,29 @@ def test_homogenize_builds_seeds_plus_one_kernels_per_eps(monkeypatch):
     run_study(parse_config("study=homogenize\neps_list=0.25,0.125\nhalo=-1,1\n"
                            "dist.kind=lognormal\ndist.sigma=0.5\nseeds=1,2\n"))
     assert Counter(built) == {0.25: 3, 0.125: 3}
+
+
+def test_solve_builds_no_whole_kernel_and_solves_once_per_eps_and_seed(monkeypatch):
+    # the solve study takes the one p=2 path: each (eps, seed) is one call of
+    # study's `solve` global, whose kernel rows `assemble` builds block by block
+    whole, solved = [], []
+    real_kernel, real_solve = fraclat.linear_ops.kernel_matrix, fraclat.study.solve
+
+    def kernel(lattice, *args, rows=None):
+        whole.append(rows is None)
+        return real_kernel(lattice, *args, rows=rows)
+
+    def counting(system, **kwargs):
+        solved.append(system.lattice.eps)
+        return real_solve(system, **kwargs)
+
+    for module in (fraclat.study, fraclat.linear_ops):
+        monkeypatch.setattr(module, "kernel_matrix", kernel)
+    monkeypatch.setattr(fraclat.study, "solve", counting)
+    rep = run_study(parse_config(SOLVE_CFG))
+    assert whole == [False] * 4
+    assert Counter(solved) == {0.5: 2, 0.25: 2}
+    assert [row[2] for row in rep.rows] == ["l2_norm"] * 4
 
 
 @pytest.mark.parametrize(

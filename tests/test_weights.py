@@ -377,6 +377,12 @@ def test_law_without_a_finite_positive_scale_is_refused(law, param):
         WeightField(law(param), 1)
 
 
+def test_unit_power_law_needs_a_positive():
+    # a < -1 gives a finite positive scale, but not the law of the docstring's moments
+    with pytest.raises(ValueError, match="needs a > 0"):
+        UnitPowerLaw(-2.0)
+
+
 def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
