@@ -22,11 +22,12 @@ keyed by u and the spec; nothing else is cached between calls.  All pair
 sums exclude the diagonal and go through the fixed-order row tiles, so values
 are reproducible to the bit; on a held FreeBlock a SmoothedPowerP's E(0) is
 rounding noise, not 0.  The FreeBlock's outer terms, one per free site, go
-through V.value and V.derivative for every potential; only the pair pass has
-a fused form.
+through V.value and V.derivative; only the pair pass has a fused form.
 
-Every constraint fixes a set of sites at u = 0: dirichlet0 the sites off the
-interior, none no site.
+`held_block` alone decides which sites a constraint fixes at u = 0:
+dirichlet0 the sites off the interior, none no site.  A block with an outer
+term refuses a u that is nonzero off its free sites, and every gradient is
++0.0 off the kernel's sites.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -116,23 +117,7 @@ class SmoothedPowerP:
     has_derivative = True
 
 
-@dataclass(frozen=True)
-class CustomPotential:
-    evaluate: Callable
-    deriv: Optional[Callable] = None
-
-    def value(self, t):
-        return self.evaluate(t)
-
-    def derivative(self, t):
-        if not self.has_derivative:
-            raise ValueError("potential has no derivative")
-        return self.deriv(t)
-
-    has_derivative = property(lambda self: self.deriv is not None)
-
-
-Potential = Union[PowerP, SmoothedPowerP, CustomPotential]
+Potential = Union[PowerP, SmoothedPowerP]
 
 
 @dataclass(frozen=True)
@@ -210,21 +195,6 @@ def check_forcing(spec: EnergySpec, lattice: LatticeDomain) -> None:
         raise ValueError("the forcing term f lies on another lattice than u")
 
 
-def _zero_ids(lattice: LatticeDomain, constraint: str) -> Optional[np.ndarray]:
-    """The sites where the constraint fixes u = 0; None for none.  Raises
-    ValueError on a name outside CONSTRAINTS."""
-    if constraint not in CONSTRAINTS:
-        raise ValueError(f"constraint must be one of {CONSTRAINTS}, got {constraint!r}")
-    return lattice.dirichlet_ids if constraint == "dirichlet0" else None
-
-
-def check_constraint(u: GridFunction, constraint: str) -> None:
-    """Raise unless u is exactly 0 on the sites that the constraint fixes."""
-    zero = _zero_ids(u.lattice, constraint)
-    if zero is not None and u.values[zero].any():
-        raise ValueError(f"{constraint} constraint violated: nonzero values at sites it fixes to 0")
-
-
 # ---------------------------------------------------------------------------
 # kernel assembly and pair sums
 # ---------------------------------------------------------------------------
@@ -244,14 +214,15 @@ class FreeBlock:
     K[F, F] over sites F, and outer[x] = sum of K[x, y] over the flavor's
     sites y outside F.
 
-    A whole kernel (ids, K) is FreeBlock(ids, K), with no outer term.  With
-    one, it is the kernel of a constraint that fixes u = 0 off F, valid when
-    V(0) = 0 and G(0) = 0: pairs outside F add nothing, and a pair
-    (x in F, y outside F) adds K[x, y] (V(u(x)) + V(-u(x))).
+    A whole kernel (ids, K) is FreeBlock(ids, K), with no outer term, and
+    takes any u.  With one, it is the kernel of a constraint that fixes u = 0
+    off F, and takes only a u that is 0 there: since V(0) = 0 and G(0) = 0,
+    pairs outside F add nothing, and a pair (x in F, y outside F) adds
+    K[x, y] (V(u(x)) + V(-u(x))).
 
     `last` holds the latest call that formed the gradient: (bytes of the
-    values on F, spec, E, gradient on F).  That gradient is the whole
-    unprojected one on F, 2 (row sums + outer V'(u)) + eps^d G'(u) - eps^d f.
+    values on F, spec, E, gradient on F).  That gradient is the whole one on
+    F, 2 (row sums + outer V'(u)) + eps^d G'(u) - eps^d f.
     A call at bitwise the same values with the very same spec object reads it
     back, so `energy_gradient` after `energy_value` at the same u costs no
     pair pass and gives the same bits.  Nothing else is kept.
@@ -339,11 +310,11 @@ def kernel_matrix(
 
 
 def held_block(lattice: LatticeDomain, field: WeightField, spec: EnergySpec) -> FreeBlock:
-    """The FreeBlock of spec's kernel that a caller holds across calls: K[F, F]
-    and the outer row sums, 8 |F|^2 bytes, when the constraint fixes u = 0 off
-    F (dirichlet0); else (none, and a CustomPotential, whose V(0) need not
-    be 0) the whole kernel over the flavor's sites."""
-    if isinstance(spec.V, CustomPotential) or spec.constraint == "none":
+    """The FreeBlock of spec's kernel that a caller holds across calls, and the
+    one reader of spec.constraint: under dirichlet0, K[F, F] over the interior
+    sites F that it leaves free, with the outer row sums, 8 |F|^2 bytes; under
+    none, which fixes no site, the whole kernel over the flavor's sites."""
+    if spec.constraint == "none":
         return FreeBlock(*kernel_matrix(lattice, field, spec.s, spec.p, spec.flavor))
     # the interior sites, which dirichlet0 leaves free, lie among both flavors' sites
     free = lattice.interior_ids
@@ -360,22 +331,20 @@ def _pair_pass(kernel: FreeBlock, V, vals: np.ndarray, rows: bool) -> tuple:
     """(sum of K V(t), row sums of K V'(t)) over the block, t = u(x) - u(y),
     from one pass over its row tiles; the row sums only with `rows` (else NaN).
 
-    With rows, a SmoothedPowerP or a PowerP with p >= 2 is V = q w - c0 with
-    V' = p t w: each tile takes t, q, w and K w once, then sum (K w) q and the
-    row sums of (K w) t, and c0 sum K and the factor p are applied to the
-    reduced sums, so with c0 > 0 a zero u gives rounding noise, not 0.  Else
-    a tile takes K V(t), and with rows K V'(t).  A non-finite entry makes its
-    row sum and the total non-finite, so callers check the reduced sums.
+    With rows, V has a derivative, and every such potential is V = q w - c0
+    with V' = p t w: each tile takes t, q, w and K w once, then sum (K w) q
+    and the row sums of (K w) t, and c0 sum K and the factor p are applied to
+    the reduced sums, so with c0 > 0 a zero u gives rounding noise, not 0.
+    Else a tile takes K V(t).  A non-finite entry makes its row sum and the
+    total non-finite, so callers check the reduced sums.
     """
     k = kernel.block
-    q_w = rows and isinstance(V, (PowerP, SmoothedPowerP))
 
     def tile(lo, hi):
         # the temporaries are freed on return, before the next tile allocates
         t = vals[lo:hi, None] - vals[None, :]
-        if not q_w:
-            row_sums = (k[lo:hi] * V.derivative(t)).sum(axis=1) if rows else np.nan
-            return float((k[lo:hi] * V.value(t)).sum()), row_sums
+        if not rows:
+            return float((k[lo:hi] * V.value(t)).sum()), np.nan
         q, w = V._q_w(t)
         w *= k[lo:hi]
         q *= w
@@ -386,7 +355,7 @@ def _pair_pass(kernel: FreeBlock, V, vals: np.ndarray, rows: bool) -> tuple:
     for lo, hi in row_tiles(len(vals), len(vals)):
         part, sums[lo:hi] = tile(lo, hi)
         total += part
-    if q_w:
+    if rows:
         total -= V._c0 * kernel.block_total if V._c0 else 0.0
         sums *= V.p
     return total, sums
@@ -394,11 +363,11 @@ def _pair_pass(kernel: FreeBlock, V, vals: np.ndarray, rows: bool) -> tuple:
 
 def _energy_pass(spec: EnergySpec, block: FreeBlock, vals: np.ndarray, epsd: float, grad: bool) -> tuple:
     """(E, gradient on block.free) for u with values vals on the block's
-    sites; the gradient, unprojected, only with `grad` (else None).
+    sites; the gradient only with `grad` (else None).
 
     With grad the result is kept in block.last, and a call that matches it
     (see FreeBlock) reads it back.  The outer terms are outer (V(u) + V(-u))
-    and outer V'(u) for every potential.
+    and outer V'(u).
     """
     last, key, V, G, f = block.last, vals.tobytes(), spec.V, spec.G, spec.f
     if last is not None and last[1] is spec and last[0] == key:
@@ -430,11 +399,16 @@ def check_derivative(V: Potential) -> None:
 
 
 def _block_values(spec: EnergySpec, kernel, u: GridFunction) -> tuple:
-    """(FreeBlock, u on its sites), a whole kernel taken as FreeBlock(ids, K)."""
-    check_constraint(u, spec.constraint)
+    """(FreeBlock, u on its sites), a whole kernel taken as FreeBlock(ids, K).
+    Raises ValueError when the block has an outer term and u is nonzero off
+    its sites."""
     check_forcing(spec, u.lattice)
     block = kernel if isinstance(kernel, FreeBlock) else FreeBlock(*kernel)
-    return block, u.values[block.free]
+    vals = u.values[block.free]
+    # the free sites are distinct, so u is 0 off them iff they hold all of its nonzeros
+    if block.outer is not None and np.count_nonzero(vals) != np.count_nonzero(u.values):
+        raise ValueError("u is nonzero at sites that the kernel's constraint fixes to 0")
+    return block, vals
 
 
 def energy_value(spec: EnergySpec, kernel, u: GridFunction) -> float:
@@ -451,13 +425,9 @@ def energy_value(spec: EnergySpec, kernel, u: GridFunction) -> float:
 
 
 def energy_gradient(spec: EnergySpec, kernel, u: GridFunction) -> GridFunction:
-    """d/du(x) of energy_value, projected onto the constraint's tangent space:
-    +0.0 on the sites that the constraint fixes and off the kernel's sites.
-
-    The gradient on the block's sites is scattered into the N-vector, which is
-    then projected.  On a FreeBlock with an outer term the sites that the
-    constraint fixes already hold +0.0, so there the projection keeps the bits.
-    """
+    """d/du(x) of energy_value at the kernel's sites, +0.0 off them: the
+    gradient on the block's sites scattered into zeros.  On a FreeBlock with an
+    outer term, the sites that its constraint fixes are off them."""
     check_derivative(spec.V)
     block, vals = _block_values(spec, kernel, u)
     lat = u.lattice
@@ -467,17 +437,7 @@ def energy_gradient(spec: EnergySpec, kernel, u: GridFunction) -> GridFunction:
         raise NumericalError(f"non-finite gradient at site {bad}")
     grad = np.zeros(lat.n_sites)
     grad[block.free] = grad_free
-    return GridFunction(lat, project_direction(lat, grad, spec.constraint))
-
-
-def project_direction(lattice: LatticeDomain, g: np.ndarray, constraint: str) -> np.ndarray:
-    """A copy of g with +0.0 on the sites that the constraint fixes: its
-    projection onto the constraint's tangent space."""
-    g = np.array(g, dtype=float)
-    zero = _zero_ids(lattice, constraint)
-    if zero is not None:
-        g[zero] = 0.0
-    return g
+    return GridFunction(lat, grad)
 
 
 def gagliardo_seminorm(lattice: LatticeDomain, u: GridFunction, s: float, p: float) -> float:

@@ -10,8 +10,7 @@ a closed halo box B containing the open domain box Q, partitioned into
 
 Boundary sites may lie inside or outside Q; sites of Q itself ("Q^eps") are the
 interior sites plus the boundary sites inside Q.  A lattice keeps the ids of
-the interior, of Q^eps and of the rest (boundary and exterior), which the
-Dirichlet constraint fixes.
+the interior, which the Dirichlet constraint leaves free, and of Q^eps.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ class LatticeDomain:
     sites: np.ndarray  # shape (N, d) integer coordinates, lexicographic
     interior_ids: np.ndarray
     q_ids: np.ndarray  # sites with eps*z in Q (interior + boundary-inside-Q)
-    dirichlet_ids: np.ndarray  # the sites that dirichlet0 fixes: boundary + exterior, in id order
     _zmin: np.ndarray = field(repr=False, default=None)
     _strides: np.ndarray = field(repr=False, default=None)
 
@@ -105,7 +103,7 @@ def _box_points(los, his) -> np.ndarray:
 
 def build_lattice(d: int, eps: float, domain, halo) -> LatticeDomain:
     """Construct the lattice of all z with eps*z in the closed halo box, with the
-    interior that the Dirichlet boundary layer leaves, Q^eps and the rest."""
+    interior that the Dirichlet boundary layer leaves and Q^eps."""
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     q, b = check_boxes(d, domain, halo)
@@ -137,7 +135,6 @@ def build_lattice(d: int, eps: float, domain, halo) -> LatticeDomain:
         sites=sites,
         interior_ids=np.flatnonzero(interior),
         q_ids=np.flatnonzero(in_q),
-        dirichlet_ids=np.flatnonzero(~interior),
         _zmin=los,
         _strides=_row_major_strides(counts),
     )

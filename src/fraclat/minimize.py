@@ -3,10 +3,10 @@
 L-BFGS with backtracking line search.  Gradient descent, the slow
 cross-check (method "gd"), is the same loop with no memory: the two-loop
 recursion over no pairs returns the gradient itself (Nocedal & Wright,
-Numerical Optimization, 2nd ed., section 7.2).  Every constraint fixes a set
-of sites at u = 0, and only the starting point is projected onto it: the
-gradient is +0.0 on the fixed sites, so the L-BFGS pairs (s, y) and both
-directions are zero there, and every trial u + step * direction keeps +0.0.
+Numerical Optimization, 2nd ed., section 7.2).  The kernel is
+`energy.held_block`, which decides the free sites; every other site starts
+at +0.0 and keeps it: the gradient is +0.0 there, so the L-BFGS pairs (s, y)
+and both directions are zero there, and so is every step * direction.
 """
 
 from __future__ import annotations
@@ -23,14 +23,12 @@ from .energy import (
     EnergySpec,
     GridFunction,
     check_derivative,
-    check_forcing,
     energy_gradient,
     energy_value,
     held_block,
-    project_direction,
 )
 from .errors import NumericalError
-from .lattice import LatticeDomain, same_lattice
+from .lattice import same_lattice
 from .weights import WeightField
 
 # Armijo backtracking (step factor, decrease fraction) and the L-BFGS memory; "gd" keeps none
@@ -67,11 +65,6 @@ class MinimizeStats:
     backtracks: int
 
 
-def project_constraint(u: GridFunction, constraint: str) -> GridFunction:
-    """Nearest point (in the natural coordinates) of the constrained space."""
-    return GridFunction(u.lattice, project_direction(u.lattice, u.values, constraint))
-
-
 def _two_loop(grad: np.ndarray, pairs) -> np.ndarray:
     """Standard L-BFGS two-loop recursion for the quasi-Newton direction;
     pairs holds (s, y, rho) with rho = 1 / (y @ s), oldest first."""
@@ -90,38 +83,34 @@ def _two_loop(grad: np.ndarray, pairs) -> np.ndarray:
     return q
 
 
-def minimize(spec: EnergySpec, field: WeightField, opts: MinimizeOptions = MinimizeOptions(), lattice: Optional[LatticeDomain] = None):
-    """Minimize the energy; returns (GridFunction, MinimizeStats).
+def minimize(spec: EnergySpec, field: WeightField, opts: MinimizeOptions = MinimizeOptions()):
+    """Minimize the energy over u on the lattice of spec.f; returns
+    (GridFunction, MinimizeStats).
 
-    The kernel is `held_block(lattice, field, spec)`, built once per call and
-    dropped when the call returns: K[F, F] and the outer row sums when the
-    constraint fixes u = 0 off a free set F, else the whole kernel.  The
-    energy is evaluated at every line-search trial, and its pass also forms
-    the whole gradient on the kernel's sites, which the block keeps in `last`
-    keyed by u and spec.  The gradient is taken only at the starting point and
-    at each accepted trial, where it reads that back.  Iterates, directions and
-    trials are plain N-vectors; each energy call wraps its point in one
-    GridFunction.
+    The kernel is `held_block(spec.f.lattice, field, spec)`, built once per
+    call and dropped when the call returns.  The start is opts.initial (else
+    0) on the kernel's free sites and 0 elsewhere.  The energy is evaluated at
+    every line-search trial, and its pass also forms the whole gradient on the
+    kernel's sites, which the block keeps in `last` keyed by u and spec.  The
+    gradient is taken only at the starting point and at each accepted trial,
+    where it reads that back.  Iterates, directions and trials are plain
+    N-vectors; each energy call wraps its point in one GridFunction.
 
-    Raises ValueError before building the kernel when V has no derivative,
-    when opts.initial lies on another lattice than `lattice`, or when spec.f
-    lies on another lattice than the one minimized over.
+    Raises ValueError before building the kernel when V or G has no
+    derivative, when spec.f is None (with V, G >= 0 the minimizer is then
+    u = 0), or when opts.initial lies on another lattice than spec.f.
     """
     check_derivative(spec.V)
-    if opts.initial is not None:
-        lat = opts.initial.lattice
-        if lattice is not None and not same_lattice(lattice, lat):
-            raise ValueError("the initial point lies on another lattice than `lattice`")
-        u = project_constraint(opts.initial, spec.constraint).values
-    else:
-        if lattice is None:
-            if spec.f is None:
-                raise ValueError("pass a lattice, an initial point, or a forcing term")
-            lattice = spec.f.lattice
-        lat = lattice
-        u = np.zeros(lat.n_sites)
-    check_forcing(spec, lat)
+    spec.G.derivative(np.zeros(1))  # raises ValueError when G has no derivative
+    if spec.f is None:
+        raise ValueError("minimize needs a forcing term f: with f = None the minimizer is u = 0")
+    lat = spec.f.lattice
+    if opts.initial is not None and not same_lattice(opts.initial.lattice, lat):
+        raise ValueError("the initial point lies on another lattice than the forcing term f")
     kernel = held_block(lat, field, spec)
+    u = np.zeros(lat.n_sites)
+    if opts.initial is not None:
+        u[kernel.free] = opts.initial.values[kernel.free]
 
     def value(vals):
         return energy_value(spec, kernel, GridFunction(lat, vals))

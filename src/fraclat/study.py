@@ -291,7 +291,7 @@ def _lattice(cfg: StudyConfig, eps: float):
 
 
 def tent_function(domain) -> ContinuumFunction:
-    """Unit tent peaking at the domain center, zero on the boundary (d=1)."""
+    """Unit tent peaking at the domain center, zero on the boundary and outside (d=1)."""
     a, b = np.asarray(domain, dtype=float).reshape(2)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
 
@@ -301,7 +301,6 @@ def tent_function(domain) -> ContinuumFunction:
     return ContinuumFunction(
         evaluate=evaluate,
         dim=1,
-        support_box=np.array([[a, b]]),
         lipschitz_const=1.0 / half,
     )
 
@@ -390,7 +389,7 @@ def run_vanish(cfg: StudyConfig) -> StudyReport:
     report = run_gamma_limit(cfg, metric="nonlocal_energy")
     # divergence contrast: Constant(1) c-weights give a log-growing S(R)
     const_field = WeightField(Constant(1.0), cfg.seeds[0])
-    for r, sr in divergence_probe(const_field, cfg.p, cfg.s, cfg.radii, d=cfg.d):
+    for r, sr in divergence_probe(const_field, cfg.radii, d=cfg.d):
         report.add(0.0, cfg.seeds[0], f"s_of_r_{r}", sr, aux="constant")
     return report
 
@@ -472,7 +471,7 @@ def run_ergodic(cfg: StudyConfig) -> StudyReport:
         est = empirical_moment(field, 1.0, cfg.box_side // 2, 1, d=cfg.d)
         report.add(0.0, seed, "box_average", est.mean, aux=f"stderr={est.stderr!r}")
         report.add(0.0, seed, "box_average_stderr", est.stderr)
-        for r, sr in divergence_probe(field, cfg.p, cfg.s, cfg.radii, d=cfg.d):
+        for r, sr in divergence_probe(field, cfg.radii, d=cfg.d):
             report.add(0.0, seed, f"s_of_r_{r}", sr)
     # locality probe: growth exponent of the truncated weighted sum in xi.
     # Fitting shell increments S(2 xi) - S(xi) instead of S itself removes the

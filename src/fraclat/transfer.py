@@ -37,17 +37,11 @@ _GAUSS_W = np.array([float.fromhex(h) for h in (
 class ContinuumFunction:
     evaluate: Callable  # (n, d) array of points -> (n,) values
     dim: int
-    support_box: Optional[np.ndarray] = None  # (d, 2); zero outside when set
     lipschitz_const: Optional[float] = None  # None when no Lipschitz constant is known
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        vals = np.asarray(self.evaluate(pts), dtype=float)
-        if self.support_box is not None:
-            box = self.support_box
-            inside = np.all((pts >= box[:, 0]) & (pts <= box[:, 1]), axis=1)
-            vals = np.where(inside, vals, 0.0)
-        return vals
+        return np.asarray(self.evaluate(pts), dtype=float)
 
 
 def embed(u: GridFunction) -> ContinuumFunction:

@@ -449,11 +449,12 @@ def critical_exponent(p: float, s: float, d: int, q_max: float) -> float:
     return d * p / den
 
 
-def divergence_probe(field: WeightField, p: float, s: float, radii, d: int = 1, origin_samples: int = 1):
+def divergence_probe(field: WeightField, radii, d: int = 1, origin_samples: int = 1):
     """Partial sums S(R) = sum_{0<|z|<=R} omega_{x,x+z} |z|^{ps} averaged over origins,
     with omega the jump-rate view omega(z1,z2) = c(z1,z2) |z1-z2|^{-(d+ps)}.
 
-    The |z|^{ps} factors cancel: S(R) = sum c(x, x+z) |z|^{-d}, which grows like
+    The |z|^{ps} factors cancel, so S(R) takes no p or s:
+    S(R) = sum c(x, x+z) |z|^{-d}, which grows like
     a harmonic sum when E(c) is a positive constant and stays bounded in the
     decaying-product regime.  Raises CapacityError before allocating when the
     offset arrays would not fit in physical memory.

@@ -15,12 +15,14 @@ from fraclat.energy import (
     energy_gradient,
     energy_value,
     gagliardo_seminorm,
+    held_block,
     holder_chain_constant,
     kernel_matrix,
     lq_norm,
     pair_ids,
     weighted_seminorm,
 )
+from fraclat.errors import NumericalError
 from fraclat.weights import Constant, LogNormal, UnitPowerLaw, WeightField
 
 
@@ -124,9 +126,31 @@ def test_convexity_witness():
 
 
 def test_constraint_enforced(lat3, const_field):
+    # dirichlet0's held block is the middle site alone, and refuses a u that
+    # is nonzero at the sites it fixes; -0.0 there is 0
+    spec = _spec(constraint="dirichlet0")
+    block = held_block(lat3, const_field, spec)
+    assert np.array_equal(block.free, [1])
     u = GridFunction(lat3, [0.0, 1.0, 1.0])
-    with pytest.raises(ValueError):
-        energy_value(_spec(constraint="dirichlet0"), _kernel(_spec(), const_field, lat3), u)
+    for call in (energy_value, energy_gradient):
+        with pytest.raises(ValueError, match="fixes to 0"):
+            call(spec, block, u)
+    assert energy_value(spec, block, GridFunction(lat3, [-0.0, 1.0, 0.0])) == pytest.approx(4.0, rel=1e-12)
+    # a whole kernel takes any u, whatever the spec's constraint
+    kernel = _kernel(spec, const_field, lat3)
+    assert energy_value(spec, kernel, u) == energy_value(_spec(), kernel, u) > 0
+
+
+def test_non_finite_energy_and_gradient_raise(lat3, const_field):
+    # |t|^3 of a difference of 1e200 overflows to inf
+    spec = _spec(p=3.0, V=PowerP(3.0))
+    kernel = _kernel(spec, const_field, lat3)
+    u = GridFunction(lat3, [0.0, 1e200, 0.0])
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalError, match="energy value is non-finite"):
+            energy_value(spec, kernel, u)
+        with pytest.raises(NumericalError, match="non-finite gradient at site 0"):
+            energy_gradient(spec, kernel, u)
 
 
 def test_gagliardo_examples(lat3):
@@ -207,6 +231,8 @@ def test_unknown_flavor_is_refused(flavor, const_field):
         pair_ids(lat, flavor)
     with pytest.raises(ValueError, match="flavor"):
         kernel_matrix(lat, const_field, 0.5, 2.0, flavor)
+    with pytest.raises(ValueError, match="flavor must be one of"):
+        _spec(flavor=flavor)
 
 
 def test_embedding_ratio_examples(lat3):

@@ -37,7 +37,6 @@ def test_sites_match_product_reference(d, eps, halo):
 def test_boundary_layer_d1():
     # cube (-0.5) + [-0.5, 0.5] = [-1, 0] touches the boundary point -1
     lat = build_lattice(1, 0.5, [(-1, 1)], [(-1, 1)])
-    assert np.array_equal(lat.positions[lat.dirichlet_ids].ravel(), [-1, -0.5, 0.5, 1])
     assert np.array_equal(lat.positions[lat.interior_ids].ravel(), [0])
 
 
@@ -65,12 +64,11 @@ def _brute_force_classify(d, eps, q, sites):
 
 
 def _assert_brute_force(eps, q, halo):
-    """Check interior_ids, dirichlet_ids and q_ids against _brute_force_classify;
-    returns the lattice and the brute-force exterior sites."""
+    """Check interior_ids and q_ids against _brute_force_classify; returns the
+    lattice and the brute-force exterior sites."""
     lat = build_lattice(2, eps, q, halo)
-    boundary, interior, exterior, in_q = _brute_force_classify(2, eps, q, lat.sites)
+    _, interior, exterior, in_q = _brute_force_classify(2, eps, q, lat.sites)
     assert list(lat.interior_ids) == interior
-    assert list(lat.dirichlet_ids) == sorted(boundary + exterior)
     assert list(lat.q_ids) == in_q
     return lat, exterior
 
@@ -118,12 +116,10 @@ def test_site_ids_bijection():
 def test_partition_and_neighborhood(k, a, b):
     eps = 2.0**-k
     lat = build_lattice(1, eps, [(a, b)], [(a - 1, b + 1)])
-    all_ids = np.sort(np.concatenate([lat.interior_ids, lat.dirichlet_ids]))
-    assert np.array_equal(all_ids, np.arange(lat.n_sites))
     assert np.array_equal(np.intersect1d(lat.q_ids, lat.interior_ids), lat.interior_ids)
     # the sites of Q that dirichlet0 fixes, the boundary layer, sit within
     # sqrt(d)*eps of the boundary of Q; the interior ones sit farther
-    for pos in lat.positions[np.intersect1d(lat.q_ids, lat.dirichlet_ids)].ravel():
+    for pos in lat.positions[np.setdiff1d(lat.q_ids, lat.interior_ids)].ravel():
         assert min(abs(pos - a), abs(pos - b)) <= eps * (1 + 1e-12)
     for pos in lat.positions[lat.interior_ids].ravel():
         assert min(abs(pos - a), abs(pos - b)) >= eps * (1 - 1e-12)

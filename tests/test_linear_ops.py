@@ -12,9 +12,9 @@ from scipy.linalg import _flapack
 import fraclat
 from fraclat import build_lattice
 from fraclat.energy import (
-    CustomPotential,
     EnergySpec,
     GridFunction,
+    PowerP,
     energy_value,
     kernel_matrix,
     weighted_seminorm,
@@ -35,10 +35,6 @@ from fraclat.linear_ops import (
 )
 from fraclat.study import _lattice, _system, parse_config
 from fraclat.weights import Constant, LogNormal, WeightField
-
-# the p=2 functional whose stationarity is the assembled weak form A u = b
-HALF_QUADRATIC = CustomPotential(evaluate=lambda t: 0.5 * t * t, deriv=lambda t: t)
-
 
 @pytest.fixture
 def lat5():
@@ -316,13 +312,15 @@ def test_spectrum_homogeneity_in_c():
 
 def test_weak_form_consistency():
     # v^T A u equals the directional derivative of the p=2 functional
-    # (with its one-half pair factor) at u along v, plus the forcing term back
+    # (with its one-half pair factor) at u along v, plus the forcing term back;
+    # the energy with V = t^2 and f doubled is twice that functional
     lat = build_lattice(1, 0.25, [(-1, 1)], [(-1, 1)])
     field = WeightField(LogNormal(0.6), 11)
     f = _ones(lat)
     kernel = _kernel(lat, field)
     system = assemble(lat, field, 0.5, "global", f)
-    spec = EnergySpec(p=2, s=0.5, V=HALF_QUADRATIC, f=f, flavor="global", constraint="dirichlet0")
+    spec = EnergySpec(p=2, s=0.5, V=PowerP(2), f=GridFunction(lat, 2.0 * f.values), flavor="global",
+                      constraint="dirichlet0")
     rng = np.random.default_rng(2)
     for _ in range(3):
         xu = rng.normal(size=len(system.free_ids))
@@ -336,7 +334,7 @@ def test_weak_form_consistency():
         de = (
             energy_value(spec, kernel, GridFunction(lat, up))
             - energy_value(spec, kernel, GridFunction(lat, dn))
-        ) / (2 * h)
+        ) / (4 * h)
         lhs = float(xv @ system.matrix @ xu)
         rhs = de + float(system.rhs @ xv)
         assert lhs == pytest.approx(rhs, rel=1e-8)

@@ -1,6 +1,7 @@
 import itertools
 import weakref
 from collections import Counter, deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,23 +10,20 @@ from hypothesis import strategies as st
 
 from fraclat import build_lattice
 from fraclat.energy import (
-    CustomPotential,
     EnergySpec,
     GridFunction,
+    NoneTerm,
     PowerK,
     PowerP,
     SmoothedPowerP,
-    check_constraint,
     energy_value,
     kernel_matrix,
     pair_ids,
-    project_direction,
 )
+from fraclat.errors import NumericalError
 from fraclat.linear_ops import assemble, solve
-from fraclat.minimize import MinimizeOptions, MinimizeStats, _two_loop, minimize, project_constraint
+from fraclat.minimize import MinimizeOptions, _two_loop, minimize
 from fraclat.weights import Constant, LogNormal, WeightField
-
-from test_linear_ops import HALF_QUADRATIC
 
 
 def _spec(**kw):
@@ -34,10 +32,16 @@ def _spec(**kw):
     return EnergySpec(**base)
 
 
+def _doubled(lat, f):
+    """V = t^2 with f doubled: twice the p=2 functional (with its one-half
+    pair factor) whose stationarity is the assembled weak form A u = b."""
+    return _spec(V=PowerP(2), f=GridFunction(lat, 2.0 * f.values))
+
+
 def test_zero_forcing_gives_zero():
     lat = build_lattice(1, 0.25, [(-1, 1)], [(-1, 1)])
     field = WeightField(LogNormal(0.5), 1)
-    u, stats = minimize(_spec(), field, MinimizeOptions(grad_tol=1e-10), lattice=lat)
+    u, stats = minimize(_spec(f=GridFunction(lat, np.zeros(lat.n_sites))), field, MinimizeOptions(grad_tol=1e-10))
     assert np.all(u.values == 0.0)
     assert stats.final_energy == 0.0
 
@@ -48,8 +52,8 @@ def test_p2_matches_cg():
     f = GridFunction(lat, np.ones(lat.n_sites))
     system = assemble(lat, field, 0.5, "global", f)
     u_cg, _ = solve(system, tol=1e-12)
-    spec = _spec(V=HALF_QUADRATIC, f=f)
-    u_min, stats = minimize(spec, field, MinimizeOptions(grad_tol=1e-10, max_iter=2000), lattice=lat)
+    # at grad_tol 2e-10 (1e-10 on the half functional) L-BFGS stalls at grad sup 7.2e-10
+    u_min, stats = minimize(_doubled(lat, f), field, MinimizeOptions(grad_tol=1e-9, max_iter=2000))
     assert np.abs(u_cg.values - u_min.values).max() <= 1e-8
 
 
@@ -59,7 +63,7 @@ def test_p4_single_site_root():
     f = GridFunction(lat, np.ones(lat.n_sites))
     field = WeightField(Constant(1.0), 0)
     spec = _spec(p=4, V=PowerP(4), f=f)
-    u, _ = minimize(spec, field, MinimizeOptions(grad_tol=1e-14, max_iter=2000), lattice=lat)
+    u, _ = minimize(spec, field, MinimizeOptions(grad_tol=1e-14, max_iter=2000))
     # 2 eps^2 sum_y 4 u^3 / |y|^3 = eps  =>  u = (eps / coeff)^{1/3}
     coeff = 2 * 0.25 * 4 * (1 / 0.125 + 1 / 0.125 + 1 / 1 + 1 / 1)
     oracle = (0.5 / coeff) ** (1 / 3)
@@ -83,7 +87,7 @@ def test_energy_monotone_along_iterations(monkeypatch):
         return real_gradient(spec_, kernel_, u_)
 
     monkeypatch.setattr(mz, "energy_gradient", tracking)
-    _, stats = minimize(spec, field, MinimizeOptions(grad_tol=1e-8, max_iter=500), lattice=lat)
+    _, stats = minimize(spec, field, MinimizeOptions(grad_tol=1e-8, max_iter=500))
     assert len(energies) == stats.iters + 1 > 2
     assert all(later <= earlier for earlier, later in zip(energies, energies[1:]))
 
@@ -105,7 +109,7 @@ def test_gradient_only_at_accepted_points(monkeypatch):
 
     monkeypatch.setattr(mz, "energy_value", counting("value", mz.energy_value))
     monkeypatch.setattr(mz, "energy_gradient", counting("gradient", mz.energy_gradient))
-    _, stats = minimize(spec, field, MinimizeOptions(grad_tol=1e-8, max_iter=500), lattice=lat)
+    _, stats = minimize(spec, field, MinimizeOptions(grad_tol=1e-8, max_iter=500))
     # some line-search trial was rejected, and no gradient was spent on it
     assert calls["gradient"] < calls["value"]
     assert calls["gradient"] == stats.iters + 1
@@ -127,7 +131,7 @@ def test_minimize_builds_one_kernel_and_drops_it(monkeypatch):
         return out
 
     monkeypatch.setattr(en, "kernel_matrix", recording)
-    _, stats = minimize(spec, field, MinimizeOptions(grad_tol=1e-8, max_iter=500), lattice=lat)
+    _, stats = minimize(spec, field, MinimizeOptions(grad_tol=1e-8, max_iter=500))
     assert stats.iters > 1
     assert len(refs) == 1
     assert refs[0]() is None
@@ -155,7 +159,7 @@ def test_minimize_holds_free_block_and_drops_it(monkeypatch, constraint):
     field = WeightField(LogNormal(0.8), 2)
     spec = _spec(p=3, V=PowerP(3), f=GridFunction(lat, np.ones(lat.n_sites)), constraint=constraint)
     calls = _recording_kernels(monkeypatch)
-    _, stats = minimize(spec, field, MinimizeOptions(grad_tol=1e-8, max_iter=500), lattice=lat)
+    _, stats = minimize(spec, field, MinimizeOptions(grad_tol=1e-8, max_iter=500))
     assert stats.iters > 1
     free = lat.interior_ids
     # the one kernel held is the |F| x |F| free block, not the N x N kernel
@@ -171,8 +175,6 @@ def test_minimize_holds_free_block_and_drops_it(monkeypatch, constraint):
         ("none", "global", SmoothedPowerP(3.0, 1e-4)),
         ("none", "local", PowerP(3)),
         ("none", "global", PowerP(3)),
-        # V(0) of a CustomPotential need not be 0, so pairs off the free set count
-        ("dirichlet0", "global", HALF_QUADRATIC),
     ],
 )
 def test_minimize_falls_back_to_whole_kernel(monkeypatch, constraint, flavor, V):
@@ -181,7 +183,7 @@ def test_minimize_falls_back_to_whole_kernel(monkeypatch, constraint, flavor, V)
     spec = _spec(p=3, V=V, f=GridFunction(lat, lat.positions[:, 0]), G=PowerK(0.3, 2.0),
                  flavor=flavor, constraint=constraint)
     calls = _recording_kernels(monkeypatch)
-    minimize(spec, field, MinimizeOptions(grad_tol=1e-8, max_iter=2000), lattice=lat)
+    minimize(spec, field, MinimizeOptions(grad_tol=1e-8, max_iter=2000))
     ((args, shape, ref),) = calls
     n = len(pair_ids(lat, flavor))
     assert len(args) == 5 and shape == (n, n)  # no rows: the whole (ids, K) kernel
@@ -190,13 +192,12 @@ def test_minimize_falls_back_to_whole_kernel(monkeypatch, constraint, flavor, V)
 
 @pytest.mark.parametrize("f_eps, eps", [(1 / 16, 1 / 8), (1 / 8, 1 / 16)])
 def test_forcing_on_another_lattice_fails_before_the_kernel(monkeypatch, f_eps, eps):
+    # minimize runs on spec.f's lattice, so an initial point elsewhere is refused
     f_lat = build_lattice(1, f_eps, [(-1, 1)], [(-1.5, 1.5)])
     lat = build_lattice(1, eps, [(-1, 1)], [(-1.5, 1.5)])
     field = WeightField(LogNormal(0.8), 2)
     spec = _spec(p=3, V=PowerP(3), f=GridFunction(f_lat, np.ones(f_lat.n_sites)))
     calls = _recording_kernels(monkeypatch)
-    with pytest.raises(ValueError, match="another lattice"):
-        minimize(spec, field, MinimizeOptions(), lattice=lat)
     with pytest.raises(ValueError, match="another lattice"):
         minimize(spec, field, MinimizeOptions(initial=GridFunction(lat, np.zeros(lat.n_sites))))
     assert calls == []
@@ -206,23 +207,25 @@ def test_initial_point_on_another_lattice_fails_before_the_kernel(monkeypatch):
     lat = build_lattice(1, 1 / 8, [(-1, 1)], [(-1, 1)])
     coarse = build_lattice(1, 1 / 4, [(-1, 1)], [(-1, 1)])
     field = WeightField(LogNormal(0.8), 2)
+    spec = _spec(f=GridFunction(lat, np.zeros(lat.n_sites)))
     calls = _recording_kernels(monkeypatch)
     with pytest.raises(ValueError, match="another lattice"):
-        minimize(_spec(), field, MinimizeOptions(initial=GridFunction(coarse, np.ones(coarse.n_sites))), lattice=lat)
+        minimize(spec, field, MinimizeOptions(initial=GridFunction(coarse, np.ones(coarse.n_sites))))
     assert calls == []
     # a lattice built again with the same sites is the same lattice
     twin = build_lattice(1, 1 / 8, [(-1, 1)], [(-1, 1)])
-    u, _ = minimize(_spec(), field, MinimizeOptions(initial=GridFunction(twin, np.zeros(twin.n_sites))), lattice=lat)
-    assert u.lattice is twin and len(calls) == 1
+    u, _ = minimize(spec, field, MinimizeOptions(initial=GridFunction(twin, np.zeros(twin.n_sites))))
+    assert u.lattice is lat and len(calls) == 1
 
 
-@pytest.mark.parametrize("V", [PowerP(1.5), CustomPotential(evaluate=lambda t: 0.5 * t * t)])
-def test_potential_without_derivative_fails_before_the_kernel(monkeypatch, V):
+@pytest.mark.parametrize("V, G", [(PowerP(1.5), NoneTerm()), (SmoothedPowerP(1.5), PowerK(1.0, 0.5))],
+                         ids=["V0", "G0"])
+def test_potential_without_derivative_fails_before_the_kernel(monkeypatch, V, G):
     lat = build_lattice(1, 0.125, [(-1, 1)], [(-1, 1)])
-    spec = _spec(p=1.5, V=V, f=GridFunction(lat, np.ones(lat.n_sites)))
+    spec = _spec(p=1.5, V=V, G=G, f=GridFunction(lat, np.ones(lat.n_sites)))
     calls = _recording_kernels(monkeypatch)
-    with pytest.raises(ValueError, match="SmoothedPowerP"):
-        minimize(spec, WeightField(LogNormal(0.8), 2), MinimizeOptions(), lattice=lat)
+    with pytest.raises(ValueError, match="SmoothedPowerP" if isinstance(V, PowerP) else "PowerK derivative"):
+        minimize(spec, WeightField(LogNormal(0.8), 2), MinimizeOptions())
     assert calls == []
 
 
@@ -261,30 +264,33 @@ def test_uniqueness_two_starts():
     lat = build_lattice(1, 0.125, [(-1, 1)], [(-1, 1)])
     field = WeightField(LogNormal(0.5), 3)
     f = GridFunction(lat, np.ones(lat.n_sites))
-    spec = _spec(V=HALF_QUADRATIC, f=f)
-    opts0 = MinimizeOptions(grad_tol=1e-11, max_iter=2000)
+    spec = _doubled(lat, f)
+    # from 0, L-BFGS stalls at grad sup 4e-10 on this doubled energy
+    opts0 = MinimizeOptions(grad_tol=1e-9, max_iter=2000)
     rng = np.random.default_rng(4)
     start = GridFunction(lat, rng.normal(size=lat.n_sites))
-    opts1 = MinimizeOptions(grad_tol=1e-11, max_iter=2000, initial=start)
-    u0, s0 = minimize(spec, field, opts0, lattice=lat)
-    u1, s1 = minimize(spec, field, opts1, lattice=lat)
+    opts1 = MinimizeOptions(grad_tol=1e-9, max_iter=2000, initial=start)
+    u0, s0 = minimize(spec, field, opts0)
+    u1, s1 = minimize(spec, field, opts1)
     assert s1.final_energy == pytest.approx(s0.final_energy, rel=1e-8, abs=1e-12)
     assert np.linalg.norm(u0.values - u1.values) < 1e-4
 
 
 def test_constraint_held_exactly():
-    # only the start is projected; the fixed sites hold +0.0 through every
-    # step, on the free block (PowerP) and on the whole kernel (CustomPotential)
+    # the sites off the held block's free ones start at +0.0 and keep it
+    # through every step: dirichlet0's boundary and exterior on the free
+    # block, and under none the sites off Q^eps of the local flavor's kernel
     lat = build_lattice(1, 0.125, [(-1, 1)], [(-1.5, 1.5)])
     field = WeightField(LogNormal(0.8), 6)
     f = GridFunction(lat, lat.positions[:, 0])
     start = GridFunction(lat, np.random.default_rng(6).normal(size=lat.n_sites))
-    fixed = lat.dirichlet_ids
-    for V, method, initial in itertools.product((PowerP(3), HALF_QUADRATIC), ("lbfgs", "gd"), (None, start)):
-        spec = _spec(p=3, V=V, G=PowerK(0.3, 2.0), f=f, constraint="dirichlet0")
+    cases = (("dirichlet0", "global", lat.interior_ids), ("none", "local", lat.q_ids))
+    for (constraint, flavor, free), method, initial in itertools.product(cases, ("lbfgs", "gd"), (None, start)):
+        spec = _spec(p=3, V=PowerP(3), G=PowerK(0.3, 2.0), f=f, flavor=flavor, constraint=constraint)
         opts = MinimizeOptions(grad_tol=1e-8, max_iter=2000, method=method, initial=initial)
-        u, stats = minimize(spec, field, opts, lattice=lat)
-        case = (V, method, initial is None)
+        u, stats = minimize(spec, field, opts)
+        fixed = np.setdiff1d(np.arange(lat.n_sites), free)
+        case = (constraint, method, initial is None)
         assert stats.iters > 1, case
         assert not u.values[fixed].any() and not np.signbit(u.values[fixed]).any(), case
 
@@ -292,41 +298,55 @@ def test_constraint_held_exactly():
 def test_gradient_descent_agrees_with_lbfgs():
     lat = build_lattice(1, 0.25, [(-1, 1)], [(-1, 1)])
     field = WeightField(LogNormal(0.5), 7)
-    f = GridFunction(lat, np.ones(lat.n_sites))
-    spec = _spec(V=HALF_QUADRATIC, f=f)
-    u_l, _ = minimize(spec, field, MinimizeOptions(grad_tol=1e-8, max_iter=5000), lattice=lat)
-    u_g, stats = minimize(
-        spec, field, MinimizeOptions(grad_tol=1e-8, max_iter=20000, method="gd"), lattice=lat
-    )
+    spec = _doubled(lat, GridFunction(lat, np.ones(lat.n_sites)))
+    u_l, _ = minimize(spec, field, MinimizeOptions(grad_tol=1e-8, max_iter=5000))
+    u_g, stats = minimize(spec, field, MinimizeOptions(grad_tol=1e-8, max_iter=20000, method="gd"))
     assert np.abs(u_l.values - u_g.values).max() < 1e-5
     # gradient descent's path, pinned to the bit
-    assert (stats.iters, stats.values, stats.final_energy.hex()) == (39, 116, "-0x1.0f16e9df7b51cp-3")
+    assert (stats.iters, stats.values, stats.final_energy.hex()) == (40, 165, "-0x1.0f16e9df7b51dp-2")
+
+
+class _Start(Exception):
+    """Raised by _start's patched energy_value with the values of its point."""
+
+
+def _start(spec, initial):
+    """The point at which minimize first evaluates the energy: its start."""
+    import fraclat.minimize as mz
+
+    def first(spec_, kernel_, u_):
+        raise _Start(u_.values)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mz, "energy_value", first)
+        with pytest.raises(_Start) as info:
+            minimize(spec, WeightField(Constant(1.0), 0), MinimizeOptions(initial=initial))
+    return info.value.args[0]
 
 
 def test_project_examples():
+    # the start is the initial point on the held block's free sites, +0.0 elsewhere
     lat = build_lattice(1, 0.5, [(-1, 1)], [(-1, 1)])
     u = GridFunction(lat, [9.0, 1.0, 2.0, 3.0, 9.0])
-    d = project_constraint(u, "dirichlet0")
-    assert np.all(d.values[lat.interior_ids] == u.values[lat.interior_ids])
-    assert np.all(d.values[lat.dirichlet_ids] == 0.0)
+    spec = _spec(f=GridFunction(lat, np.ones(lat.n_sites)))
+    assert _start(spec, u).tobytes() == np.array([0.0, 0.0, 2.0, 0.0, 0.0]).tobytes()
     # on a wider halo the exterior is fixed too; the sites at -0.5 and 0.5
     # are boundary ones, whose cubes reach the boundary points -1 and 1
     wide = build_lattice(1, 0.5, [(-1, 1)], [(-2, 2)])
     v = GridFunction(wide, -np.arange(1.0, 10.0))
-    z = project_constraint(v, "dirichlet0")
-    assert z.values.tobytes() == np.array([0.0, 0.0, 0.0, 0.0, -5, 0.0, 0.0, 0.0, 0.0]).tobytes()
-    assert project_constraint(v, "none").values.tobytes() == v.values.tobytes()
+    spec = _spec(f=GridFunction(wide, np.ones(wide.n_sites)))
+    assert _start(spec, v).tobytes() == np.array([0.0, 0.0, 0.0, 0.0, -5, 0.0, 0.0, 0.0, 0.0]).tobytes()
+    # none fixes no site of the global flavor's kernel; the local one holds Q^eps alone
+    assert _start(replace(spec, constraint="none"), v).tobytes() == v.values.tobytes()
+    local = replace(spec, constraint="none", flavor="local")
+    assert _start(local, v).tobytes() == np.array([0.0, 0.0, 0.0, -4, -5, -6, 0.0, 0.0, 0.0]).tobytes()
 
 
 @pytest.mark.parametrize("name", ["dirichlet_0", "Dirichlet0", "mean0", "bogus"])
 def test_unknown_constraint_names_raise(name):
     # a misspelt name must not pass as none, which fixes no site
-    lat = build_lattice(1, 0.5, [(-1, 1)], [(-1, 1)])
-    u = GridFunction(lat, np.ones(lat.n_sites))
-    for call in (lambda: project_constraint(u, name), lambda: project_direction(lat, u.values, name),
-                 lambda: check_constraint(u, name), lambda: _spec(constraint=name)):
-        with pytest.raises(ValueError, match="constraint must be one of"):
-            call()
+    with pytest.raises(ValueError, match="constraint must be one of"):
+        _spec(constraint=name)
 
 
 @settings(max_examples=30, deadline=None)
@@ -335,10 +355,12 @@ def test_unknown_constraint_names_raise(name):
     constraint=st.sampled_from(["dirichlet0", "none"]),
 )
 def test_project_idempotent(vals, constraint):
+    # a start from minimize's own start is that start, to the bit
     lat = build_lattice(1, 0.5, [(-1, 1)], [(-1, 1)])
-    once = project_constraint(GridFunction(lat, np.array(vals)), constraint)
-    twice = project_constraint(once, constraint)
-    assert np.allclose(once.values, twice.values, rtol=0, atol=1e-13 * (1 + np.abs(vals).max()))
+    spec = _spec(f=GridFunction(lat, np.ones(lat.n_sites)), constraint=constraint)
+    once = _start(spec, GridFunction(lat, np.array(vals)))
+    twice = _start(spec, GridFunction(lat, once))
+    assert once.tobytes() == twice.tobytes()
 
 
 def test_options_validation():
@@ -371,13 +393,17 @@ PINNED_RUNS = {
 }
 
 
+def _pinned_spec(case):
+    constraint, V, _ = PINNED_RUNS[case]
+    lat = build_lattice(1, 0.125, [(-1, 1)], [(-1.5, 1.5)])
+    f = np.ones(lat.n_sites) if constraint == "dirichlet0" else lat.positions[:, 0]
+    return _spec(p=3, V=V, G=PowerK(0.3, 2.0), f=GridFunction(lat, f), constraint=constraint)
+
+
 def _pinned_run(monkeypatch, case, max_iter):
     import fraclat.minimize as mz
 
-    constraint, V, pinned = PINNED_RUNS[case]
-    lat = build_lattice(1, 0.125, [(-1, 1)], [(-1.5, 1.5)])
-    f = np.ones(lat.n_sites) if constraint == "dirichlet0" else lat.positions[:, 0]
-    spec = _spec(p=3, V=V, G=PowerK(0.3, 2.0), f=GridFunction(lat, f), constraint=constraint)
+    spec, pinned = _pinned_spec(case), PINNED_RUNS[case][2]
     calls = Counter()
     real_value = mz.energy_value
 
@@ -387,7 +413,7 @@ def _pinned_run(monkeypatch, case, max_iter):
 
     monkeypatch.setattr(mz, "energy_value", counting)
     opts = MinimizeOptions(grad_tol=1e-8, max_iter=max_iter)
-    _, stats = minimize(spec, WeightField(LogNormal(0.8), 2), opts, lattice=lat)
+    _, stats = minimize(spec, WeightField(LogNormal(0.8), 2), opts)
     assert (stats.iters, calls["value"], stats.final_energy.hex()) == pinned
 
 
@@ -397,18 +423,63 @@ def test_minimize_pinned_bits(monkeypatch, case):
 
 
 def test_minimize_takes_the_lattice_of_f():
-    # what the minimize-d1-p3 benchmark runs: neither a lattice nor an initial
-    # point, so minimize runs on spec.f's lattice, with the bits of lattice=
+    # what the minimize-d1-p3 benchmark runs: no initial point, so minimize
+    # starts from 0 on spec.f's lattice, with the bits of an initial 0 there
     lat = build_lattice(1, 0.125, [(-1, 1)], [(-1.5, 1.5)])
     spec = _spec(p=3, V=SmoothedPowerP(3.0, 1e-4), G=PowerK(0.5, 2.0), f=GridFunction(lat, np.ones(lat.n_sites)))
     field, opts = WeightField(LogNormal(1.0), 3), MinimizeOptions(grad_tol=1e-6)
     u, stats = minimize(spec, field, opts)
-    u_lat, stats_lat = minimize(spec, field, opts, lattice=lat)
+    u_0, stats_0 = minimize(spec, field, replace(opts, initial=GridFunction(lat, np.zeros(lat.n_sites))))
     assert u.lattice is lat and stats.iters > 1
-    assert u.values.tobytes() == u_lat.values.tobytes() and stats == stats_lat
+    assert u.values.tobytes() == u_0.values.tobytes() and stats == stats_0
+    # with f = None and V, G >= 0 the minimizer is u = 0, and there is no lattice
+    with pytest.raises(ValueError, match="forcing term"):
+        minimize(replace(spec, f=None), field, opts)
 
 
 def test_minimize_converges_on_its_last_allowed_step(monkeypatch):
     # dirichlet0's gradient meets grad_tol (sup 7.7e-9 <= 1e-8) after its 23rd
     # step, which max_iter=23 allows
     _pinned_run(monkeypatch, "dirichlet0", 23)
+
+
+def test_minimize_raises_after_max_iter(monkeypatch):
+    # one step short of test_minimize_converges_on_its_last_allowed_step
+    with pytest.raises(NumericalError, match="no convergence in 22 iterations"):
+        _pinned_run(monkeypatch, "dirichlet0", 22)
+
+
+def test_lost_descent_restarts_on_the_gradient(monkeypatch):
+    import fraclat.minimize as mz
+
+    real, memory = mz._two_loop, []
+
+    def ascent_once(grad, pairs):
+        memory.append(len(pairs))
+        q = real(grad, pairs)
+        return -q if len(memory) == 3 else q
+
+    monkeypatch.setattr(mz, "_two_loop", ascent_once)
+    spec = _pinned_spec("dirichlet0")
+    _, stats = minimize(spec, WeightField(LogNormal(0.8), 2), MinimizeOptions(grad_tol=1e-8))
+    # the third direction ascends, so minimize drops both pairs and steps along -g
+    assert memory[:4] == [0, 1, 2, 1]
+    assert stats.grad_norm <= 1e-8
+    assert stats.final_energy == pytest.approx(float.fromhex(PINNED_RUNS["dirichlet0"][2][2]), rel=1e-12)
+
+
+def test_line_search_underflow_raises(monkeypatch):
+    import fraclat.minimize as mz
+
+    real, calls = mz.energy_value, []
+
+    def rising(*args):
+        # every trial reads higher than the start
+        calls.append(args)
+        return real(*args) + (1.0 if len(calls) > 1 else 0.0)
+
+    monkeypatch.setattr(mz, "energy_value", rising)
+    with pytest.raises(NumericalError, match="line search underflow at iteration 0"):
+        minimize(_pinned_spec("dirichlet0"), WeightField(LogNormal(0.8), 2), MinimizeOptions())
+    # steps 1, 1/2, ..., 2^-66 are rejected; 2^-67 < 1e-20 is not tried
+    assert len(calls) == 1 + 67

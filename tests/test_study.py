@@ -248,6 +248,8 @@ box_side=32
         "study=embeddings\nq_list=2.0,nan\n",
         "study=embeddings\nq_list=0.5\n",
         "study=solve\nsolver.tol=inf\n",
+        # three numbers are no box in d=1
+        "study=solve\ndomain=-1,1,2\n",
         # exp(sigma^2 / 2), the mean that normalizes the weights, overflows
         "study=homogenize\ndist.kind=lognormal\ndist.sigma=40\n",
         # a negative mean (a in (-1, 0)) or none (a = 0)

@@ -80,9 +80,6 @@ def test_sample():
     assert np.all(sample(ContinuumFunction(lambda p: np.full(p.shape[0], 3.0), dim=1), lat).values == 3.0)
     lin = sample(ContinuumFunction(lambda p: p[:, 0], dim=1), lat)
     assert np.allclose(lin.values, [-1, -0.5, 0, 0.5, 1])
-    boxed = ContinuumFunction(lambda p: np.ones(p.shape[0]), dim=1,
-                              support_box=np.array([[0.0, 1.0]]))
-    assert np.allclose(sample(boxed, lat).values, [0, 0, 1, 1, 1])
 
 
 def test_continuum_energy_constant_zero():

@@ -339,13 +339,13 @@ PINNED_DIAGNOSTICS = {
 def test_diagnostics_pinned(d):
     field = WeightField(LogNormal(1.0), 3)
     est = empirical_moment(field, 1.5, 3, 2, d=d)
-    probe = divergence_probe(field, 2.0, 0.5, (2, 5), d=d, origin_samples=2)
+    probe = divergence_probe(field, (2, 5), d=d, origin_samples=2)
     assert (est.mean.hex(), est.stderr.hex(), est.n, [t.hex() for _, t in probe]) == PINNED_DIAGNOSTICS[d]
 
 
 def test_divergence_probe_constant():
     f = WeightField(Constant(1.0), 0)
-    out = dict(divergence_probe(f, 2, 0.5, [1, 10, 100, 1000]))
+    out = dict(divergence_probe(f, [1, 10, 100, 1000]))
     assert out[1] == pytest.approx(2.0)
     for r in (10, 100, 1000):
         assert out[r] == pytest.approx(2 * (math.log(r) + EULER_GAMMA), rel=0.02)
@@ -355,7 +355,7 @@ def test_divergence_probe_constant():
 
 def test_divergence_probe_summable_regime():
     f = WeightField(DecayingProduct(Constant(1.0), 2.0), 0)
-    out = dict(divergence_probe(f, 2, 0.5, [10, 100, 1000]))
+    out = dict(divergence_probe(f, [10, 100, 1000]))
     # c decays like |z|^{-2}, so S(R) = sum c |z|^{-1} converges
     assert out[1000] - out[100] < 0.05 * out[100]
 
