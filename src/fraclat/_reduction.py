@@ -27,7 +27,7 @@ def row_tiles(n_rows: int, n_cols: int, item_bytes: int = 8) -> list:
     return [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
-def triangle_tiles(n: int, item_bytes: int = 8):
+def triangle_tiles(n: int):
     """(lo, hi) row ranges over the upper triangle of an n x n matrix.
 
     The tile lo:hi spans columns lo:n, so tiles grow taller as rows shorten.
@@ -37,7 +37,7 @@ def triangle_tiles(n: int, item_bytes: int = 8):
     """
     lo = 0
     while lo < n:
-        hi = min(n, lo + tile_rows(n - lo, item_bytes), lo + max(1, (n - lo) // 2))
+        hi = min(n, lo + tile_rows(n - lo), lo + max(1, (n - lo) // 2))
         yield lo, hi
         lo = hi
 

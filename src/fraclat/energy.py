@@ -189,12 +189,6 @@ class EnergySpec:
             raise ValueError(f"constraint must be one of {CONSTRAINTS}")
 
 
-def check_forcing(spec: EnergySpec, lattice: LatticeDomain) -> None:
-    """Raise unless spec.f lies on `lattice`, whose site ids index its values."""
-    if spec.f is not None and not same_lattice(spec.f.lattice, lattice):
-        raise ValueError("the forcing term f lies on another lattice than u")
-
-
 # ---------------------------------------------------------------------------
 # kernel assembly and pair sums
 # ---------------------------------------------------------------------------
@@ -217,8 +211,9 @@ class FreeBlock:
     A whole kernel (ids, K) is FreeBlock(ids, K), with no outer term, and
     takes any u.  With one, it is the kernel of a constraint that fixes u = 0
     off F, and takes only a u that is 0 there: since V(0) = 0 and G(0) = 0,
-    pairs outside F add nothing, and a pair (x in F, y outside F) adds
-    K[x, y] (V(u(x)) + V(-u(x))).
+    pairs outside F add nothing, and the pairs (x, y) and (y, x) with x in F,
+    y outside F add K[x, y] (V(u(x)) + V(-u(x))) = 2 K[x, y] V(u(x)), since
+    every V is even.
 
     `last` holds the latest call that formed the gradient: (bytes of the
     values on F, spec, E, gradient on F).  That gradient is the whole one on
@@ -366,8 +361,8 @@ def _energy_pass(spec: EnergySpec, block: FreeBlock, vals: np.ndarray, epsd: flo
     sites; the gradient only with `grad` (else None).
 
     With grad the result is kept in block.last, and a call that matches it
-    (see FreeBlock) reads it back.  The outer terms are outer (V(u) + V(-u))
-    and outer V'(u).
+    (see FreeBlock) reads it back.  The outer terms are 2 outer V(u) and
+    outer V'(u).
     """
     last, key, V, G, f = block.last, vals.tobytes(), spec.V, spec.G, spec.f
     if last is not None and last[1] is spec and last[0] == key:
@@ -375,7 +370,8 @@ def _energy_pass(spec: EnergySpec, block: FreeBlock, vals: np.ndarray, epsd: flo
     outer = block.outer
     total, sums = _pair_pass(block, V, vals, grad)
     if outer is not None:
-        total += float((outer * (V.value(vals) + V.value(-vals))).sum())
+        # doubling is exact, so this is sum outer (V(u) + V(-u)) to the bit
+        total += 2.0 * float((outer * V.value(vals)).sum())
         if grad:
             sums += outer * V.derivative(vals)
     f_vals = None if f is None else f.values[block.free]
@@ -401,8 +397,10 @@ def check_derivative(V: Potential) -> None:
 def _block_values(spec: EnergySpec, kernel, u: GridFunction) -> tuple:
     """(FreeBlock, u on its sites), a whole kernel taken as FreeBlock(ids, K).
     Raises ValueError when the block has an outer term and u is nonzero off
-    its sites."""
-    check_forcing(spec, u.lattice)
+    its sites, or when spec.f lies on another lattice than u, whose site ids
+    index its values."""
+    if spec.f is not None and not same_lattice(spec.f.lattice, u.lattice):
+        raise ValueError("the forcing term f lies on another lattice than u")
     block = kernel if isinstance(kernel, FreeBlock) else FreeBlock(*kernel)
     vals = u.values[block.free]
     # the free sites are distinct, so u is 0 off them iff they hold all of its nonzeros

@@ -2,7 +2,9 @@
 
 Sites are identified by their integer coordinates z (physical position x = eps*z),
 so weight lookups and hashing stay exact.  A lattice holds every z with eps*z in
-a closed halo box B containing the open domain box Q, partitioned into
+a closed halo box B containing the open domain box Q, in lexicographic order
+over that full integer box, so its first and last sites are the box's corners
+and a site's id is index arithmetic on them.  The sites are partitioned into
 
   * interior:  eps*z in Q and the cube eps*z + [-eps, eps]^d misses the boundary of Q,
   * boundary:  the cube eps*z + [-eps, eps]^d meets the boundary of Q,
@@ -15,7 +17,7 @@ the interior, which the Dirichlet constraint leaves free, and of Q^eps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,8 +37,6 @@ class LatticeDomain:
     sites: np.ndarray  # shape (N, d) integer coordinates, lexicographic
     interior_ids: np.ndarray
     q_ids: np.ndarray  # sites with eps*z in Q (interior + boundary-inside-Q)
-    _zmin: np.ndarray = field(repr=False, default=None)
-    _strides: np.ndarray = field(repr=False, default=None)
 
     @property
     def n_sites(self) -> int:
@@ -48,13 +48,14 @@ class LatticeDomain:
 
     def site_ids(self, z: np.ndarray) -> np.ndarray:
         """Dense ids for integer coordinates z (shape (m, d)); the halo grid is
-        a full tensor product so the id is pure index arithmetic."""
+        a full tensor product from corner sites[0] to sites[-1], so the id is
+        pure index arithmetic."""
         z = np.atleast_2d(np.asarray(z, dtype=np.int64))
-        rel = z - self._zmin
-        extent = (self.sites[-1] - self._zmin) + 1
-        if np.any(rel < 0) or np.any(rel >= extent):
+        rel = z - self.sites[0]
+        counts = self.sites[-1] - self.sites[0] + 1
+        if np.any(rel < 0) or np.any(rel >= counts):
             raise ValueError("site outside halo box")
-        return rel @ self._strides
+        return rel @ _row_major_strides(counts)
 
 
 def same_lattice(a: LatticeDomain, b: LatticeDomain) -> bool:
@@ -135,8 +136,6 @@ def build_lattice(d: int, eps: float, domain, halo) -> LatticeDomain:
         sites=sites,
         interior_ids=np.flatnonzero(interior),
         q_ids=np.flatnonzero(in_q),
-        _zmin=los,
-        _strides=_row_major_strides(counts),
     )
 
 
@@ -166,11 +165,11 @@ class PairOffsets:
 
 def pair_offsets(lattice: LatticeDomain) -> PairOffsets:
     """The offset table of a lattice; O(N) codes plus the small table."""
-    extent = lattice.sites[-1] - lattice._zmin  # largest |offset| on each axis
+    extent = lattice.sites[-1] - lattice.sites[0]  # largest |offset| on each axis
     strides = _row_major_strides(2 * extent + 1)
     offsets = _box_points(-extent, extent)
     return PairOffsets(
-        codes=(lattice.sites - lattice._zmin) @ strides,
+        codes=(lattice.sites - lattice.sites[0]) @ strides,
         offsets=offsets,
         center=int(extent @ strides),
     )

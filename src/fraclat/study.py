@@ -4,6 +4,11 @@ Config files are flat UTF-8 ``key=value`` lines with dotted keys; unknown keys
 are hard errors.  `StudyConfig` is the one declaration of the format, and
 `parse_config` and `serialize_config` loop over its fields.
 
+`run_study` makes the one report of a run and times its driver; each driver,
+``run_<study>(cfg, report)``, only adds rows.  The drivers pass the config's
+domain and halo as they stand to the functions that take boxes, each of which
+reshapes them; `parse_config` has checked them.
+
 Reports are long-format rows (study, eps, seed, metric, value, aux) written as
 CSV, with run metadata (config echo, version, wall time, and under `env` the
 Python and numpy versions, the `OPENBLAS_NUM_THREADS` the run saw, which
@@ -209,6 +214,11 @@ def _validate(cfg: StudyConfig) -> None:
         raise ConfigError(f"radii entries must be at least 1, got {cfg.radii}")
     if list(cfg.eps_list) != sorted(set(cfg.eps_list), reverse=True):
         raise ConfigError("eps_list must be strictly decreasing")
+    # a repeated entry would repeat report rows (and count a seed twice in a median)
+    for name in ("seeds", "radii", "alpha_list", "q_list"):
+        values = getattr(cfg, name)
+        if len(set(values)) != len(values):
+            raise ConfigError(f"{_KEYS.get(name, name)} holds a repeated entry: {_text(values)}")
     if len(cfg.domain) != 2 * cfg.d or len(cfg.halo) != 2 * cfg.d:
         raise ConfigError("domain and halo need 2 entries per dimension")
     try:
@@ -281,13 +291,8 @@ def write_report(report: StudyReport, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _boxes(cfg: StudyConfig):
-    return check_boxes(cfg.d, cfg.domain, cfg.halo)
-
-
 def _lattice(cfg: StudyConfig, eps: float):
-    dom, halo = _boxes(cfg)
-    return build_lattice(cfg.d, eps, dom, halo)
+    return build_lattice(cfg.d, eps, cfg.domain, cfg.halo)
 
 
 def tent_function(domain) -> ContinuumFunction:
@@ -316,39 +321,27 @@ def _solve_p2(cfg: StudyConfig, lat, field: WeightField):
     return solve(_system(cfg, lat, field), tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
 
 
-def _new_report(cfg: StudyConfig) -> StudyReport:
-    return StudyReport(
-        study=cfg.study,
-        meta={"config": serialize_config(cfg), "version": __version__, "wall_time": None},
-    )
-
-
 # ---------------------------------------------------------------------------
 # drivers
 # ---------------------------------------------------------------------------
 
 
-def run_solve(cfg: StudyConfig) -> StudyReport:
-    report = _new_report(cfg)
-    dom = _boxes(cfg)[0]
+def run_solve(cfg: StudyConfig, report: StudyReport) -> None:
     for eps in cfg.eps_list:
         lat = _lattice(cfg, eps)
         zero = GridFunction(lat, np.zeros(lat.n_sites))
         for seed in cfg.seeds:
             u, _ = _solve_p2(cfg, lat, WeightField(cfg.dist, seed))
-            report.add(eps, seed, "l2_norm", pc_l2_distance(u, zero, dom))
-    return report
+            report.add(eps, seed, "l2_norm", pc_l2_distance(u, zero, cfg.domain))
 
 
-def run_homogenize(cfg: StudyConfig) -> StudyReport:
-    report = _new_report(cfg)
-    dom = _boxes(cfg)[0]
+def run_homogenize(cfg: StudyConfig, report: StudyReport) -> None:
     eps_min = cfg.eps_list[-1]
     lat_ref = _lattice(cfg, eps_min)
     const_field = WeightField(Constant(1.0), 0)
     u_ref, _ = _solve_p2(cfg, lat_ref, const_field)
     zero_ref = GridFunction(lat_ref, np.zeros(lat_ref.n_sites))
-    ref_norm = pc_l2_distance(u_ref, zero_ref, dom)
+    ref_norm = pc_l2_distance(u_ref, zero_ref, cfg.domain)
     report.add(eps_min, 0, "ref_norm", ref_norm)
     for eps in cfg.eps_list:
         if eps == eps_min:
@@ -356,23 +349,20 @@ def run_homogenize(cfg: StudyConfig) -> StudyReport:
         else:
             lat = _lattice(cfg, eps)
             u_const, _ = _solve_p2(cfg, lat, const_field)
-        report.add(eps, 0, "const_error", pc_l2_distance(u_const, u_ref, dom))
+        report.add(eps, 0, "const_error", pc_l2_distance(u_const, u_ref, cfg.domain))
         errs = []
         for seed in cfg.seeds:
             u, _ = _solve_p2(cfg, lat, WeightField(cfg.dist, seed))
-            e = pc_l2_distance(u, u_ref, dom)
+            e = pc_l2_distance(u, u_ref, cfg.domain)
             errs.append(e)
             report.add(eps, seed, "l2_error", e)
         report.add(eps, 0, "median_error", float(np.median(errs)))
         report.add(eps, 0, "spread", float(max(errs) - min(errs)))
-    return report
 
 
-def run_gamma_limit(cfg: StudyConfig, metric: str = "discrete_energy") -> StudyReport:
-    report = _new_report(cfg)
-    dom = _boxes(cfg)[0]
-    u = tent_function(dom)
-    bracket = continuum_energy(u, cfg.s, cfg.p, PowerP(cfg.p), dom, quad_n=cfg.quad_n)
+def run_gamma_limit(cfg: StudyConfig, report: StudyReport, metric: str = "discrete_energy") -> None:
+    u = tent_function(cfg.domain)
+    bracket = continuum_energy(u, cfg.s, cfg.p, PowerP(cfg.p), cfg.domain, quad_n=cfg.quad_n)
     report.add(0.0, 0, "bracket_low", bracket.low)
     report.add(0.0, 0, "bracket_high", bracket.high)
     spec = EnergySpec(p=cfg.p, s=cfg.s, V=PowerP(cfg.p), flavor="local")
@@ -382,20 +372,17 @@ def run_gamma_limit(cfg: StudyConfig, metric: str = "discrete_energy") -> StudyR
         for seed in cfg.seeds:
             kernel = kernel_matrix(lat, WeightField(cfg.dist, seed), spec.s, spec.p, spec.flavor)
             report.add(eps, seed, metric, energy_value(spec, kernel, uh))
-    return report
 
 
-def run_vanish(cfg: StudyConfig) -> StudyReport:
-    report = run_gamma_limit(cfg, metric="nonlocal_energy")
+def run_vanish(cfg: StudyConfig, report: StudyReport) -> None:
+    run_gamma_limit(cfg, report, metric="nonlocal_energy")
     # divergence contrast: Constant(1) c-weights give a log-growing S(R)
     const_field = WeightField(Constant(1.0), cfg.seeds[0])
     for r, sr in divergence_probe(const_field, cfg.radii, d=cfg.d):
         report.add(0.0, cfg.seeds[0], f"s_of_r_{r}", sr, aux="constant")
-    return report
 
 
-def run_spectral(cfg: StudyConfig) -> StudyReport:
-    report = _new_report(cfg)
+def run_spectral(cfg: StudyConfig, report: StudyReport) -> None:
     epsd_inner = lambda lat, a, b: lat.eps**lat.dim * float(a @ b)
 
     def modes(lat, field):
@@ -414,7 +401,6 @@ def run_spectral(cfg: StudyConfig) -> StudyReport:
                 report.add(eps, seed, f"gap_{k + 1}", abs(mu - mu0) / mu0)
                 align = abs(epsd_inner(lat, rep.eigenvectors[k].values, const.eigenvectors[k].values))
                 report.add(eps, seed, f"align_{k + 1}", align)
-    return report
 
 
 def _test_family(domain, lat):
@@ -443,8 +429,7 @@ def _test_family(domain, lat):
     return members
 
 
-def run_embeddings(cfg: StudyConfig) -> StudyReport:
-    report = _new_report(cfg)
+def run_embeddings(cfg: StudyConfig, report: StudyReport) -> None:
     weighted = not isinstance(cfg.dist, Constant)
     # the plain ratio has no weights and is reported under seed 0
     seeds, prefix = (cfg.seeds, "wratio") if weighted else ((0,), "ratio")
@@ -461,11 +446,9 @@ def run_embeddings(cfg: StudyConfig) -> StudyReport:
                 num = lq_norm(lat, u, q)
                 for seed in seeds:
                     report.add(eps, seed, f"{prefix}_{name}_q{q:g}", num / dens[seed])
-    return report
 
 
-def run_ergodic(cfg: StudyConfig) -> StudyReport:
-    report = _new_report(cfg)
+def run_ergodic(cfg: StudyConfig, report: StudyReport) -> None:
     for seed in cfg.seeds:
         field = WeightField(cfg.dist, seed)
         est = empirical_moment(field, 1.0, cfg.box_side // 2, 1, d=cfg.d)
@@ -490,7 +473,6 @@ def run_ergodic(cfg: StudyConfig) -> StudyReport:
                                       f"a shell of xi = {xis} holds no pair")
                 slope = float(np.polyfit(np.log(xis[:-1]), np.log(incs), 1)[0])
                 report.add(eps, seed, f"locality_exponent_a{alpha:g}", slope)
-    return report
 
 
 _DRIVERS = {
@@ -515,8 +497,9 @@ def _simd() -> list:
 
 
 def run_study(cfg: StudyConfig) -> StudyReport:
+    report = StudyReport(cfg.study, meta={"config": serialize_config(cfg), "version": __version__})
     t0 = time.monotonic()
-    report = _DRIVERS[cfg.study](cfg)
+    _DRIVERS[cfg.study](cfg, report)
     report.meta["wall_time"] = time.monotonic() - t0
     report.meta["env"] = {"python": platform.python_version(), "numpy": np.__version__,
                           "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),

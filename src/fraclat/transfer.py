@@ -156,7 +156,8 @@ def continuum_energy(
 
 
 def _axis_breaks(lattice: LatticeDomain, axis: int, lo: float, hi: float) -> np.ndarray:
-    zs = np.arange(lattice.sites[:, axis].min(), lattice.sites[:, axis].max() + 1)
+    # the sites run lexicographically over a full box, from corner sites[0] to sites[-1]
+    zs = np.arange(lattice.sites[0, axis], lattice.sites[-1, axis] + 1)
     edges = lattice.eps * (zs - 0.5)
     edges = np.append(edges, lattice.eps * (zs[-1] + 0.5))
     return edges[(edges > lo) & (edges < hi)]

@@ -30,17 +30,17 @@ _BOXES = {
 _VALUES = {
     "s": ("0.25", "0.5", "0.75", "0", "1"),
     "p": ("2.0", "1.5", "3", "1"),
-    "seeds": ("1", "1,2", "0,4611686018427387904", "-3", ""),
+    "seeds": ("1", "1,2", "0,4611686018427387904", "-3", "", "1,1"),
     "flavor": ("global", "local", "bogus"),
     "solver.tol": ("1e-10", "1e-300", "0"),
     "solver.max_iter": ("1", "3", "100"),
     "quad_n": ("1", "16", "256"),
     "k_eigs": ("1", "5", "50"),
-    "alpha": ("0.5", "1.0,2.0", "-1", ""),
-    "q_list": ("2", "1.5,inf", "0.5", ""),
+    "alpha": ("0.5", "1.0,2.0", "-1", "", "0.5,0.5"),
+    "q_list": ("2", "1.5,inf", "0.5", "", "2,2"),
 }
 # always set: their defaults (radii up to 1000, box_side 64) lie outside the pool
-_BOUNDED = {"radii": ("1", "10,100", "100,10", ""), "box_side": ("2", "8", "16")}
+_BOUNDED = {"radii": ("1", "10,100", "100,10", "", "10,10"), "box_side": ("2", "8", "16")}
 # dist.kind -> its parameter and the values drawn for it
 _DISTS = {
     "constant": ("value", ("0", "-1", "1e-320", "1e-300", "1", "1e300", "inf", "nan")),
@@ -85,7 +85,7 @@ def _configs(draw):
 
 # regression cases: configs that exited 1 (the zero constants, a product of products), exited 0
 # with a negative conductance, or ran CG for 10,000 iterations on NaN (1e-320), two removed keys,
-# and the empty lists that exited 1 with an IndexError
+# the empty lists that exited 1 with an IndexError, and a repeated seed that wrote duplicate rows
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @example(case=("solve", "study=solve\neps_list=0.25,0.125\ndist.value=0\n"))
 @example(case=("homogenize", "study=homogenize\neps_list=0.25,0.125\ndist.value=0\n"))
@@ -99,6 +99,7 @@ def _configs(draw):
 @example(case=("homogenize", "study=homogenize\neps_list=\n"))
 @example(case=("ergodic", "study=ergodic\nradii=\n"))
 @example(case=("vanish", "study=vanish\nradii=\n"))
+@example(case=("homogenize", "study=homogenize\neps_list=0.25,0.125\nseeds=2,2\n"))
 @given(case=_configs())
 def test_every_config_exits_with_a_documented_code_and_one_line(case):
     study, text = case

@@ -51,6 +51,13 @@ def _local(field, lat, s=0.5, p=2):
     return kernel_matrix(lat, field, s, p, "local")
 
 
+def test_grid_function_checks_its_values(lat3):
+    with pytest.raises(ValueError, match=r"values shape \(4,\) does not match 3 sites"):
+        GridFunction(lat3, np.zeros(4))
+    with pytest.raises(ValueError, match="non-finite"):
+        GridFunction(lat3, [0.0, np.inf, 0.0])
+
+
 def test_three_site_energy(lat3, const_field):
     u = GridFunction(lat3, [0.0, 1.0, 0.0])
     assert energy_value(_spec(), _kernel(_spec(), const_field, lat3), u) == pytest.approx(4.0, rel=1e-12)
@@ -221,6 +228,8 @@ def test_lq_norm(lat3):
     assert lq_norm(lat3, GridFunction(lat3, [0.0, -7.0, 2.0]), float("inf")) == 7.0
     # the sites of the boundary points -1 and 1 lie outside Q^eps
     assert lq_norm(lat, GridFunction(lat, [9.0, 0.0, 1.0, 0.0, 9.0]), float("inf")) == 1.0
+    with pytest.raises(ValueError, match="q must be >= 1"):
+        lq_norm(lat3, u, 0.5)
 
 
 @pytest.mark.parametrize("flavor", ["Global", "q"])
@@ -258,6 +267,14 @@ def test_holder_chain_inequality():
             lhs = gagliardo_seminorm(lat, u, s_prime, r)
             rhs = c * weighted_seminorm(kernel, u, p)
             assert lhs <= rhs * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("r, s_prime", [(0.5, 0.25), (2.0, 0.25), (1.5, 0.5), (1.5, 0.0)],
+                         ids=["r_below_1", "r_at_p", "s_prime_at_s", "s_prime_0"])
+def test_holder_chain_constant_checks_its_arguments(const_field, r, s_prime):
+    lat = build_lattice(1, 0.5, [(-1, 1)], [(-1, 1)])
+    with pytest.raises(ValueError, match="need 1 <= r < p and 0 < s' < s"):
+        holder_chain_constant(lat, const_field, 0.5, 2.0, r, s_prime)
 
 
 def test_forcing_on_another_lattice_is_refused(const_field):

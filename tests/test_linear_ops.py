@@ -26,6 +26,7 @@ from fraclat.linear_ops import (
     BilinearSystem,
     SolveStats,
     _cholesky_start,
+    _numpy_blas,
     _one_blas_thread,
     _openblas,
     assemble,
@@ -459,6 +460,20 @@ def test_spectrum_rejects_a_nonfinite_matrix(lat5, const_field):
     system = assemble(lat5, const_field, 0.5, "global", _ones(lat5))
     system.matrix[0, 0] = np.nan
     with pytest.raises(NumericalError, match="non-finite"):
+        spectrum(system, 1)
+
+
+@pytest.mark.parametrize("info, missing", [(1, 0), (0, 1)], ids=["info", "too_few_pairs"])
+def test_spectrum_reports_a_dsyevr_failure(lat5, const_field, monkeypatch, info, missing):
+    if _numpy_blas(_DSYEVR) is None:
+        pytest.skip("numpy exports no LAPACKE dsyevr here; the scipy path runs instead")
+
+    def failing(dsyevr, a, k):
+        return np.zeros(k), np.zeros((k, len(a))), k - missing, info
+
+    monkeypatch.setattr("fraclat.linear_ops._lapacke_dsyevr", failing)
+    system = assemble(lat5, const_field, 0.5, "global", _ones(lat5))
+    with pytest.raises(NumericalError, match=f"dense eigensolver dsyevr failed: info={info}"):
         spectrum(system, 1)
 
 

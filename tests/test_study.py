@@ -164,6 +164,17 @@ box_side=32
     assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(StudyConfig))
 
 
+# configs with a repeated list entry, each with the key that its error names
+# (the first repeated one); each ran and wrote duplicate report rows
+REPEATED = [
+    ("seeds", "study=solve\nseeds=1,1\n"),
+    ("seeds", "study=homogenize\nseeds=2,2\n"),
+    ("radii", "study=ergodic\nradii=10,10\nalpha=0.5,0.5\n"),
+    ("alpha", "study=ergodic\nalpha=0.5,0.5\n"),
+    ("q_list", "study=embeddings\nq_list=2,2\n"),
+]
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -259,6 +270,8 @@ box_side=32
         "study=solve\ndist.kind=unit_power_law\ndist.a=-2\n",
         "study=homogenize\ndist.kind=unit_power_law\ndist.a=-2\n",
         "study=ergodic\ndist.kind=decaying_product\ndist.base.kind=lognormal\ndist.base.sigma=40\n",
+        # a repeated entry repeated report rows, and counted a seed twice in homogenize's median
+        *(text for _, text in REPEATED),
     ],
 )
 def test_bad_configs_rejected(text):
@@ -362,6 +375,21 @@ def test_cli_law_without_a_mean_exits_2(tmp_path, capsys, dist):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ") and "normalizing scale" in err[0], err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, text", REPEATED)
+def test_cli_repeated_entry_exits_2(tmp_path, capsys, key, text):
+    study = text.split("\n")[0].removeprefix("study=")
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(text)
+    assert main([study, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {key} holds a repeated entry"), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_reversed_radii_are_no_repeat():
+    assert parse_config("study=ergodic\nradii=100,10\n").radii == (100, 10)
 
 
 def test_cli_nan_solver_tol_is_a_config_error(tmp_path, capsys):

@@ -86,9 +86,12 @@ def _whole_kernel(lattice, field, s, p, flavor):
 @pytest.mark.parametrize("d", [1, 2])
 def test_kernel_matches_whole_matrix_formula(d, small_tiles):
     lat = build_lattice(**LATTICES[d])
-    tiles = list(_reduction.triangle_tiles(lat.n_sites, 8 * d))
-    lo, hi = tiles[-1]
-    assert len(tiles) > 3 and hi - lo < _reduction.tile_rows(lat.n_sites - lo, 8 * d)
+    for flavor in ("global", "local"):
+        # the plan that kernel_matrix runs: several triangle tiles, the last one cut short
+        n = len(pair_ids(lat, flavor))
+        tiles = list(_reduction.triangle_tiles(n))
+        lo, hi = tiles[-1]
+        assert len(tiles) > 3 and hi - lo < _reduction.tile_rows(n - lo), flavor
     for dist in DISTS:
         field = WeightField(dist, 11)
         for flavor in ("global", "local"):
@@ -104,7 +107,7 @@ def test_kernel_rows_match_full_kernel(d, small_tiles):
         for flavor in ("global", "local"):
             ids, k = kernel_matrix(lat, field, 0.5, 2.0, flavor)
             rows = np.random.default_rng(d).permutation(ids)[: len(ids) // 2 + 1]
-            assert len(_reduction.row_tiles(len(rows), len(ids), 8 * d)) > 1
+            assert len(_reduction.row_tiles(len(rows), len(ids))) > 1
             sums, block = kernel_matrix(lat, field, 0.5, 2.0, flavor, rows=rows)
             r = np.searchsorted(ids, rows)
             assert np.array_equal(sums, k[r].sum(axis=1)), (dist, flavor)
@@ -114,14 +117,14 @@ def test_kernel_rows_match_full_kernel(d, small_tiles):
 @pytest.mark.parametrize("d", [1, 2])
 def test_assemble_matches_full_kernel_formula(d, small_tiles):
     lat = build_lattice(**LATTICES[d])
-    # the free block is filled from several row tiles
-    assert len(_reduction.row_tiles(len(lat.interior_ids), lat.n_sites, 8 * d)) > 1
     f = GridFunction(lat, np.random.default_rng(9).normal(size=lat.n_sites))
     for dist in (Constant(2.0), LogNormal(1.0)):
         field = WeightField(dist, 3)
         for flavor in ("global", "local"):
             ids, k = kernel_matrix(lat, field, 0.5, 2.0, flavor)
             free = lat.interior_ids
+            # the free block is filled from several row tiles of the flavor's sites
+            assert len(_reduction.row_tiles(len(free), len(ids))) > 1
             rows = np.searchsorted(ids, free)
             a = -2.0 * k[np.ix_(rows, rows)]
             np.fill_diagonal(a, 2.0 * k.sum(axis=1)[rows])
@@ -253,7 +256,7 @@ def test_free_block_energy_matches_whole_kernel(d, small_tiles):
             free = lat.interior_ids
             assert np.array_equal(np.intersect1d(ids, free), free)
             # the free block spans several row tiles
-            assert len(_reduction.row_tiles(len(free), len(free), 8 * d)) > 1
+            assert len(_reduction.row_tiles(len(free), len(free))) > 1
             kernel = kernel_matrix(lat, field, 0.5, 3.0, flavor)
             fb = held_block(lat, field, EnergySpec(p=3.0, s=0.5, V=PowerP(3.0), flavor=flavor,
                                                    constraint=constraint))

@@ -124,6 +124,30 @@ def test_continuum_energy_needs_positive_near_diagonal_exponent():
         continuum_energy(tent, 1.0, 2.0, PowerP(2), (-1, 1), quad_n=16)
 
 
+def test_continuum_energy_is_one_dimensional():
+    plane = ContinuumFunction(lambda p: p[:, 0] + p[:, 1], dim=2, lipschitz_const=2.0)
+    with pytest.raises(NotImplementedError, match="d=1"):
+        continuum_energy(plane, 0.5, 2.0, PowerP(2), (-1, 1), quad_n=16)
+
+
+@pytest.mark.parametrize("quad_n", [1, 2, 3])
+def test_continuum_energy_without_a_far_panel_pair(quad_n):
+    # no two of fewer than four panels lie three apart, so the whole integral
+    # is the near-diagonal strip: low is 0 and high still bounds the energy
+    tent = tent_function((-1.0, 1.0))
+    br = continuum_energy(tent, 0.5, 2.0, PowerP(2), (-1, 1), quad_n=quad_n)
+    assert br.low == 0.0
+    assert br.high >= continuum_energy(tent, 0.5, 2.0, PowerP(2), (-1, 1), quad_n=64).low
+
+
+def test_pc_l2_distance_needs_one_dimension():
+    line = build_lattice(1, 0.5, [(-1, 1)], [(-1, 1)])
+    plane = build_lattice(2, 0.5, [(-1, 1)] * 2, [(-1, 1)] * 2)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        pc_l2_distance(GridFunction(line, np.zeros(line.n_sites)), GridFunction(plane, np.zeros(plane.n_sites)),
+                       [(-1, 1)])
+
+
 def test_pc_l2_distance_exact():
     lat1 = build_lattice(1, 0.5, [(-1, 1)], [(-1, 1)])
     lat2 = build_lattice(1, 0.25, [(-1, 1)], [(-1, 1)])

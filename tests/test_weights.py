@@ -296,6 +296,19 @@ def test_stationarity_shift_invariance():
         assert abs(base.mean - shifted.mean) < tol
 
 
+@pytest.mark.parametrize("box_radius, origin_samples", [(0, 1), (1, 0)])
+def test_empirical_moment_needs_a_box_and_an_origin(box_radius, origin_samples):
+    with pytest.raises(ValueError, match="box_radius and origin_samples must be >= 1"):
+        empirical_moment(WeightField(Constant(1.0), 0), 1.0, box_radius, origin_samples)
+
+
+@pytest.mark.parametrize("p, s, d, q_max", [(1.0, 0.5, 1, 2.0), (2.0, 1.0, 1, 2.0), (2.0, 0.5, 0, 2.0),
+                                            (2.0, 0.5, 1, 0.0)], ids=["p", "s", "d", "q_max"])
+def test_check_assumption_checks_its_arguments(p, s, d, q_max):
+    with pytest.raises(ValueError, match="need p > 1"):
+        check_assumption(p, s, d, q_max)
+
+
 def test_check_assumption_examples():
     rep = check_assumption(2, 0.5, 1, 1.5)
     assert rep.satisfied and rep.witness_r is not None
@@ -314,6 +327,12 @@ def test_critical_exponent_values():
     assert critical_exponent(2, 0.25, 1, math.inf) == pytest.approx(4.0)
     with pytest.raises(ValueError):
         critical_exponent(2, 0.5, 1, math.inf)  # denominator d - sp = 0
+
+
+def test_critical_exponent_needs_the_assumption():
+    # d/(ps) = 1 is not below q_max = 0.5
+    with pytest.raises(ValueError, match="moment assumption not satisfied"):
+        critical_exponent(2, 0.5, 1, 0.5)
 
 
 def test_critical_exponent_matches_symbolic_limit():
